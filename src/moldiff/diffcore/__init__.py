@@ -1,4 +1,4 @@
-"""Numeric substrate: taped autodiff, Adam, spectral transforms, RK4, checkpoints."""
+"""Numeric substrate: taped autodiff, Adam, the DCT basis, RK4, checkpoints."""
 
 from .checkpoint import CheckpointError, load_params, save_params
 from .ode import NonFiniteField, ode_integrate
@@ -14,11 +14,9 @@ from .tensor import (
     dct_matrix,
     param,
 )
-from . import spectral
 
 __all__ = [
     "AdamState", "CheckpointError", "DetachedLoss", "EmptyInput", "LossNotScalar",
     "NonFiniteField", "ShapeMismatch", "Tape", "Tensor", "adam_step", "backward",
     "dct_matrix", "load_params", "ode_integrate", "param", "save_params",
-    "spectral",
 ]

@@ -241,27 +241,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    out = Tensor(t)
-    _record(out, ((x, lambda g: g * (1.0 - t * t)),))
-    return out
-
-
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-    out = Tensor(e)
-    _record(out, ((x, lambda g: g * e),))
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-    xd = x.data
-    _record(out, ((x, lambda g: g / xd),))
-    return out
-
-
 def sqrt(x: Tensor) -> Tensor:
     """Elementwise square root; gradient defined as 0 where x == 0."""
     r = np.sqrt(x.data)
@@ -297,13 +276,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return grad
 
     _record(out, tuple((t, make_grad(i)) for i, t in enumerate(ts)))
-    return out
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    old = x.data.shape
-    out = Tensor(x.data.reshape(shape))
-    _record(out, ((x, lambda g: g.reshape(old)),))
     return out
 
 
@@ -357,16 +329,6 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
     shape = x.data.shape
     _record(out, ((x, lambda g: np.broadcast_to(g, shape).copy()),))
-    return out
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    if n == 0:
-        raise EmptyInput("mean over zero elements")
-    out = Tensor(x.data.mean())
-    shape = x.data.shape
-    _record(out, ((x, lambda g: np.broadcast_to(g / n, shape).copy()),))
     return out
 
 
@@ -560,7 +522,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# orthonormal DCT-II as a differentiable op (matrix form, cached per length)
+# orthonormal DCT-II basis (cached per length)
 
 
 @lru_cache(maxsize=None)
@@ -574,29 +536,3 @@ def dct_matrix(n: int) -> np.ndarray:
     mat *= np.sqrt(2.0 / n)
     mat[0] *= np.sqrt(0.5)
     return mat
-
-
-def dct(x: Tensor) -> Tensor:
-    """Orthonormal DCT-II of a 1-D tensor."""
-    x = _as_tensor(x)
-    if x.data.ndim != 1:
-        raise ShapeMismatch("dct expects a 1-D tensor")
-    if x.data.size == 0:
-        raise EmptyInput("dct of empty vector")
-    mat = dct_matrix(x.data.size)
-    out = Tensor(mat @ x.data)
-    _record(out, ((x, lambda g: mat.T @ g),))
-    return out
-
-
-def idct(x: Tensor) -> Tensor:
-    """Inverse of :func:`dct` (orthonormal, so the transpose)."""
-    x = _as_tensor(x)
-    if x.data.ndim != 1:
-        raise ShapeMismatch("idct expects a 1-D tensor")
-    if x.data.size == 0:
-        raise EmptyInput("idct of empty vector")
-    mat = dct_matrix(x.data.size)
-    out = Tensor(mat.T @ x.data)
-    _record(out, ((x, lambda g: mat @ g),))
-    return out

@@ -8,25 +8,44 @@
 * Flow matching: conditional straight-line interpolant, velocity-field
   regression, generation by RK4 integration from a standard normal.
 
+Every flow (``DdpmModel``, ``HeatModel``, ``FlowField``) offers the same
+small interface, and the harness sees nothing else:
+
+* ``named_params()``: the trainable tensors;
+* ``loss(x, rng)``: a taped loss on one standardized training cloud, or
+  None for a cloud the flow cannot learn from;
+* ``can_sample(rows)`` and ``sample(rows, rng)``: one standardized cloud
+  with ``rows`` rows;
+* ``meta()``: the kind tag and every schedule constant, which ``build``
+  takes back.
+
 Every sampler takes an explicit numpy Generator, so runs are reproducible
 bit for bit from a seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .diffcore import tensor as T
 from .diffcore.ode import ode_integrate
-from .diffcore.spectral import dct, idct
-from .diffcore.tensor import EmptyInput, ShapeMismatch, Tensor
-from .gnn import EgnnNet, GcnStack, TooFewPoints, complete_graph_edges
+from .diffcore.tensor import EmptyInput, ShapeMismatch, Tensor, dct_matrix
+from .gnn import EgnnNet, FlowFieldNet, GcnStack, complete_graph_edges
 
 
 class StepOutOfRange(ValueError):
     pass
+
+
+class UnknownFlow(ValueError):
+    pass
+
+
+def _constants(sched) -> dict:
+    """A schedule's constructor arguments, by name."""
+    return {f.name: getattr(sched, f.name) for f in fields(sched) if f.init}
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +111,9 @@ class GnnRestorer:
     is the difference's latent-width slice (the time slot is discarded).
     """
 
+    kind = "ddpm_gnn"
+    min_points = 1
+
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
                  name: str = "ddpm_gnn"):
         self.width = width
@@ -110,7 +132,13 @@ class GnnRestorer:
 
 
 class EgnnRestorer:
-    """Distance-driven noise predictor; output co-rotates with the cloud."""
+    """Distance-driven noise predictor; output co-rotates with the cloud.
+
+    It sees a cloud only through pairwise distances, so it needs 2 points.
+    """
+
+    kind = "ddpm_egnn"
+    min_points = 2
 
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
                  layers: int = 4, name: str = "ddpm_egnn"):
@@ -136,9 +164,28 @@ class DdpmModel:
     def named_params(self):
         return self.restorer.named_params()
 
+    def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor | None:
+        return ddpm_loss(self, x, rng)
 
-def ddpm_loss(model: DdpmModel, x0: np.ndarray, rng: np.random.Generator) -> Tensor:
-    """MSE between predicted and actual noise at a uniformly random step."""
+    def can_sample(self, rows: int) -> bool:
+        return True
+
+    def sample(self, rows: int, rng: np.random.Generator) -> np.ndarray:
+        return ddpm_generate(self, rows, rng)
+
+    def meta(self) -> dict:
+        return {"flow": self.restorer.kind, **_constants(self.sched)}
+
+
+def ddpm_loss(model: DdpmModel, x0: np.ndarray,
+              rng: np.random.Generator) -> Tensor | None:
+    """MSE between predicted and actual noise at a uniformly random step.
+
+    None, with no draw from ``rng``, for a cloud with fewer points than the
+    restorer can see.
+    """
+    if x0.shape[0] < model.restorer.min_points:
+        return None
     sched = model.sched
     t = int(rng.integers(1, sched.steps + 1))
     eps = rng.standard_normal(x0.shape)
@@ -158,15 +205,6 @@ def ddpm_generate(model: DdpmModel, n: int, rng: np.random.Generator) -> np.ndar
     return x
 
 
-def egnn_restore_step(model: DdpmModel, x_t: np.ndarray, t: int,
-                      noise: np.ndarray | None = None) -> np.ndarray:
-    """Single reverse step through the distance-based restorer."""
-    if x_t.shape[0] < 2:
-        raise TooFewPoints(f"need at least 2 points, got {x_t.shape[0]}")
-    z = model.restorer.predict_noise(T.tensor(x_t), t, model.sched.steps).data
-    return ddpm_posterior_step(model.sched, x_t, z, t, noise)
-
-
 # ---------------------------------------------------------------------------
 # heat dissipation
 
@@ -180,8 +218,6 @@ class HeatSchedule:
     sigma_max: float = 20.0
     train_noise_std: float = 0.01
     eta: float = 0.01
-    kl_mean: float = 20.0
-    kl_var: float = 4.0
     sigmas: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -205,16 +241,8 @@ def heat_blur(x: np.ndarray, sigma: float) -> np.ndarray:
         raise EmptyInput("heat_blur expects a non-empty 1-D vector")
     length = x.size
     freqs = np.pi / length * np.arange(length)
-    return idct(dct(x) * np.exp(-(freqs ** 2) * (sigma ** 2) / 2.0))
-
-
-def gaussian_kl(mean: float, var: float, target_mean: float,
-                target_var: float) -> float:
-    """KL(N(mean, var) || N(target_mean, target_var)), closed form."""
-    if var <= 0.0 or target_var <= 0.0:
-        raise ValueError("variances must be positive")
-    return float(0.5 * np.log(target_var / var)
-                 + (var + (mean - target_mean) ** 2) / (2.0 * target_var) - 0.5)
+    basis = dct_matrix(length)
+    return basis.T @ ((basis @ x) * np.exp(-(freqs ** 2) * (sigma ** 2) / 2.0))
 
 
 class HeatModel:
@@ -222,14 +250,19 @@ class HeatModel:
 
     The predictor is time-free: the same network is applied at every level
     of blur, both in training and in the iterative generation loop.
+    Sampling starts from a seed cloud, drawn from the standardized training
+    clouds it is built with, so it can only sample their row counts.
     """
 
     def __init__(self, width: int, sched: HeatSchedule, rng: np.random.Generator,
-                 hidden: int = 64, name: str = "heat"):
+                 clouds=(), hidden: int = 64, name: str = "heat"):
         self.width = width
         self.sched = sched
         self.net = GcnStack([width, hidden, hidden, width], rng, name=name,
                             conv="graph")
+        self.seeds: dict[int, list[np.ndarray]] = {}
+        for c in clouds:
+            self.seeds.setdefault(c.shape[0], []).append(c)
 
     def delta(self, x: Tensor) -> Tensor:
         return self.net(x, complete_graph_edges(x.data.shape[0]))
@@ -237,22 +270,35 @@ class HeatModel:
     def named_params(self):
         return self.net.named_params()
 
+    def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor:
+        return heat_loss(self, x, rng)
+
+    def can_sample(self, rows: int) -> bool:
+        return rows in self.seeds
+
+    def sample(self, rows: int, rng: np.random.Generator) -> np.ndarray:
+        pool = self.seeds[rows]
+        return heat_generate(self, pool[int(rng.integers(len(pool)))], rng)
+
+    def meta(self) -> dict:
+        return {"flow": "heat", **_constants(self.sched)}
+
 
 def heat_loss(model: HeatModel, x0: np.ndarray, rng: np.random.Generator) -> Tensor:
-    """Restoration MSE toward the one-step-less-blurred embedding, plus the
-    KL between the embedding's fitted Gaussian and the target moments."""
+    """Restoration MSE toward the one-step-less-blurred cloud.
+
+    Like :func:`heat_generate`, the process runs on the exponentiated
+    standardized cloud.
+    """
     sched = model.sched
     n, w = x0.shape
-    flat = x0.ravel()
+    flat = np.exp(x0).ravel()
     t = int(rng.integers(1, sched.steps + 1))
     noisy = heat_blur(flat, sched.sigma(t)) + rng.normal(0.0, sched.train_noise_std, flat.size)
     target = heat_blur(flat, sched.sigma(t - 1))
     noisy_t = T.tensor(noisy.reshape(n, w))
     restored = T.add(noisy_t, model.delta(noisy_t))
-    loss = T.mse(restored, T.tensor(target.reshape(n, w)))
-    kl = gaussian_kl(float(flat.mean()), float(flat.var()) if flat.size > 1 else 1.0,
-                     sched.kl_mean, sched.kl_var)
-    return T.add(loss, float(kl))
+    return T.mse(restored, T.tensor(target.reshape(n, w)))
 
 
 def heat_generate(model: HeatModel, seed_cloud: np.ndarray,
@@ -292,7 +338,7 @@ def fm_target_velocity(x0: np.ndarray, x1: np.ndarray,
 
 @dataclass
 class FlowField:
-    net: "object"  # FlowFieldNet-like: callable (Tensor, t) -> Tensor, .velocity, .width
+    net: FlowFieldNet
     sigma_min: float = 1e-4
     ode_steps: int = 100
 
@@ -302,6 +348,19 @@ class FlowField:
 
     def named_params(self):
         return self.net.named_params()
+
+    def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor:
+        return fm_loss(self, x, rng)
+
+    def can_sample(self, rows: int) -> bool:
+        return True
+
+    def sample(self, rows: int, rng: np.random.Generator) -> np.ndarray:
+        return fm_generate(self, rows, rng)
+
+    def meta(self) -> dict:
+        return {"flow": "flow_matching", "sigma_min": self.sigma_min,
+                "ode_steps": self.ode_steps}
 
 
 def fm_loss(field: FlowField, x1: np.ndarray, rng: np.random.Generator) -> Tensor:
@@ -321,6 +380,25 @@ def fm_generate(field: FlowField, n: int, rng: np.random.Generator) -> np.ndarra
     return ode_integrate(field.net.velocity, x0, 0.0, 1.0, field.ode_steps)
 
 
-def fm_encode(field: FlowField, x1: np.ndarray) -> np.ndarray:
-    """Backward integration from the data side to the base distribution."""
-    return ode_integrate(field.net.velocity, x1, 1.0, 0.0, field.ode_steps)
+# ---------------------------------------------------------------------------
+# construction
+
+
+def build(kind: str, width: int, rng: np.random.Generator, clouds=(),
+          **constants) -> DdpmModel | HeatModel | FlowField:
+    """A freshly initialised flow of ``kind`` over ``width``-column clouds.
+
+    ``constants`` are schedule constants as ``meta()`` names them; the ones
+    left out keep their defaults, and an unknown one raises TypeError.
+    ``clouds`` iterates over the standardized training clouds, the seed
+    prior of the heat flow; the other flows never read it.
+    """
+    if kind == "ddpm_gnn":
+        return DdpmModel(GnnRestorer(width, rng), DdpmSchedule(**constants))
+    if kind == "ddpm_egnn":
+        return DdpmModel(EgnnRestorer(width, rng), DdpmSchedule(**constants))
+    if kind == "heat":
+        return HeatModel(width, HeatSchedule(**constants), rng, clouds)
+    if kind == "flow_matching":
+        return FlowField(FlowFieldNet(width, rng), **constants)
+    raise UnknownFlow(f"no flow of kind {kind!r}")

@@ -86,16 +86,14 @@ class EdgeIndex:
 
 
 @lru_cache(maxsize=None)
-def complete_graph_edges(n: int, self_loops: bool = False) -> EdgeIndex:
-    """All ordered pairs src != dst, plus the n self-loops when requested."""
+def complete_graph_edges(n: int) -> EdgeIndex:
+    """All ordered pairs src != dst."""
     if n < 1:
         raise ZeroNodes(f"complete graph needs at least one node, got {n}")
     src, dst = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     src, dst = src.ravel(), dst.ravel()
-    if not self_loops:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-    return EdgeIndex(src, dst, n)
+    keep = src != dst
+    return EdgeIndex(src[keep], dst[keep], n)
 
 
 def edges_from_pairs(n: int, pairs) -> EdgeIndex:
@@ -290,23 +288,20 @@ def egnn_distance_features(cloud) -> Tensor:
 
 @dataclass(frozen=True)
 class TimeEncoding:
-    mode: str = "normalized"  # or "sinusoidal"
+    """Sinusoidal timestep features: ``pairs`` (sin, cos) pairs."""
+
     pairs: int = 4
 
     @property
     def width(self) -> int:
-        return 1 if self.mode == "normalized" else 2 * self.pairs
+        return 2 * self.pairs
 
 
 def time_encode(t: float, total: float, enc: TimeEncoding) -> np.ndarray:
-    """Encode a timestep; normalized mode is t/total, sinusoidal mode emits
-    (sin, cos) pairs over geometrically spaced frequencies."""
+    """Encode a timestep as (sin, cos) pairs of t/total over geometrically
+    spaced frequencies."""
     if not (0 <= t <= total):
         raise OutOfRange(f"t={t} outside [0, {total}]")
-    if enc.mode == "normalized":
-        return np.array([t / total], dtype=np.float64)
-    if enc.mode != "sinusoidal":
-        raise ValueError(f"unknown time encoding mode {enc.mode!r}")
     tau = t / total
     k = enc.pairs
     omega = np.array([1000.0 ** (i / (k - 1)) if k > 1 else 1.0 for i in range(k)])
@@ -353,7 +348,7 @@ class FlowFieldNet:
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
                  hidden_layers: int = 10, name: str = "flowfield"):
         self.width = width
-        self.time_enc = TimeEncoding("sinusoidal", pairs=4)
+        self.time_enc = TimeEncoding(pairs=4)
         self.entry = GraphConvLayer(width + self.time_enc.width, hidden, rng,
                                     name=f"{name}.entry")
         self.hidden = [Dense(hidden, hidden, rng, name=f"{name}.h{i}")

@@ -14,19 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from ..chem import load_dataset, parse_smiles, write_smiles
-from .config import EXPERIMENTS, ExperimentConfig, config_from_dict, load_config
-from .data import resolve_dataset
+from .config import EXPERIMENTS, ExperimentConfig, config_from_dict
 from .generate import generate_molecules
 from .metrics import evaluate
 from .report import read_results_csv, write_report
-from .sweep import run_all, run_experiment
+from .sweep import run_all
 from .train import load_pipeline, train_experiment
 
 
-def _add_config_flags(p: argparse.ArgumentParser, require_experiment: bool) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--experiment", choices=EXPERIMENTS,
-                   required=False if not require_experiment else False)
+    p.add_argument("--experiment", choices=EXPERIMENTS)
     p.add_argument("--latent-z", type=int, dest="latent_z")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -94,13 +92,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    dataset = None
-    if args.dataset is None:
-        cfg = ExperimentConfig(experiment="gnn_gaussian", subset=args.subset,
-                               seed=args.seed)
-        dataset = resolve_dataset(cfg)
     reports = run_all(
-        args.seed, dataset, epochs=args.epochs, subset=args.subset,
+        args.seed, epochs=args.epochs, subset=args.subset,
         sample_count=args.sample_count, repetitions=args.repetitions,
         output_dir=args.output_dir, dataset_path=args.dataset)
     for r in reports:
@@ -117,11 +110,11 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one experiment configuration")
-    _add_config_flags(p_train, require_experiment=True)
+    _add_config_flags(p_train)
     p_train.set_defaults(fn=_cmd_train)
 
     p_gen = sub.add_parser("generate", help="sample molecules from checkpoints")
-    _add_config_flags(p_gen, require_experiment=True)
+    _add_config_flags(p_gen)
     p_gen.add_argument("--count", type=int, default=100)
     p_gen.add_argument("--gen-seed", type=int, dest="gen_seed")
     p_gen.add_argument("--out")

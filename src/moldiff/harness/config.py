@@ -7,13 +7,16 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-EXPERIMENTS = (
-    "gnn_gaussian",
-    "egnn_gaussian",
-    "input_space_gaussian",
-    "heat_1d",
-    "flow_matching",
-)
+# the flow kind (see moldiff.flows.build) that each experiment trains
+FLOW_KINDS = {
+    "gnn_gaussian": "ddpm_gnn",
+    "egnn_gaussian": "ddpm_egnn",
+    "input_space_gaussian": "ddpm_gnn",
+    "heat_1d": "heat",
+    "flow_matching": "flow_matching",
+}
+
+EXPERIMENTS = tuple(FLOW_KINDS)
 
 LATENT_WIDTHS = (1, 2, 6)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import codec, flows
+from .. import codec
 from ..chem import MolGraph
 from .train import TrainedPipeline
 
@@ -15,47 +15,23 @@ def sample_atom_count(histogram: dict[int, int], rng: np.random.Generator) -> in
     return int(rng.choice(sizes, p=weights / weights.sum()))
 
 
-def _seed_pool(pipe: TrainedPipeline) -> dict[int, list[np.ndarray]]:
-    """Standardized seed embeddings for the heat process, keyed by size."""
-    pool: dict[int, list[np.ndarray]] = {}
-    for m in pipe.subset:
-        cloud = codec.encode_t(pipe.graph_ae, pipe.atom_ae, m).data
-        pool.setdefault(m.n, []).append(pipe.standardizer.apply(cloud))
-    return pool
-
-
-def _generate_cloud(pipe: TrainedPipeline, n: int, rng: np.random.Generator,
-                    seeds: dict[int, list[np.ndarray]] | None) -> np.ndarray:
-    """Flow output in standardized embedding space, one row per node."""
-    flow = pipe.flow
-    if isinstance(flow, flows.DdpmModel):
-        nodes = n if pipe.input_ae is None else n + n * (n - 1) // 2
-        return flows.ddpm_generate(flow, nodes, rng)
-    if isinstance(flow, flows.HeatModel):
-        pool = seeds[n]
-        seed = pool[int(rng.integers(len(pool)))]
-        return flows.heat_generate(flow, seed, rng)
-    return flows.fm_generate(flow, n, rng)
-
-
 def generate_molecules(pipe: TrainedPipeline, count: int,
                        rng: np.random.Generator) -> list[MolGraph]:
     """Generate ``count`` candidate molecules (valid or not)."""
-    histogram = dict(pipe.dataset.size_histogram)
-    seeds = _seed_pool(pipe) if isinstance(pipe.flow, flows.HeatModel) else None
-    if seeds is not None:
-        # heat seeds come from the training subset; restrict sizes accordingly
-        histogram = {n: c for n, c in histogram.items() if n in seeds}
+    # an input-space cloud has a row per atom and a row per atom pair
+    rows = {n: n if pipe.input_ae is None else n + n * (n - 1) // 2
+            for n in pipe.dataset.size_histogram}
+    # sizes the flow cannot sample (heat: none of its seed clouds) are skipped
+    histogram = {n: c for n, c in pipe.dataset.size_histogram.items()
+                 if pipe.flow.can_sample(rows[n])}
 
     out: list[MolGraph] = []
     for _ in range(count):
         n = sample_atom_count(histogram, rng)
-        cloud_std = _generate_cloud(pipe, n, rng, seeds)
+        points = pipe.standardizer.invert(pipe.flow.sample(rows[n], rng))
         if pipe.input_ae is not None:
-            latent = pipe.standardizer.invert(cloud_std)
-            candidate = codec.input_space_decode(pipe.input_ae, latent, n)
+            candidate = codec.input_space_decode(pipe.input_ae, points, n)
         else:
-            points = pipe.standardizer.invert(cloud_std)
             cloud = codec.LatentCloud(points=points, z=pipe.graph_ae.z)
             candidate = codec.decode(pipe.graph_ae, pipe.atom_ae, cloud)
         mol, _dropped = codec.predict_edge_types(pipe.edge_type, candidate)

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..chem import Dataset
 from .config import ExperimentConfig
+from .data import resolve_dataset
 from .generate import generate_molecules
 from .metrics import MetricsReport, evaluate, mean_report
 from .report import write_report
@@ -63,13 +64,18 @@ def run_all(seed: int, dataset: Dataset | None = None, *, epochs: int = 20,
             repetitions: int = 5, output_dir: str = "runs",
             dataset_path: str | None = None,
             rows: tuple[tuple[str, int], ...] = SWEEP_ROWS) -> list[MetricsReport]:
-    """Run the whole sweep and emit results.csv plus the three figures."""
+    """Run the whole sweep and emit results.csv plus the three figures.
+
+    Without ``dataset`` it is resolved once, from the first row's config.
+    """
     reports = []
     for experiment, z in rows:
         cfg = ExperimentConfig(
             experiment=experiment, latent_z=z, epochs=epochs, subset=subset,
             seed=seed, sample_count=sample_count, repetitions=repetitions,
             output_dir=output_dir, dataset=dataset_path)
+        if dataset is None:
+            dataset = resolve_dataset(cfg)
         report, _ = run_experiment(cfg, dataset)
         reports.append(report)
     write_report(output_dir, reports)

@@ -2,15 +2,18 @@
 
 A run produces two checkpoints in the run directory: ``codec.mdl1`` (graph
 autoencoder, atom-type autoencoder, bond-type classifier) and ``flow.mdl1``
-(restoration model plus the embedding standardizer and schedule constants
-in the metadata header). Wall-clock seconds for the two phases and the
-total trainable parameter count are recorded alongside.
+(restoration model plus the embedding standardizer, with the flow's
+``meta()`` in the metadata header). Loading rebuilds the flow from the
+stored schedule constants, not from the defaults. Wall-clock seconds for
+the two phases and the total trainable parameter count are recorded
+alongside.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +21,7 @@ import numpy as np
 from .. import codec, flows
 from ..chem import Dataset, MolGraph
 from ..diffcore import AdamState, Tape, adam_step, backward, load_params, save_params
-from ..gnn import FlowFieldNet
-from .config import ConfigInvalid, ExperimentConfig
+from .config import FLOW_KINDS, ExperimentConfig
 from .data import resolve_dataset
 
 
@@ -57,8 +59,8 @@ class TrainedPipeline:
     input_ae: codec.InputSpaceAutoencoder | None
     atom_ae: codec.AtomTypeAutoencoder | None
     edge_type: codec.EdgeTypeModel
-    flow: object  # DdpmModel | HeatModel | FlowField
-    standardizer: Standardizer
+    flow: flows.DdpmModel | flows.HeatModel | flows.FlowField | None
+    standardizer: Standardizer | None
     ae_seconds: float = 0.0
     flow_seconds: float = 0.0
     param_count: int = 0
@@ -69,6 +71,16 @@ class TrainedPipeline:
         if self.input_ae is not None:
             return self.input_ae.width
         return self.graph_ae.width
+
+    @property
+    def autoencoders(self) -> list:
+        """The input-space autoencoder, or the graph and atom-type ones."""
+        return [ae for ae in (self.graph_ae, self.atom_ae, self.input_ae) if ae is not None]
+
+    def codec_params(self) -> list:
+        """Named parameters of the autoencoder(s), then of the bond-type model."""
+        return [p for part in (*self.autoencoders, self.edge_type)
+                for p in part.named_params()]
 
 
 def _spawn(seed: int, n: int) -> list[np.random.Generator]:
@@ -117,116 +129,65 @@ def _build_codec(cfg: ExperimentConfig, rng: np.random.Generator):
             codec.AtomTypeAutoencoder(rng), None)
 
 
-def _build_flow(cfg: ExperimentConfig, width: int, rng: np.random.Generator):
-    if cfg.experiment == "egnn_gaussian":
-        return flows.DdpmModel(flows.EgnnRestorer(width, rng), flows.DdpmSchedule())
-    if cfg.experiment in ("gnn_gaussian", "input_space_gaussian"):
-        return flows.DdpmModel(flows.GnnRestorer(width, rng), flows.DdpmSchedule())
-    if cfg.experiment == "heat_1d":
-        return flows.HeatModel(width, flows.HeatSchedule(), rng)
-    if cfg.experiment == "flow_matching":
-        return flows.FlowField(FlowFieldNet(width, rng))
-    raise ConfigInvalid(f"no flow for experiment {cfg.experiment!r}")
+def _untrained(cfg: ExperimentConfig, dataset: Dataset, init_rng: np.random.Generator,
+               subset_rng: np.random.Generator) -> TrainedPipeline:
+    """Freshly initialised codec parts on the selected subset; no flow yet."""
+    graph_ae, atom_ae, input_ae = _build_codec(cfg, init_rng)
+    return TrainedPipeline(
+        cfg=cfg, dataset=dataset, subset=_select_subset(dataset, cfg, subset_rng),
+        graph_ae=graph_ae, input_ae=input_ae, atom_ae=atom_ae,
+        edge_type=codec.EdgeTypeModel(init_rng), flow=None, standardizer=None)
 
 
-def _flow_kind(cfg: ExperimentConfig) -> str:
-    return {"gnn_gaussian": "ddpm_gnn", "egnn_gaussian": "ddpm_egnn",
-            "input_space_gaussian": "ddpm_gnn", "heat_1d": "heat",
-            "flow_matching": "flow_matching"}[cfg.experiment]
-
-
-def _flow_meta(cfg: ExperimentConfig, flow) -> dict:
-    meta = {"flow": _flow_kind(cfg), "experiment": cfg.experiment,
-            "latent_z": cfg.latent_z}
-    if isinstance(flow, flows.DdpmModel):
-        meta.update(steps=flow.sched.steps, beta_start=flow.sched.beta_start,
-                    beta_end=flow.sched.beta_end)
-    elif isinstance(flow, flows.HeatModel):
-        s = flow.sched
-        meta.update(steps=s.steps, sigma_min=s.sigma_min, sigma_max=s.sigma_max,
-                    train_noise_std=s.train_noise_std, eta=s.eta,
-                    kl_mean=s.kl_mean, kl_var=s.kl_var)
-    elif isinstance(flow, flows.FlowField):
-        meta.update(sigma_min=flow.sigma_min, ode_steps=flow.ode_steps)
-    return meta
-
-
-def _encode_subset(pipe_parts, cfg, subset):
-    """Frozen-encoder embeddings for every training molecule."""
-    graph_ae, atom_ae, input_ae = pipe_parts
-    clouds = []
-    for m in subset:
-        if input_ae is not None:
-            if m.n < 2:
-                continue
-            g = codec.build_edges_as_nodes(m)
-            clouds.append(input_ae.encode_t(g).data)
-        else:
-            clouds.append(codec.encode_t(graph_ae, atom_ae, m).data)
-    return clouds
+def _encode_subset(pipe: TrainedPipeline) -> Iterator[np.ndarray]:
+    """Frozen-encoder embeddings of the training molecules, each computed
+    when the iterator reaches it."""
+    if pipe.input_ae is not None:
+        return (pipe.input_ae.encode_t(codec.build_edges_as_nodes(m)).data
+                for m in pipe.subset if m.n >= 2)
+    return (codec.encode_t(pipe.graph_ae, pipe.atom_ae, m).data for m in pipe.subset)
 
 
 def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> TrainedPipeline:
     """Run both training phases and write checkpoints under cfg.run_dir."""
     if dataset is None:
         dataset = resolve_dataset(cfg)
-    rngs = _spawn(cfg.seed, 5)
-    init_rng, subset_rng, ae_rng, flow_rng, _ = rngs
-
-    subset = _select_subset(dataset, cfg, subset_rng)
-    graph_ae, atom_ae, input_ae = _build_codec(cfg, init_rng)
-    edge_type = codec.EdgeTypeModel(init_rng)
+    init_rng, subset_rng, ae_rng, flow_rng, _ = _spawn(cfg.seed, 5)
+    pipe = _untrained(cfg, dataset, init_rng, subset_rng)
 
     # phase 1: autoencoder(s) plus the bond-type classifier
     t0 = time.perf_counter()
-    if input_ae is not None:
-        graphs = [codec.build_edges_as_nodes(m) for m in subset if m.n >= 2]
-        ae_params = _param_list(input_ae.named_params())
-        ae_hist = _train_loop(lambda g: codec.input_space_loss(input_ae, g),
+    ae_params = [p for ae in pipe.autoencoders for _, p in ae.named_params()]
+    if pipe.input_ae is not None:
+        graphs = [codec.build_edges_as_nodes(m) for m in pipe.subset if m.n >= 2]
+        ae_hist = _train_loop(lambda g: codec.input_space_loss(pipe.input_ae, g),
                               graphs, cfg.epochs, ae_params, cfg.lr, ae_rng)
     else:
-        ae_params = _param_list(graph_ae.named_params() + atom_ae.named_params())
-        ae_hist = _train_loop(lambda m: codec.reconstruction_loss(graph_ae, atom_ae, m),
-                              subset, cfg.epochs, ae_params, cfg.lr, ae_rng)
-    et_params = _param_list(edge_type.named_params())
-    et_hist = _train_loop(lambda m: codec.edge_type_loss(edge_type, m),
-                          subset, cfg.epochs, et_params, cfg.lr, ae_rng)
-    ae_seconds = time.perf_counter() - t0
+        ae_hist = _train_loop(
+            lambda m: codec.reconstruction_loss(pipe.graph_ae, pipe.atom_ae, m),
+            pipe.subset, cfg.epochs, ae_params, cfg.lr, ae_rng)
+    et_params = _param_list(pipe.edge_type.named_params())
+    et_hist = _train_loop(lambda m: codec.edge_type_loss(pipe.edge_type, m),
+                          pipe.subset, cfg.epochs, et_params, cfg.lr, ae_rng)
+    pipe.ae_seconds = time.perf_counter() - t0
 
     # phase 2: flow on frozen-encoder embeddings
-    clouds = _encode_subset((graph_ae, atom_ae, input_ae), cfg, subset)
-    standardizer = Standardizer.fit(np.concatenate(clouds, axis=0))
-    flow_data = [standardizer.apply(c) for c in clouds]
-    if cfg.experiment == "heat_1d":
-        # the heat process degrades and restores in the exponentiated space
-        flow_data = [np.exp(c) for c in flow_data]
-
-    width = input_ae.width if input_ae is not None else graph_ae.width
-    flow = _build_flow(cfg, width, init_rng)
-    flow_params = _param_list(flow.named_params())
+    clouds = list(_encode_subset(pipe))
+    pipe.standardizer = Standardizer.fit(np.concatenate(clouds, axis=0))
+    flow_data = [pipe.standardizer.apply(c) for c in clouds]
+    pipe.flow = flows.build(FLOW_KINDS[cfg.experiment], pipe.flow_width, init_rng,
+                            flow_data)
+    flow_params = _param_list(pipe.flow.named_params())
 
     t0 = time.perf_counter()
-    if isinstance(flow, flows.DdpmModel):
-        flow_loss = lambda c: flows.ddpm_loss(flow, c, flow_rng)
-    elif isinstance(flow, flows.HeatModel):
-        flow_loss = lambda c: flows.heat_loss(flow, c, flow_rng)
-    else:
-        flow_loss = lambda c: flows.fm_loss(flow, c, flow_rng)
-    flow_hist = _train_loop(flow_loss, flow_data, cfg.epochs, flow_params,
-                            cfg.lr, flow_rng)
-    flow_seconds = time.perf_counter() - t0
+    flow_hist = _train_loop(lambda c: pipe.flow.loss(c, flow_rng), flow_data,
+                            cfg.epochs, flow_params, cfg.lr, flow_rng)
+    pipe.flow_seconds = time.perf_counter() - t0
 
-    param_count = sum(p.data.size for p in ae_params + et_params + flow_params)
-
-    pipeline = TrainedPipeline(
-        cfg=cfg, dataset=dataset, subset=subset, graph_ae=graph_ae,
-        input_ae=input_ae, atom_ae=atom_ae, edge_type=edge_type, flow=flow,
-        standardizer=standardizer, ae_seconds=ae_seconds,
-        flow_seconds=flow_seconds, param_count=param_count,
-        history={"ae": ae_hist, "edge_type": et_hist, "flow": flow_hist},
-    )
-    save_pipeline(pipeline)
-    return pipeline
+    pipe.param_count = sum(p.data.size for p in ae_params + et_params + flow_params)
+    pipe.history = {"ae": ae_hist, "edge_type": et_hist, "flow": flow_hist}
+    save_pipeline(pipe)
+    return pipe
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +203,14 @@ def save_pipeline(pipe: TrainedPipeline) -> None:
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    codec_named = []
-    if pipe.input_ae is not None:
-        codec_named += pipe.input_ae.named_params()
-    else:
-        codec_named += pipe.graph_ae.named_params() + pipe.atom_ae.named_params()
-    codec_named += pipe.edge_type.named_params()
     codec_meta = {"experiment": cfg.experiment, "latent_z": cfg.latent_z}
-    save_params(run_dir / "codec.mdl1", _named_arrays(codec_named), meta=codec_meta)
+    save_params(run_dir / "codec.mdl1", _named_arrays(pipe.codec_params()),
+                meta=codec_meta)
 
-    flow_named = dict(_named_arrays(pipe.flow.named_params()))
+    flow_named = _named_arrays(pipe.flow.named_params())
     flow_named["standardizer.mean"] = pipe.standardizer.mean
     flow_named["standardizer.std"] = pipe.standardizer.std
-    save_params(run_dir / "flow.mdl1", flow_named, meta=_flow_meta(cfg, pipe.flow))
+    save_params(run_dir / "flow.mdl1", flow_named, meta={**codec_meta, **pipe.flow.meta()})
 
     record = {
         "config": json.loads(cfg.to_json()),
@@ -279,48 +235,50 @@ def _restore(named_params, stored: dict[str, np.ndarray], path) -> None:
 
 
 def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> TrainedPipeline:
-    """Rebuild a pipeline from the checkpoints in cfg.run_dir."""
+    """Rebuild a pipeline from the checkpoints in cfg.run_dir.
+
+    The flow is rebuilt with the schedule constants stored in ``flow.mdl1``;
+    a constant missing there, or one the flow does not have, raises
+    :class:`CheckpointMismatch`.
+    """
     if dataset is None:
         dataset = resolve_dataset(cfg)
     run_dir = cfg.run_dir
-    codec_stored, codec_meta = load_params(run_dir / "codec.mdl1")
+    codec_path, flow_path = run_dir / "codec.mdl1", run_dir / "flow.mdl1"
+    codec_stored, codec_meta = load_params(codec_path)
     if codec_meta.get("experiment") != cfg.experiment or codec_meta.get("latent_z") != cfg.latent_z:
         raise CheckpointMismatch(
             f"{run_dir}: checkpoint is for {codec_meta.get('experiment')}"
             f" z={codec_meta.get('latent_z')}, config wants {cfg.experiment} z={cfg.latent_z}")
 
     rng = np.random.default_rng(0)
-    graph_ae, atom_ae, input_ae = _build_codec(cfg, rng)
-    edge_type = codec.EdgeTypeModel(rng)
-    named = []
-    if input_ae is not None:
-        named += input_ae.named_params()
-    else:
-        named += graph_ae.named_params() + atom_ae.named_params()
-    named += edge_type.named_params()
-    _restore(named, codec_stored, run_dir / "codec.mdl1")
+    pipe = _untrained(cfg, dataset, rng, _spawn(cfg.seed, 5)[1])
+    _restore(pipe.codec_params(), codec_stored, codec_path)
 
-    flow_stored, flow_meta = load_params(run_dir / "flow.mdl1")
-    if flow_meta.get("flow") != _flow_kind(cfg):
+    flow_stored, flow_meta = load_params(flow_path)
+    kind = FLOW_KINDS[cfg.experiment]
+    if flow_meta.get("flow") != kind:
         raise CheckpointMismatch(
-            f"{run_dir}: flow checkpoint is {flow_meta.get('flow')},"
-            f" config wants {_flow_kind(cfg)}")
-    width = input_ae.width if input_ae is not None else graph_ae.width
-    flow = _build_flow(cfg, width, rng)
-    _restore(flow.named_params(), flow_stored, run_dir / "flow.mdl1")
-    standardizer = Standardizer(mean=flow_stored["standardizer.mean"],
-                                std=flow_stored["standardizer.std"])
+            f"{run_dir}: flow checkpoint is {flow_meta.get('flow')}, config wants {kind}")
+    pipe.standardizer = Standardizer(mean=flow_stored["standardizer.mean"],
+                                     std=flow_stored["standardizer.std"])
+    # lazy: only a flow that reads them (heat) pays for encoding the subset
+    clouds = (pipe.standardizer.apply(c) for c in _encode_subset(pipe))
+    constants = {k: v for k, v in flow_meta.items()
+                 if k not in ("flow", "experiment", "latent_z")}
+    try:
+        pipe.flow = flows.build(kind, pipe.flow_width, rng, clouds, **constants)
+    except TypeError as exc:  # a stored constant this flow does not have
+        raise CheckpointMismatch(f"{flow_path}: {exc}") from None
+    missing = sorted(pipe.flow.meta().keys() - flow_meta.keys())
+    if missing:
+        raise CheckpointMismatch(f"{flow_path}: flow meta lacks {missing}")
+    _restore(pipe.flow.named_params(), flow_stored, flow_path)
 
     rec_path = run_dir / "training.json"
     record = json.loads(rec_path.read_text()) if rec_path.exists() else {}
-
-    subset = _select_subset(dataset, cfg, _spawn(cfg.seed, 5)[1])
-    return TrainedPipeline(
-        cfg=cfg, dataset=dataset, subset=subset, graph_ae=graph_ae,
-        input_ae=input_ae, atom_ae=atom_ae, edge_type=edge_type, flow=flow,
-        standardizer=standardizer,
-        ae_seconds=record.get("ae_seconds", 0.0),
-        flow_seconds=record.get("flow_seconds", 0.0),
-        param_count=record.get("param_count", 0),
-        history=record.get("history", {}),
-    )
+    pipe.ae_seconds = record.get("ae_seconds", 0.0)
+    pipe.flow_seconds = record.get("flow_seconds", 0.0)
+    pipe.param_count = record.get("param_count", 0)
+    pipe.history = record.get("history", {})
+    return pipe

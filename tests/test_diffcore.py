@@ -1,4 +1,4 @@
-"""Tape engine, optimizer, spectral transform, integrator, checkpoints."""
+"""Tape engine, optimizer, DCT basis, integrator, checkpoints."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,13 @@ from moldiff.diffcore import (
     Tape,
     adam_step,
     backward,
+    dct_matrix,
     load_params,
     ode_integrate,
     param,
     save_params,
 )
 from moldiff.diffcore import tensor as T
-from moldiff.diffcore.spectral import dct as np_dct, idct as np_idct
 
 from conftest import fd_gradcheck
 
@@ -86,7 +86,7 @@ class TestGradCheckPrimitives:
         assert worst < 1e-6
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "relu", "sigmoid",
-                                    "exp", "log", "sqrt", "tanh", "softmax"])
+                                    "sqrt", "softmax"])
     def test_elementwise_ops(self, op, rng):
         x = param(np.abs(rng.standard_normal((3, 4))) + 0.5)
         tgt = rng.standard_normal((3, 4))
@@ -97,10 +97,7 @@ class TestGradCheckPrimitives:
             "mul": lambda: T.mse(T.mul(x, other), T.tensor(tgt)),
             "relu": lambda: T.mse(T.relu(x), T.tensor(tgt)),
             "sigmoid": lambda: T.mse(T.sigmoid(x), T.tensor(tgt)),
-            "exp": lambda: T.mse(T.exp(x), T.tensor(tgt)),
-            "log": lambda: T.mse(T.log(x), T.tensor(tgt)),
             "sqrt": lambda: T.mse(T.sqrt(x), T.tensor(tgt)),
-            "tanh": lambda: T.mse(T.tanh(x), T.tensor(tgt)),
             "softmax": lambda: T.mse(T.softmax(x), T.tensor(tgt)),
         }
         assert fd_gradcheck(builds[op], [x]) < 1e-4
@@ -114,7 +111,7 @@ class TestGradCheckPrimitives:
         def build():
             cat = T.concat([a, b], axis=0)
             picked = T.gather_rows(cat, idx)
-            return T.mse(T.reshape(T.narrow(picked, 1, 0, 2), (4, 2)), T.tensor(tgt))
+            return T.mse(T.narrow(picked, 1, 0, 2), T.tensor(tgt))
 
         assert fd_gradcheck(build, [a, b]) < 1e-4
 
@@ -154,12 +151,6 @@ class TestGradCheckPrimitives:
         a = param(rng.standard_normal((6,)))
         tgt = rng.standard_normal((6,))
         assert fd_gradcheck(lambda: T.mse(a, T.tensor(tgt)), [a]) < 1e-4
-
-    def test_dct_gradient(self, rng):
-        x = param(rng.standard_normal(9))
-        tgt = rng.standard_normal(9)
-        assert fd_gradcheck(lambda: T.mse(T.dct(x), T.tensor(tgt)), [x]) < 1e-4
-        assert fd_gradcheck(lambda: T.mse(T.idct(x), T.tensor(tgt)), [x]) < 1e-4
 
 
 class TestAdam:
@@ -202,13 +193,14 @@ class TestAdam:
 
 class TestSpectral:
     def test_constant_vector_has_only_dc(self):
-        c = np_dct(np.full(8, 3.25))
+        c = dct_matrix(8) @ np.full(8, 3.25)
         assert abs(c[0] - 3.25 * np.sqrt(8)) < 1e-12
         assert np.max(np.abs(c[1:])) < 1e-12
 
     def test_roundtrip(self, rng):
         x = rng.standard_normal(16)
-        assert np.max(np.abs(np_idct(np_dct(x)) - x)) < 1e-9
+        basis = dct_matrix(16)
+        assert np.max(np.abs(basis.T @ (basis @ x) - x)) < 1e-9
 
     def test_impulse_against_cosine_sum(self):
         # brute-force orthonormal DCT-II of e_0, length 4
@@ -219,11 +211,11 @@ class TestSpectral:
             scale = np.sqrt(1.0 / n) if k == 0 else np.sqrt(2.0 / n)
             expected[k] = scale * sum(
                 x[i] * np.cos(np.pi * (2 * i + 1) * k / (2 * n)) for i in range(n))
-        assert np.allclose(np_dct(x), expected, atol=1e-12)
+        assert np.allclose(dct_matrix(n) @ x, expected, atol=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(T.EmptyInput):
-            np_dct(np.array([]))
+            dct_matrix(0)
 
 
 class TestOdeIntegrate:

@@ -1,0 +1,116 @@
+"""Flows: closed-form schedule and interpolant checks, the shared interface."""
+
+import numpy as np
+import pytest
+
+from moldiff import flows
+from moldiff.flows import (
+    DdpmSchedule,
+    HeatSchedule,
+    StepOutOfRange,
+    UnknownFlow,
+    ddpm_degrade,
+    ddpm_loss,
+    ddpm_posterior_step,
+    fm_interpolate,
+    fm_target_velocity,
+    heat_blur,
+)
+
+
+class TestDdpm:
+    def test_degrade_without_noise_scales_x0(self, rng):
+        sched = DdpmSchedule()
+        x0 = rng.standard_normal((5, 3))
+        for t in (1, 17, sched.steps):
+            out = ddpm_degrade(sched, x0, t, np.zeros_like(x0))
+            assert np.allclose(out, np.sqrt(sched.alpha_bar[t - 1]) * x0, rtol=0, atol=1e-15)
+
+    def test_first_step_adds_no_noise(self, rng):
+        sched = DdpmSchedule()
+        assert sched.sigma2[0] == 0.0
+        x, z = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        noisy = ddpm_posterior_step(sched, x, z, 1, rng.standard_normal((4, 2)))
+        beta, ab = sched.beta[0], sched.alpha_bar[0]
+        mean = (x - beta * z / np.sqrt(1.0 - ab)) / np.sqrt(1.0 - beta)
+        assert np.array_equal(noisy, ddpm_posterior_step(sched, x, z, 1, None))
+        assert np.allclose(noisy, mean, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0, 51])
+    def test_step_out_of_range(self, t, rng):
+        sched = DdpmSchedule(steps=50)
+        x = rng.standard_normal((3, 2))
+        with pytest.raises(StepOutOfRange):
+            ddpm_degrade(sched, x, t, x)
+        with pytest.raises(StepOutOfRange):
+            ddpm_posterior_step(sched, x, x, t, None)
+
+    def test_egnn_loss_skips_a_single_point(self, rng):
+        model = flows.build("ddpm_egnn", 4, rng)
+        draws = np.random.default_rng(5)
+        assert ddpm_loss(model, np.zeros((1, 4)), draws) is None
+        assert draws.integers(1 << 30) == np.random.default_rng(5).integers(1 << 30)
+
+
+class TestHeat:
+    def test_blur_at_sigma_zero_is_identity(self, rng):
+        x = rng.standard_normal(11)
+        assert np.allclose(heat_blur(x, 0.0), x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.5, 3.0, 20.0])
+    def test_blur_keeps_the_mean(self, sigma, rng):
+        x = rng.standard_normal(9) + 2.0
+        assert heat_blur(x, sigma).mean() == pytest.approx(x.mean(), abs=1e-12)
+
+    def test_sigma_out_of_range(self):
+        with pytest.raises(StepOutOfRange):
+            HeatSchedule(steps=10).sigma(11)
+
+    def test_samples_only_seed_row_counts(self, rng):
+        clouds = [rng.standard_normal((3, 1)), rng.standard_normal((5, 1))]
+        model = flows.build("heat", 1, rng, clouds, steps=3)
+        assert model.can_sample(3) and model.can_sample(5)
+        assert not model.can_sample(4)
+        assert model.sample(5, rng).shape == (5, 1)
+
+
+class TestFlowMatching:
+    def test_interpolant_endpoints(self, rng):
+        x0, x1 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        s = 0.05
+        assert np.array_equal(fm_interpolate(x0, x1, 0.0, s), x0)
+        assert np.allclose(fm_interpolate(x0, x1, 1.0, s), s * x0 + x1, rtol=0, atol=1e-15)
+
+    def test_time_derivative_is_target_velocity(self, rng):
+        x0, x1 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        s, t, h = 1e-4, 0.37, 1e-6
+        fd = (fm_interpolate(x0, x1, t + h, s) - fm_interpolate(x0, x1, t - h, s)) / (2 * h)
+        assert np.allclose(fd, fm_target_velocity(x0, x1, s), rtol=0, atol=1e-8)
+
+
+class TestBuild:
+    CONSTANTS = {
+        "ddpm_gnn": {"steps": 7, "beta_start": 0.001, "beta_end": 0.05},
+        "ddpm_egnn": {"steps": 9, "beta_start": 0.0002, "beta_end": 0.03},
+        "heat": {"steps": 5, "sigma_min": 0.25, "sigma_max": 8.0,
+                 "train_noise_std": 0.02, "eta": 0.005},
+        "flow_matching": {"sigma_min": 0.001, "ode_steps": 12},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CONSTANTS))
+    def test_meta_round_trip(self, kind, rng):
+        meta = flows.build(kind, 2, rng, **self.CONSTANTS[kind]).meta()
+        assert meta == {"flow": kind, **self.CONSTANTS[kind]}
+        constants = {k: v for k, v in meta.items() if k != "flow"}
+        assert flows.build(kind, 2, rng, **constants).meta() == meta
+
+    @pytest.mark.parametrize("kind", sorted(CONSTANTS))
+    def test_defaults_fill_left_out_constants(self, kind, rng):
+        meta = flows.build(kind, 2, rng).meta()
+        assert meta.keys() == {"flow", *self.CONSTANTS[kind]}
+
+    def test_unknown_kind_and_constant(self, rng):
+        with pytest.raises(UnknownFlow):
+            flows.build("score_sde", 2, rng)
+        with pytest.raises(TypeError):
+            flows.build("heat", 1, rng, kl_mean=20.0)

@@ -1,0 +1,120 @@
+"""Harness round trips: train -> checkpoint -> load -> generate, at tiny sizes."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from moldiff import codec, flows, harness
+from moldiff.chem import Dataset, canonical_key, parse_smiles, write_smiles
+from moldiff.diffcore import load_params, save_params
+
+pytestmark = pytest.mark.slow
+
+EXPERIMENTS = ("gnn_gaussian", "input_space_gaussian", "heat_1d", "flow_matching")
+SAMPLERS = {"gnn_gaussian": "ddpm_generate", "input_space_gaussian": "ddpm_generate",
+            "heat_1d": "heat_generate", "flow_matching": "fm_generate"}
+COUNT = 3
+
+
+def small_dataset(mols) -> Dataset:
+    return Dataset(molecules=mols, canonical_keys={canonical_key(m) for m in mols},
+                   size_histogram=dict(Counter(m.n for m in mols)), source="test")
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return harness.synthetic_dataset(80, seed=3)
+
+
+@pytest.fixture(scope="module")
+def trained(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs")
+    pipes = {}
+    for exp in EXPERIMENTS:
+        cfg = harness.ExperimentConfig(experiment=exp, epochs=1, subset=12, seed=2,
+                                       output_dir=str(out))
+        pipes[exp] = harness.train_experiment(cfg, dataset)
+    return pipes
+
+
+def smiles(pipe, seed: int = 9) -> list[str]:
+    mols = harness.generate_molecules(pipe, COUNT, np.random.default_rng(seed))
+    return [write_smiles(m) for m in mols]
+
+
+def rewrite_flow_meta(cfg, **changes) -> None:
+    """Update the meta of a run's flow.mdl1; a value of None drops the key."""
+    path = cfg.run_dir / "flow.mdl1"
+    named, meta = load_params(path)
+    meta.update(changes)
+    save_params(path, named, meta={k: v for k, v in meta.items() if v is not None})
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS)
+def test_loaded_pipeline_generates_the_same(exp, trained, dataset):
+    pipe = trained[exp]
+    assert smiles(harness.load_pipeline(pipe.cfg, dataset)) == smiles(pipe)
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS)
+def test_one_sampler_call_per_molecule(exp, trained, monkeypatch):
+    name = SAMPLERS[exp]
+    calls = []
+    original = getattr(flows, name)
+    monkeypatch.setattr(flows, name, lambda *a: calls.append(1) or original(*a))
+    smiles(trained[exp])
+    assert len(calls) == COUNT
+
+
+def count_encodes(monkeypatch) -> list:
+    calls = []
+    original = codec.encode_t
+    monkeypatch.setattr(codec, "encode_t", lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+def test_heat_generation_encodes_nothing(trained, monkeypatch):
+    calls = count_encodes(monkeypatch)
+    smiles(trained["heat_1d"])
+    assert calls == []
+
+
+def test_loading_encodes_the_subset_only_for_heat(trained, dataset, monkeypatch):
+    calls = count_encodes(monkeypatch)
+    harness.load_pipeline(trained["gnn_gaussian"].cfg, dataset)
+    assert calls == []
+    harness.load_pipeline(trained["heat_1d"].cfg, dataset)
+    assert len(calls) == len(trained["heat_1d"].subset)
+
+
+def test_stored_schedule_constants_are_used(trained, dataset):
+    cfg = trained["gnn_gaussian"].cfg
+    rewrite_flow_meta(cfg, steps=7)
+    try:
+        loaded = harness.load_pipeline(cfg, dataset)
+        assert loaded.flow.sched.steps == 7
+        assert loaded.flow.meta()["steps"] == 7
+    finally:
+        rewrite_flow_meta(cfg, steps=50)
+
+
+@pytest.mark.parametrize("change", [{"eta": None}, {"kl_mean": 20.0}])
+def test_flow_meta_must_match_the_flow(change, trained, dataset):
+    cfg = trained["heat_1d"].cfg
+    _, meta = load_params(cfg.run_dir / "flow.mdl1")
+    rewrite_flow_meta(cfg, **change)
+    try:
+        with pytest.raises(harness.CheckpointMismatch):
+            harness.load_pipeline(cfg, dataset)
+    finally:
+        rewrite_flow_meta(cfg, **{k: meta.get(k) for k in change})
+
+
+def test_egnn_trains_with_a_one_atom_molecule(tmp_path):
+    mols = [parse_smiles(s) for s in ("C", "CO", "CCN", "C=O")]
+    cfg = harness.ExperimentConfig(experiment="egnn_gaussian", epochs=1, seed=0,
+                                   output_dir=str(tmp_path))
+    pipe = harness.train_experiment(cfg, small_dataset(mols))
+    assert len(pipe.history["flow"]) == 1
+    assert np.isfinite(pipe.history["flow"][0])
