@@ -187,6 +187,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # elementwise and linear algebra
+#
+# ``affine`` records a whole linear map x @ W + b as one node. At the widths
+# used here the cost of an op is mostly its Python and tape overhead, so a
+# layer pays for one op rather than two.
 
 
 def add(a, b) -> Tensor:
@@ -227,6 +231,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b as one tape node.
+
+    Same arithmetic, and so the same bits, as ``add(matmul(x, W), b)`` in
+    the value and in all three gradients, with one node instead of two.
+    """
+    if x.data.ndim != 2 or W.data.ndim != 2:
+        raise ShapeMismatch("affine expects 2-D x and W")
+    if x.data.shape[1] != W.data.shape[0]:
+        raise ShapeMismatch(f"affine {x.data.shape} @ {W.data.shape}")
+    xd, wd = x.data, W.data
+    out = Tensor(xd @ wd + b.data)
+    _record(out, ((x, lambda g: g @ wd.T),
+                  (W, lambda g: xd.T @ g),
+                  (b, lambda g: _unbroadcast(g, b.data.shape))))
+    return out
+
+
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
     out = Tensor(np.where(mask, x.data, 0.0))
@@ -252,6 +274,14 @@ def sqrt(x: Tensor) -> Tensor:
         return g * d
 
     _record(out, ((x, grad),))
+    return out
+
+
+def reciprocal(x: Tensor) -> Tensor:
+    """Elementwise 1 / x."""
+    r = 1.0 / x.data
+    out = Tensor(r)
+    _record(out, ((x, lambda g: -g * r * r),))
     return out
 
 
@@ -329,6 +359,29 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
     shape = x.data.shape
     _record(out, ((x, lambda g: np.broadcast_to(g, shape).copy()),))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# complete-graph aggregation
+#
+# On the complete graph without self-loops, every row's neighbour mean is
+# the column sum less the row itself, over n - 1. That is O(n w) where
+# gathering the n(n - 1) messages and reducing them is O(n^2 w). The map
+# is symmetric, so the backward pass applies the same closed form to g.
+
+
+def _complete_mean(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    if n == 1:
+        return np.zeros_like(a)
+    return (a.sum(axis=0) - a) / (n - 1)
+
+
+def complete_mean(x: Tensor) -> Tensor:
+    """Mean over the other rows, per row: (n, w) -> (n, w); zeros when n = 1."""
+    out = Tensor(_complete_mean(x.data))
+    _record(out, ((x, _complete_mean),))
     return out
 
 

@@ -2,15 +2,16 @@
 
 Everything here is permutation-equivariant by construction: layers see
 nodes only through an explicit edge index, and aggregation is a segment
-statistic over incoming messages. Layers hold trainable tensors and are
-callable on (features, edges); stacking and activation policy live in the
-small network classes at the bottom, which the flows and codecs share.
+statistic over incoming messages (on complete graphs, its closed form).
+Layers hold trainable tensors and are callable on (features, edges);
+stacking and activation policy live in the small network classes at the
+bottom, which the flows and codecs share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,6 +33,10 @@ class TooFewPoints(ValueError):
 
 class OutOfRange(ValueError):
     pass
+
+
+class NotCompleteGraph(ValueError):
+    """A complete-graph layer was handed some other edge index."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +62,7 @@ class EdgeIndex:
         self._gcn = None
         self._src_plan = None
         self._dst_plan = None
+        self._complete = None
 
     def __len__(self) -> int:
         return len(self.src)
@@ -70,6 +76,17 @@ class EdgeIndex:
         if self._dst_plan is None:
             self._dst_plan = T.SegmentPlan(self.dst, self.n)
         return self._dst_plan
+
+    def is_complete(self) -> bool:
+        """Whether this is every ordered pair src != dst, each exactly once."""
+        if self._complete is None:
+            n = self.n
+            # with dst in range, src * n + dst names each (src, dst) uniquely
+            in_range = np.all((self.dst >= 0) & (self.dst < n))
+            keys = np.sort(self.src * n + self.dst)
+            self._complete = bool(in_range and np.array_equal(
+                keys, np.flatnonzero(~np.eye(n, dtype=bool))))
+        return self._complete
 
     def gcn_norm(self):
         """Self-loop-augmented edge list with symmetric normalization weights
@@ -158,7 +175,7 @@ class PnaLayer:
             T.segment_std(msgs, plan, e.n),
             T.tensor(np.log1p(plan.counts)[:, None]),
         ], axis=1)
-        return T.add(T.matmul(agg, self.W), self.b)
+        return T.affine(agg, self.W, self.b)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W.name, self.W), (self.b.name, self.b)]
@@ -180,20 +197,27 @@ class GcnLayer:
         src, coef, src_plan, dst_plan = e.gcn_norm()
         msgs = T.mul(T.gather_rows(x, src, src_plan), T.tensor(coef))
         mixed = T.segment_sum(msgs, dst_plan, e.n)
-        return T.add(T.matmul(mixed, self.W), self.b)
+        return T.affine(mixed, self.W, self.b)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W.name, self.W), (self.b.name, self.b)]
 
 
 class GraphConvLayer:
-    """Convolution with separate self and neighbor-mean weight paths.
+    """Convolution with separate self and neighbor-mean weight paths, for
+    complete graphs only.
 
     Unlike the symmetric-normalized flavor, this keeps per-node identity
     intact on dense graphs: a complete graph averages every node's
     neighborhood to the same vector, and a shared-weight update would then
     collapse all rows. Restoration networks run on complete graphs, so
     they use this layer.
+
+    On the complete graph without self-loops the neighbor mean of row i is
+    (sum_j x_j - x_i) / (n - 1), and 0 when n = 1, so the layer computes it
+    in O(n w) with ``T.complete_mean`` instead of passing n(n - 1)
+    messages. ``e`` must be the complete graph on x's rows; any other edge
+    index raises ``NotCompleteGraph``.
     """
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
@@ -207,9 +231,12 @@ class GraphConvLayer:
     def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
         if x.data.shape[1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        msgs = T.gather_rows(x, e.src, e.src_plan())
-        mixed = T.segment_mean(msgs, e.dst_plan(), e.n)
-        return T.add(T.add(T.matmul(x, self.W_self), T.matmul(mixed, self.W_nbr)), self.b)
+        if e.n != x.data.shape[0] or not e.is_complete():
+            raise NotCompleteGraph(
+                f"expected the complete graph on {x.data.shape[0]} nodes, got "
+                f"{len(e)} edges on {e.n}")
+        nbr = T.affine(T.complete_mean(x), self.W_nbr, self.b)
+        return T.affine(x, self.W_self, nbr)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W_self.name, self.W_self), (self.W_nbr.name, self.W_nbr),
@@ -223,7 +250,7 @@ class Dense:
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.W), self.b)
+        return T.affine(x, self.W, self.b)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W.name, self.W), (self.b.name, self.b)]
@@ -296,6 +323,12 @@ class TimeEncoding:
     def width(self) -> int:
         return 2 * self.pairs
 
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Frequencies spaced geometrically from 1 to 1000; treat as read-only."""
+        k = self.pairs
+        return np.array([1000.0 ** (i / (k - 1)) if k > 1 else 1.0 for i in range(k)])
+
 
 def time_encode(t: float, total: float, enc: TimeEncoding) -> np.ndarray:
     """Encode a timestep as (sin, cos) pairs of t/total over geometrically
@@ -303,11 +336,9 @@ def time_encode(t: float, total: float, enc: TimeEncoding) -> np.ndarray:
     if not (0 <= t <= total):
         raise OutOfRange(f"t={t} outside [0, {total}]")
     tau = t / total
-    k = enc.pairs
-    omega = np.array([1000.0 ** (i / (k - 1)) if k > 1 else 1.0 for i in range(k)])
-    out = np.empty(2 * k, dtype=np.float64)
-    out[0::2] = np.sin(tau * omega)
-    out[1::2] = np.cos(tau * omega)
+    out = np.empty(enc.width, dtype=np.float64)
+    out[0::2] = np.sin(tau * enc.omega)
+    out[1::2] = np.cos(tau * enc.omega)
     return out
 
 
@@ -360,7 +391,7 @@ class FlowFieldNet:
         e = complete_graph_edges(n)
         # RK4 stage times can overshoot the interval by one rounding step
         enc = time_encode(min(max(t, 0.0), 1.0), 1.0, self.time_enc)
-        feat = T.concat([x, T.tensor(np.tile(enc, (n, 1)))], axis=1)
+        feat = T.concat([x, T.tensor(np.broadcast_to(enc, (n, enc.size)))], axis=1)
         h = T.relu(self.entry(feat, e))
         for layer in self.hidden:
             h = T.relu(layer(h))
@@ -382,9 +413,10 @@ class EgnnNet:
     invariants; its displacement output co-rotates with the input cloud.
 
     Each layer computes per-pair messages from (distance, squared distance,
-    hidden states, time), moves every point along its difference vectors
-    with learned scalar weights, and updates the hidden state from the mean
-    message. The returned prediction is the total displacement.
+    hidden states, time), moves every point along its difference vectors,
+    each divided by (distance + 1), with learned scalar weights, and
+    updates the hidden state from the mean message. The returned prediction
+    is the total displacement.
     """
 
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
@@ -413,13 +445,16 @@ class EgnnNet:
             diff = T.sub(T.gather_rows(x, dst, dst_plan), T.gather_rows(x, src, src_plan))
             d2 = T.row_sum(T.mul(diff, diff))
             dist = T.sqrt(d2)
+            # unit-bounded directions, as in EGNN/EDM: raw differences grow
+            # with the cloud and feed back into the next layer's distances
+            unit = T.mul(diff, T.reciprocal(T.add(dist, 1.0)))
             pair_in = T.concat(
                 [T.gather_rows(h, dst, dst_plan), T.gather_rows(h, src, src_plan),
                  dist, d2], axis=1)
             m = edge_mlp(pair_in)
             w = coord_mlp(m)
             # move each dst point along its incoming difference vectors
-            shift = T.segment_mean(T.mul(diff, w), dst_plan, n)
+            shift = T.segment_mean(T.mul(unit, w), dst_plan, n)
             x = T.add(x, shift)
             agg = T.segment_mean(m, dst_plan, n)
             h = T.add(h, node_mlp(T.concat([h, agg], axis=1)))

@@ -8,6 +8,7 @@ from moldiff.diffcore import (
     DetachedLoss,
     LossNotScalar,
     NonFiniteField,
+    ShapeMismatch,
     Tape,
     adam_step,
     backward,
@@ -86,7 +87,7 @@ class TestGradCheckPrimitives:
         assert worst < 1e-6
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "relu", "sigmoid",
-                                    "sqrt", "softmax"])
+                                    "sqrt", "reciprocal", "softmax"])
     def test_elementwise_ops(self, op, rng):
         x = param(np.abs(rng.standard_normal((3, 4))) + 0.5)
         tgt = rng.standard_normal((3, 4))
@@ -98,6 +99,7 @@ class TestGradCheckPrimitives:
             "relu": lambda: T.mse(T.relu(x), T.tensor(tgt)),
             "sigmoid": lambda: T.mse(T.sigmoid(x), T.tensor(tgt)),
             "sqrt": lambda: T.mse(T.sqrt(x), T.tensor(tgt)),
+            "reciprocal": lambda: T.mse(T.reciprocal(x), T.tensor(tgt)),
             "softmax": lambda: T.mse(T.softmax(x), T.tensor(tgt)),
         }
         assert fd_gradcheck(builds[op], [x]) < 1e-4
@@ -151,6 +153,53 @@ class TestGradCheckPrimitives:
         a = param(rng.standard_normal((6,)))
         tgt = rng.standard_normal((6,))
         assert fd_gradcheck(lambda: T.mse(a, T.tensor(tgt)), [a]) < 1e-4
+
+
+class TestAffine:
+    def test_same_bits_as_matmul_then_add(self, rng):
+        """Value and all three gradients equal the two-node version exactly."""
+        x = param(rng.standard_normal((7, 5)))
+        w = param(rng.standard_normal((5, 3)))
+        b = param(rng.standard_normal(3))
+        weights = T.tensor(rng.standard_normal((7, 3)))
+
+        def run(linear):
+            with Tape() as tape:
+                out = linear()
+                grads = backward(tape, T.sum_all(T.mul(out, weights)))
+            return out.data, [grads[p] for p in (x, w, b)], len(tape)
+
+        fused, fused_grads, fused_nodes = run(lambda: T.affine(x, w, b))
+        pair, pair_grads, pair_nodes = run(lambda: T.add(T.matmul(x, w), b))
+        assert np.array_equal(fused, pair)
+        for got, want in zip(fused_grads, pair_grads):
+            assert np.array_equal(got, want)
+        assert fused_nodes == pair_nodes - 1
+
+    def test_shape_mismatch(self, rng):
+        with pytest.raises(ShapeMismatch):
+            T.affine(T.tensor(np.ones((2, 3))), T.tensor(np.ones((4, 1))),
+                     T.tensor(np.ones(1)))
+
+
+class TestCompleteMean:
+    @pytest.mark.parametrize("n", [2, 9, 45])
+    def test_against_finite_differences(self, n, rng):
+        x = param(rng.standard_normal((n, 3)))
+        tgt = rng.standard_normal((n, 3))
+        assert fd_gradcheck(lambda: T.mse(T.complete_mean(x), T.tensor(tgt)), [x]) < 1e-4
+
+    def test_single_row_is_zero(self, rng):
+        x = param(rng.standard_normal((1, 4)))
+        with Tape() as tape:
+            out = T.complete_mean(x)
+            grads = backward(tape, T.sum_all(out))
+        assert np.array_equal(out.data, np.zeros((1, 4)))
+        assert np.array_equal(grads[x], np.zeros((1, 4)))
+
+    def test_hand_computed(self):
+        x = T.tensor(np.array([[1.0], [2.0], [6.0]]))
+        assert np.array_equal(T.complete_mean(x).data, [[4.0], [3.5], [1.5]])
 
 
 class TestAdam:

@@ -12,6 +12,7 @@ from moldiff.gnn import (
     GcnStack,
     GraphConvLayer,
     Mlp,
+    NotCompleteGraph,
     OutOfRange,
     PnaLayer,
     TimeEncoding,
@@ -157,6 +158,45 @@ class TestGraphConv:
         assert np.allclose(pout, out[np.argsort(perm)])
 
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 45])
+    def test_complete_mean_matches_message_passing(self, n, rng):
+        """The closed form against gathering every message and averaging."""
+        e = complete_graph_edges(n)
+        x = T.param(rng.standard_normal((n, 3)) * 10.0)
+        weights = T.tensor(rng.standard_normal((n, 3)))
+
+        def run(mean):
+            with T.Tape() as tape:
+                out = mean()
+                grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
+            return out.data, grads[x]
+
+        got, got_grad = run(lambda: T.complete_mean(x))
+        want, want_grad = run(
+            lambda: T.segment_mean(T.gather_rows(x, e.src), e.dst_plan(), e.n))
+        scale = np.max(np.abs(x.data))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(weights.data))
+        if n == 1:
+            assert np.array_equal(got, np.zeros((1, 3)))
+
+    def test_matches_message_passing_layer(self, rng):
+        lay = GraphConvLayer(3, 4, rng)
+        x = rng.standard_normal((7, 3))
+        e = complete_graph_edges(7)
+        mean = T.segment_mean(T.gather_rows(T.tensor(x), e.src), e.dst_plan(), e.n).data
+        want = x @ lay.W_self.data + mean @ lay.W_nbr.data + lay.b.data
+        assert np.allclose(lay(T.tensor(x), e).data, want, rtol=0.0, atol=1e-12)
+
+    def test_rejects_other_graphs(self, rng):
+        lay = GraphConvLayer(2, 2, rng)
+        x = T.tensor(rng.standard_normal((3, 2)))
+        with pytest.raises(NotCompleteGraph):
+            lay(x, edges_from_pairs(3, [(0, 1), (1, 2)]))
+        with pytest.raises(NotCompleteGraph):
+            lay(x, complete_graph_edges(4))
+
+
 class TestDistanceFeatures:
     def test_three_four_five(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -193,6 +233,20 @@ class TestTimeEncoding:
         for t in np.linspace(0, 1, 17):
             assert np.max(np.abs(time_encode(t, 1.0, enc))) <= 1.0
 
+    @pytest.mark.parametrize("pairs", [1, 3, 4])
+    def test_same_bits_as_per_call_formula(self, pairs):
+        def reference(t, total, k):
+            omega = np.array([1000.0 ** (i / (k - 1)) if k > 1 else 1.0
+                              for i in range(k)])
+            out = np.empty(2 * k)
+            out[0::2] = np.sin(t / total * omega)
+            out[1::2] = np.cos(t / total * omega)
+            return out
+
+        enc = TimeEncoding(pairs=pairs)
+        for t, total in [(0.0, 1.0), (0.37, 1.0), (1.0, 1.0), (17, 50), (50, 50)]:
+            assert np.array_equal(time_encode(t, total, enc), reference(t, total, pairs))
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             time_encode(51, 50, TimeEncoding())
@@ -224,6 +278,40 @@ class TestNets:
         q = random_orthogonal(rng, 3)
         rotated = net(T.tensor(x @ q.T), 0.5).data
         assert np.max(np.abs(rotated - out @ q.T)) < 1e-8
+
+    def test_flow_field_same_bits_as_tiled_features(self, rng):
+        net = FlowFieldNet(3, rng, hidden=8, hidden_layers=2)
+        x = rng.standard_normal((5, 3))
+        enc = time_encode(0.3, 1.0, net.time_enc)
+        feat = T.tensor(np.concatenate([x, np.tile(enc, (5, 1))], axis=1))
+        h = T.relu(net.entry(feat, complete_graph_edges(5)))
+        for layer in net.hidden:
+            h = T.relu(layer(h))
+        assert np.array_equal(net.velocity(0.3, x), net.out(h).data)
+
+    @staticmethod
+    def unit_weight_egnn(rng, layers):
+        """EGNN whose coordinate heads output weight 1 on every pair."""
+        net = EgnnNet(2, rng, hidden=8, layers=layers)
+        for mlp in net.coord_mlps:
+            mlp.layers[-1].W.data[:] = 0.0
+            mlp.layers[-1].b.data[:] = 1.0
+        return net
+
+    def test_egnn_moves_along_normalised_differences(self, rng):
+        net = self.unit_weight_egnn(rng, layers=1)
+        x = np.array([[0.0, 0.0], [3.0, 4.0]])
+        out = net(T.tensor(x), 0.5).data
+        step = (x[0] - x[1]) / (5.0 + 1.0)
+        assert np.allclose(out, [step, -step], rtol=0.0, atol=1e-15)
+
+    def test_egnn_displacement_bounded_by_weights(self, rng):
+        # each layer moves a point by less than its largest pair weight, here
+        # 1, however far apart the points are
+        net = self.unit_weight_egnn(rng, layers=3)
+        x = rng.standard_normal((6, 2)) * 1e4
+        out = net(T.tensor(x), 0.5).data
+        assert np.max(np.linalg.norm(out, axis=1)) < 3.0
 
     def test_egnn_net_single_point_zero(self, rng):
         net = EgnnNet(3, rng, hidden=8, layers=2)

@@ -1,5 +1,6 @@
 """Harness round trips: train -> checkpoint -> load -> generate, at tiny sizes."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -118,3 +119,24 @@ def test_egnn_trains_with_a_one_atom_molecule(tmp_path):
     pipe = harness.train_experiment(cfg, small_dataset(mols))
     assert len(pipe.history["flow"]) == 1
     assert np.isfinite(pipe.history["flow"][0])
+
+
+def test_run_experiment_writes_its_report(dataset, tmp_path):
+    cfg = harness.ExperimentConfig(experiment="gnn_gaussian", epochs=1, subset=12, seed=1,
+                                   sample_count=3, repetitions=2, output_dir=str(tmp_path))
+    report, _ = harness.run_experiment(cfg, dataset)
+    assert json.loads((cfg.run_dir / "metrics.json").read_text()) == report.to_dict()
+    assert report.count == 3 * 2  # counts accumulate over repetitions
+    for pct in (report.validity, report.uniqueness, report.novelty):
+        assert 0.0 <= pct <= 100.0
+
+
+def test_egnn_training_stays_finite(tmp_path):
+    # without normalised difference vectors this loss reached 1e36
+    cfg = harness.ExperimentConfig(experiment="egnn_gaussian", latent_z=6, epochs=1,
+                                   subset=12, seed=0, output_dir=str(tmp_path))
+    pipe = harness.train_experiment(cfg, harness.synthetic_dataset(1000, seed=0))
+    assert pipe.history["flow"][0] < 10.0
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        assert np.all(np.isfinite(flows.ddpm_generate(pipe.flow, 9, rng)))
