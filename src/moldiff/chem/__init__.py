@@ -21,13 +21,12 @@ from .smiles import (
     parse_smiles,
     write_smiles,
 )
-from .corpus import synthetic_molecules, write_corpus
+from .corpus import synthetic_molecules
 
 __all__ = [
     "AllLinesFailed", "BOND_TYPES", "BondType", "Dataset", "ELEMENTS",
     "Element", "EmptyInput", "FileUnreadable", "MolGraph", "SmilesError",
     "UnbalancedParenthesis", "UnclosedRing", "UnsupportedAtom",
     "ValidityReport", "canonical_key", "check_validity", "load_dataset",
-    "molgraph", "parse_smiles", "synthetic_molecules", "write_corpus",
-    "write_smiles",
+    "molgraph", "parse_smiles", "synthetic_molecules", "write_smiles",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import BondType, Element, MolGraph, check_validity
-from .smiles import write_smiles
 
 _SIZE_WEIGHTS = {1: 0.002, 2: 0.003, 3: 0.005, 4: 0.01, 5: 0.02,
                  6: 0.04, 7: 0.09, 8: 0.18, 9: 0.65}
@@ -104,11 +103,3 @@ def synthetic_molecules(count: int, seed: int = 0) -> list[MolGraph]:
             out.append(mol)
     return out
 
-
-def write_corpus(path, count: int, seed: int = 0) -> None:
-    """Write a synthetic SMILES corpus file, one molecule per line."""
-    mols = synthetic_molecules(count, seed)
-    lines = ["# synthetic small-molecule corpus"]
-    lines.extend(write_smiles(m) for m in mols)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

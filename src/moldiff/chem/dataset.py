@@ -33,7 +33,7 @@ class Dataset:
         return len(self.molecules)
 
 
-def load_dataset(path, max_molecules: int | None = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load molecules from a SMILES text file.
 
     Lines starting with '#' and blank lines are ignored. Lines that fail to
@@ -64,8 +64,6 @@ def load_dataset(path, max_molecules: int | None = None) -> Dataset:
             skipped += 1
             continue
         molecules.append(mol)
-        if max_molecules is not None and len(molecules) >= max_molecules:
-            break
 
     if attempted == 0:
         raise AllLinesFailed(f"{p}: no data lines")

@@ -10,11 +10,16 @@ produces 4-wide output features, an MLP scores every unordered pair, and
 pairs at or above the threshold become edges. Bond types are assigned
 afterwards by a separate graph-convolutional classifier whose argmax is
 masked to valence-feasible types.
+
+The EGNN decoder and the input-space autoencoder both run on the pair-node
+graph, ``gnn.pair_node_edges(n)``: the n atoms plus one node per unordered
+pair, joined to its two endpoints. It is built once per size and shared.
+A non-finite cloud is refused with ``NonFiniteCloud`` before decoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,15 +40,20 @@ from .gnn import (
     egnn_distance_features,
     pair_gather_plans,
     pair_indices,
+    pair_node_edges,
 )
 
 _ELEM_INDEX = {el: i for i, el in enumerate(ELEMENTS)}
 _BOND_INDEX = {bt: i for i, bt in enumerate(BOND_TYPES)}
 
 
-def atom_onehot(m: MolGraph) -> np.ndarray:
-    x = np.zeros((m.n, len(ELEMENTS)), dtype=np.float64)
-    for i, el in enumerate(m.atoms):
+class NonFiniteCloud(ValueError):
+    """A latent cloud handed to a decoder holds a NaN or an infinity."""
+
+
+def atom_onehot(atoms: tuple[Element, ...]) -> np.ndarray:
+    x = np.zeros((len(atoms), len(ELEMENTS)), dtype=np.float64)
+    for i, el in enumerate(atoms):
         x[i, _ELEM_INDEX[el]] = 1.0
     return x
 
@@ -51,23 +61,6 @@ def atom_onehot(m: MolGraph) -> np.ndarray:
 @lru_cache(maxsize=65536)
 def molecular_edges(m: MolGraph) -> EdgeIndex:
     return edges_from_pairs(m.n, sorted((i, j) for i, j, _ in m.bonds))
-
-
-@dataclass
-class LatentCloud:
-    """Per-atom latent rows: columns [0, z) from the graph encoder, the
-    final two from the atom-type encoder."""
-
-    points: np.ndarray
-    z: int
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass
@@ -103,9 +96,9 @@ class GraphAutoencoder:
     """PNA encoder/decoder with a thresholded pair-MLP edge predictor.
 
     kind="gnn" decodes from the latent points directly; kind="egnn" decodes
-    from an augmented graph whose per-pair dummy nodes carry only pairwise
-    distances, making the decoded edge set invariant to orthogonal
-    transforms of the cloud.
+    on the pair-node graph, whose pair nodes carry only pairwise distances,
+    making the decoded edge set invariant to orthogonal transforms of the
+    cloud.
     """
 
     def __init__(self, z: int, rng: np.random.Generator, kind: str = "gnn",
@@ -116,16 +109,15 @@ class GraphAutoencoder:
         self.z = z
         self.kind = kind
         self.tau = tau
+        # gnn: the decoder reads latent rows, the edge head both endpoints'
+        # 4-wide outputs; egnn: it reads (distance, squared distance) on pair
+        # nodes, the edge head one pair node's output
+        dec_in, pair_in = (z + 2, 8) if kind == "gnn" else (2, 4)
         self.enc1 = PnaLayer(4, hidden, rng, name=f"{name}.enc1")
         self.enc2 = PnaLayer(hidden, z, rng, name=f"{name}.enc2")
-        if kind == "gnn":
-            self.dec1 = PnaLayer(z + 2, hidden, rng, name=f"{name}.dec1")
-            self.dec2 = PnaLayer(hidden, 4, rng, name=f"{name}.dec2")
-            self.edge_mlp = Mlp([8, edge_hidden, 1], rng, name=f"{name}.edge")
-        else:
-            self.dec1 = PnaLayer(2, hidden, rng, name=f"{name}.dec1")
-            self.dec2 = PnaLayer(hidden, 4, rng, name=f"{name}.dec2")
-            self.edge_mlp = Mlp([4, edge_hidden, 1], rng, name=f"{name}.edge")
+        self.dec1 = PnaLayer(dec_in, hidden, rng, name=f"{name}.dec1")
+        self.dec2 = PnaLayer(hidden, 4, rng, name=f"{name}.dec2")
+        self.edge_mlp = Mlp([pair_in, edge_hidden, 1], rng, name=f"{name}.edge")
         # molecular adjacency is sparse; bias the edge head toward "no edge"
         self.edge_mlp.layers[-1].b.data[:] = -1.1
 
@@ -142,15 +134,17 @@ class GraphAutoencoder:
 
 def encode_t(ae: GraphAutoencoder, at: AtomTypeAutoencoder, m: MolGraph) -> Tensor:
     """Tape-aware encoding: (n, z+2) tensor of latent rows."""
-    x = T.tensor(atom_onehot(m))
+    x = T.tensor(atom_onehot(m.atoms))
     e = molecular_edges(m)
     g = ae.enc2(T.relu(ae.enc1(x, e)), e)
     a = at.encode(x)
     return T.concat([g, a], axis=1)
 
 
-def encode(ae: GraphAutoencoder, at: AtomTypeAutoencoder, m: MolGraph) -> LatentCloud:
-    return LatentCloud(points=encode_t(ae, at, m).data, z=ae.z)
+def encode(ae: GraphAutoencoder, at: AtomTypeAutoencoder, m: MolGraph) -> np.ndarray:
+    """(n, z+2) latent rows: columns [0, z) from the graph encoder, the
+    final two from the atom-type encoder."""
+    return encode_t(ae, at, m).data
 
 
 def edge_probs_gnn(ae: GraphAutoencoder, cloud: Tensor) -> Tensor:
@@ -168,26 +162,16 @@ def edge_probs_gnn(ae: GraphAutoencoder, cloud: Tensor) -> Tensor:
     return T.sigmoid(logits)
 
 
-def _egnn_augmented(cloud: Tensor) -> tuple[Tensor, EdgeIndex, int]:
-    n = cloud.data.shape[0]
-    i_idx, j_idx = pair_indices(n)
-    p = len(i_idx)
-    dummies = np.arange(n, n + p, dtype=np.intp)
-    src = np.concatenate([i_idx, j_idx, dummies, dummies])
-    dst = np.concatenate([dummies, dummies, i_idx, j_idx])
-    feats = T.concat([T.tensor(np.zeros((n, 2))), egnn_distance_features(cloud)], axis=0)
-    return feats, EdgeIndex(src, dst, n + p), p
-
-
 def edge_probs_egnn(ae: GraphAutoencoder, cloud: Tensor) -> Tensor:
-    """Edge probabilities from per-pair dummy nodes carrying distances."""
+    """Edge probabilities from the pair nodes of the pair-node graph; atom
+    nodes carry zeros, pair nodes (distance, squared distance)."""
     n = cloud.data.shape[0]
     if n < 2:
         raise TooFewPoints(f"EGNN decoding needs at least 2 points, got {n}")
-    feats, aug_e, p = _egnn_augmented(cloud)
-    f = ae.dec2(T.relu(ae.dec1(feats, aug_e)), aug_e)
-    dummy_f = T.narrow(f, 0, n, p)
-    return T.sigmoid(ae.edge_mlp(dummy_f))
+    e = pair_node_edges(n)
+    feats = T.concat([T.tensor(np.zeros((n, 2))), egnn_distance_features(cloud)], axis=0)
+    f = ae.dec2(T.relu(ae.dec1(feats, e)), e)
+    return T.sigmoid(ae.edge_mlp(T.narrow(f, 0, n, e.n - n)))
 
 
 def edge_probs(ae: GraphAutoencoder, cloud: Tensor) -> Tensor:
@@ -207,33 +191,23 @@ def _threshold_edges(probs: np.ndarray, n: int, tau: float) -> list[tuple[int, i
     return [(int(a), int(b)) for a, b, k in zip(i_idx, j_idx, keep) if k]
 
 
-def decode_gnn(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
-               cloud: LatentCloud) -> UntypedGraph:
-    """Threshold decode over the complete graph of latent points."""
-    pts = T.tensor(cloud.points)
-    atoms = _decode_atoms(ae, at, pts)
-    if cloud.n < 2:
-        return UntypedGraph(atoms, [])
-    probs = edge_probs_gnn(ae, pts).data
-    return UntypedGraph(atoms, _threshold_edges(probs, cloud.n, ae.tau))
-
-
-def decode_egnn(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
-                cloud: LatentCloud) -> UntypedGraph:
-    """Distance-feature decode; the edge set ignores cloud orientation."""
-    if cloud.n < 2:
-        raise TooFewPoints(f"EGNN decoding needs at least 2 points, got {cloud.n}")
-    pts = T.tensor(cloud.points)
-    atoms = _decode_atoms(ae, at, pts)
-    probs = edge_probs_egnn(ae, pts).data
-    return UntypedGraph(atoms, _threshold_edges(probs, cloud.n, ae.tau))
+def _require_finite(cloud: np.ndarray) -> None:
+    if not np.all(np.isfinite(cloud)):
+        raise NonFiniteCloud(f"cannot decode a non-finite {cloud.shape} cloud")
 
 
 def decode(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
-           cloud: LatentCloud) -> UntypedGraph:
-    if ae.kind == "egnn" and cloud.n >= 2:
-        return decode_egnn(ae, at, cloud)
-    return decode_gnn(ae, at, cloud)
+           points: np.ndarray) -> UntypedGraph:
+    """Atoms from the atom-type columns of ``encode``'s (n, z+2) rows; for
+    2 or more points, the pairs whose edge probability reaches ``ae.tau``.
+    With ``kind="egnn"`` the edge set ignores the cloud's orientation."""
+    _require_finite(points)
+    pts = T.tensor(points)
+    atoms = _decode_atoms(ae, at, pts)
+    n = len(atoms)
+    if n < 2:
+        return UntypedGraph(atoms, [])
+    return UntypedGraph(atoms, _threshold_edges(edge_probs(ae, pts).data, n, ae.tau))
 
 
 def reconstruction_loss(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
@@ -241,7 +215,7 @@ def reconstruction_loss(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
     """MSE between pair probabilities and 0/1 adjacency, plus MSE between
     the atom-type softmax and the one-hot elements."""
     cloud = encode_t(ae, at, m)
-    onehot = atom_onehot(m)
+    onehot = atom_onehot(m.atoms)
     atom_cols = T.narrow(cloud, 1, ae.z, 2)
     atom_probs = at.decode_probs(atom_cols)
     loss = T.mse(atom_probs, T.tensor(onehot))
@@ -270,12 +244,8 @@ class EdgeTypeModel:
         self.head = Mlp([2 * hidden, hidden, len(BOND_TYPES)], rng, name=f"{name}.head")
 
     def pair_logits(self, atoms: tuple[Element, ...], edges: list[tuple[int, int]]) -> Tensor:
-        n = len(atoms)
-        x = np.zeros((n, len(ELEMENTS)))
-        for i, el in enumerate(atoms):
-            x[i, _ELEM_INDEX[el]] = 1.0
-        e = edges_from_pairs(n, edges)
-        h = T.relu(self.gcn2(T.relu(self.gcn1(T.tensor(x), e)), e))
+        e = edges_from_pairs(len(atoms), edges)
+        h = T.relu(self.gcn2(T.relu(self.gcn1(T.tensor(atom_onehot(atoms)), e)), e))
         i_idx = np.array([p[0] for p in edges], dtype=np.intp)
         j_idx = np.array([p[1] for p in edges], dtype=np.intp)
         fwd = T.concat([T.gather_rows(h, i_idx), T.gather_rows(h, j_idx)], axis=1)
@@ -343,7 +313,8 @@ def predict_edge_types(etm: EdgeTypeModel,
 
 @dataclass
 class EdgesAsNodesGraph:
-    """Original atoms plus one auxiliary node per unordered pair.
+    """Original atoms plus one auxiliary node per unordered pair, over the
+    shared ``pair_node_edges(n_original)``.
 
     Feature layout (width 9): columns 0-3 one-hot element on original rows,
     column 4 edge presence on auxiliary rows, columns 5-8 bond-type one-hot
@@ -353,41 +324,29 @@ class EdgesAsNodesGraph:
     features: np.ndarray
     edges: EdgeIndex
     n_original: int
-    pairs: list[tuple[int, int]] = field(default_factory=list)
 
     FEATURE_WIDTH = 9
 
     @property
     def n_aux(self) -> int:
-        return len(self.pairs)
-
-
-def _aux_edge_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    i_idx, j_idx = pair_indices(n)
-    aux = np.arange(n, n + len(i_idx), dtype=np.intp)
-    src = np.concatenate([i_idx.astype(np.intp), j_idx.astype(np.intp), aux, aux])
-    dst = np.concatenate([aux, aux, i_idx.astype(np.intp), j_idx.astype(np.intp)])
-    return src, dst
+        return self.edges.n - self.n_original
 
 
 def build_edges_as_nodes(m: MolGraph) -> EdgesAsNodesGraph:
     if m.n < 2:
         raise TooFewPoints(f"edges-as-nodes needs at least 2 atoms, got {m.n}")
     n = m.n
-    i_idx, j_idx = pair_indices(n)
-    pairs = list(zip(i_idx.tolist(), j_idx.tolist()))
-    p = len(pairs)
-    feats = np.zeros((n + p, EdgesAsNodesGraph.FEATURE_WIDTH))
-    feats[:n, :4] = atom_onehot(m)
+    edges = pair_node_edges(n)
+    feats = np.zeros((edges.n, EdgesAsNodesGraph.FEATURE_WIDTH))
+    feats[:n, :4] = atom_onehot(m.atoms)
     typed = {(i, j): t for i, j, t in m.bonds}
-    for k, (a, b) in enumerate(pairs):
-        t = typed.get((a, b))
+    i_idx, j_idx = pair_indices(n)
+    for k, pair in enumerate(zip(i_idx.tolist(), j_idx.tolist())):
+        t = typed.get(pair)
         if t is not None:
             feats[n + k, 4] = 1.0
             feats[n + k, 5 + _BOND_INDEX[t]] = 1.0
-    src, dst = _aux_edge_arrays(n)
-    return EdgesAsNodesGraph(features=feats, edges=EdgeIndex(src, dst, n + p),
-                             n_original=n, pairs=pairs)
+    return EdgesAsNodesGraph(features=feats, edges=edges, n_original=n)
 
 
 class InputSpaceAutoencoder:
@@ -430,11 +389,9 @@ def input_space_loss(ae: InputSpaceAutoencoder, g: EdgesAsNodesGraph) -> Tensor:
 def input_space_decode(ae: InputSpaceAutoencoder, latent: np.ndarray,
                        n_original: int, tau: float = 0.5) -> UntypedGraph:
     """Decode an (n + C(n,2)) x z latent matrix back into a candidate graph."""
+    _require_finite(latent)
     n = n_original
-    i_idx, j_idx = pair_indices(n)
-    edges_ix = EdgeIndex(*_aux_edge_arrays(n), n + len(i_idx))
-    out = ae.decode_t(T.tensor(latent), edges_ix).data
+    out = ae.decode_t(T.tensor(latent), pair_node_edges(n)).data
     atoms = tuple(ELEMENTS[k] for k in out[:n, :4].argmax(axis=1))
     presence = 1.0 / (1.0 + np.exp(-out[n:, 4]))
-    edges = [(int(a), int(b)) for a, b, keep in zip(i_idx, j_idx, presence >= tau) if keep]
-    return UntypedGraph(atoms, edges)
+    return UntypedGraph(atoms, _threshold_edges(presence, n, tau))

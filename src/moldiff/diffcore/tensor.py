@@ -52,28 +52,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data) -> Tensor:
     """Wrap an array-like as a constant tensor."""
@@ -388,11 +366,11 @@ def complete_mean(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # segment aggregation (message passing substrate)
 #
-# ``seg`` maps each row of x to a segment id in [0, num). Empty segments
-# aggregate to 0 for every statistic, matching the zero-message convention
-# for isolated nodes. A SegmentPlan precomputes the sort that lets every
-# statistic run through ufunc.reduceat instead of the much slower ufunc.at;
-# callers with a fixed graph structure should build the plan once.
+# A SegmentPlan maps each row of x to a segment id in [0, num) and
+# precomputes the sort that lets every statistic run through ufunc.reduceat
+# instead of the much slower ufunc.at; callers with a fixed graph structure
+# build it once. Empty segments aggregate to 0 for every statistic, matching
+# the zero-message convention for isolated nodes.
 
 
 class SegmentPlan:
@@ -416,10 +394,6 @@ class SegmentPlan:
         return len(self.sorted_seg)
 
 
-def _plan_of(seg, num: int) -> SegmentPlan:
-    return seg if isinstance(seg, SegmentPlan) else SegmentPlan(seg, num)
-
-
 def _reduce(plan: SegmentPlan, xs: np.ndarray, ufunc, width: int) -> np.ndarray:
     out = np.zeros((plan.num, width), dtype=np.float64)
     if len(plan.nonempty):
@@ -435,16 +409,14 @@ def _scatter_rows(g: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     return full
 
 
-def segment_sum(x: Tensor, seg, num: int) -> Tensor:
-    plan = _plan_of(seg, num)
+def segment_sum(x: Tensor, plan: SegmentPlan) -> Tensor:
     xs = x.data[plan.order]
     out = Tensor(_reduce(plan, xs, np.add, x.data.shape[1]))
     _record(out, ((x, lambda g: _scatter_rows(g, plan)),))
     return out
 
 
-def segment_mean(x: Tensor, seg, num: int) -> Tensor:
-    plan = _plan_of(seg, num)
+def segment_mean(x: Tensor, plan: SegmentPlan) -> Tensor:
     xs = x.data[plan.order]
     out = Tensor(_reduce(plan, xs, np.add, x.data.shape[1]) * plan.inv_counts_col)
 
@@ -455,8 +427,7 @@ def segment_mean(x: Tensor, seg, num: int) -> Tensor:
     return out
 
 
-def _segment_extreme(x: Tensor, seg, num: int, ufunc) -> Tensor:
-    plan = _plan_of(seg, num)
+def _segment_extreme(x: Tensor, plan: SegmentPlan, ufunc) -> Tensor:
     xd = x.data
     xs = xd[plan.order]
     result = _reduce(plan, xs, ufunc, xd.shape[1])
@@ -481,22 +452,21 @@ def _segment_extreme(x: Tensor, seg, num: int, ufunc) -> Tensor:
     return out
 
 
-def segment_min(x: Tensor, seg, num: int) -> Tensor:
-    return _segment_extreme(x, seg, num, np.minimum)
+def segment_min(x: Tensor, plan: SegmentPlan) -> Tensor:
+    return _segment_extreme(x, plan, np.minimum)
 
 
-def segment_max(x: Tensor, seg, num: int) -> Tensor:
-    return _segment_extreme(x, seg, num, np.maximum)
+def segment_max(x: Tensor, plan: SegmentPlan) -> Tensor:
+    return _segment_extreme(x, plan, np.maximum)
 
 
-def segment_std(x: Tensor, seg, num: int) -> Tensor:
+def segment_std(x: Tensor, plan: SegmentPlan) -> Tensor:
     """Population standard deviation per segment; gradient is 0 at zero variance.
 
     "Zero" is judged with a relative tolerance: a segment of identical
     values can acquire a ~1e-16 spurious std from the rounding of its mean,
     and dividing by it would blow the gradient up instead of muting it.
     """
-    plan = _plan_of(seg, num)
     xd = x.data
     xs = xd[plan.order]
     mu = _reduce(plan, xs, np.add, xd.shape[1]) * plan.inv_counts_col

@@ -169,10 +169,10 @@ class PnaLayer:
         plan = e.dst_plan()
         agg = T.concat([
             x,
-            T.segment_mean(msgs, plan, e.n),
-            T.segment_min(msgs, plan, e.n),
-            T.segment_max(msgs, plan, e.n),
-            T.segment_std(msgs, plan, e.n),
+            T.segment_mean(msgs, plan),
+            T.segment_min(msgs, plan),
+            T.segment_max(msgs, plan),
+            T.segment_std(msgs, plan),
             T.tensor(np.log1p(plan.counts)[:, None]),
         ], axis=1)
         return T.affine(agg, self.W, self.b)
@@ -196,7 +196,7 @@ class GcnLayer:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
         src, coef, src_plan, dst_plan = e.gcn_norm()
         msgs = T.mul(T.gather_rows(x, src, src_plan), T.tensor(coef))
-        mixed = T.segment_sum(msgs, dst_plan, e.n)
+        mixed = T.segment_sum(msgs, dst_plan)
         return T.affine(mixed, self.W, self.b)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
@@ -289,6 +289,18 @@ def pair_gather_plans(n: int) -> tuple["T.SegmentPlan", "T.SegmentPlan"]:
     """Scatter plans for gathering node rows by pair endpoints."""
     i_idx, j_idx = pair_indices(n)
     return T.SegmentPlan(i_idx, n), T.SegmentPlan(j_idx, n)
+
+
+@lru_cache(maxsize=None)
+def pair_node_edges(n: int) -> EdgeIndex:
+    """The pair-node graph: nodes 0..n-1, then node n + k for the k-th
+    unordered pair of ``pair_indices(n)``, joined both ways to its two
+    endpoints. Cached, so same-size graphs share plans and GCN norms;
+    treat as read-only."""
+    i_idx, j_idx = pair_indices(n)
+    pairs = np.arange(n, n + len(i_idx), dtype=np.intp)
+    return EdgeIndex(np.concatenate([i_idx, j_idx, pairs, pairs]),
+                     np.concatenate([pairs, pairs, i_idx, j_idx]), n + len(i_idx))
 
 
 def egnn_distance_features(cloud) -> Tensor:
@@ -454,9 +466,9 @@ class EgnnNet:
             m = edge_mlp(pair_in)
             w = coord_mlp(m)
             # move each dst point along its incoming difference vectors
-            shift = T.segment_mean(T.mul(unit, w), dst_plan, n)
+            shift = T.segment_mean(T.mul(unit, w), dst_plan)
             x = T.add(x, shift)
-            agg = T.segment_mean(m, dst_plan, n)
+            agg = T.segment_mean(m, dst_plan)
             h = T.add(h, node_mlp(T.concat([h, agg], axis=1)))
         return T.sub(x, x0)
 

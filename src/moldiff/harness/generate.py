@@ -32,8 +32,7 @@ def generate_molecules(pipe: TrainedPipeline, count: int,
         if pipe.input_ae is not None:
             candidate = codec.input_space_decode(pipe.input_ae, points, n)
         else:
-            cloud = codec.LatentCloud(points=points, z=pipe.graph_ae.z)
-            candidate = codec.decode(pipe.graph_ae, pipe.atom_ae, cloud)
+            candidate = codec.decode(pipe.graph_ae, pipe.atom_ae, points)
         mol, _dropped = codec.predict_edge_types(pipe.edge_type, candidate)
         out.append(mol)
     return out

@@ -37,11 +37,9 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, rows: np.ndarray, scale: float = 1.0) -> "Standardizer":
-        """Map rows to mean 0 and standard deviation ``scale`` per column."""
-        mean = rows.mean(axis=0)
-        std = rows.std(axis=0)
-        return cls(mean=mean, std=np.maximum(std, 1e-6) / scale)
+    def fit(cls, rows: np.ndarray) -> "Standardizer":
+        """Map rows to mean 0 and standard deviation 1 per column."""
+        return cls(mean=rows.mean(axis=0), std=np.maximum(rows.std(axis=0), 1e-6))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std

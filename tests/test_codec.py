@@ -7,7 +7,7 @@ from moldiff import codec
 from moldiff.chem import BondType, Element, molgraph, parse_smiles
 from moldiff.diffcore import AdamState, Tape, adam_step, backward
 from moldiff.diffcore import tensor as T
-from moldiff.gnn import TooFewPoints, pair_indices
+from moldiff.gnn import TooFewPoints, pair_indices, pair_node_edges
 
 from conftest import fd_gradcheck
 
@@ -24,20 +24,20 @@ class TestEncode:
         ae, at = models
         m = parse_smiles("CCOCN")
         cloud = codec.encode(ae, at, m)
-        assert cloud.points.shape == (5, 4)
-        assert np.all(np.isfinite(cloud.points))
+        assert cloud.shape == (5, 4)
+        assert np.all(np.isfinite(cloud))
 
     def test_single_atom(self, models):
         ae, at = models
         cloud = codec.encode(ae, at, parse_smiles("C"))
-        assert cloud.points.shape == (1, 4)
+        assert cloud.shape == (1, 4)
 
     def test_relabeling_equivariance(self, models, rng):
         ae, at = models
         m = parse_smiles("CC(=O)NC")
-        cloud = codec.encode(ae, at, m).points
+        cloud = codec.encode(ae, at, m)
         perm = list(rng.permutation(m.n))
-        permuted = codec.encode(ae, at, m.permuted(perm)).points
+        permuted = codec.encode(ae, at, m.permuted(perm))
         assert np.allclose(permuted[perm], cloud)
 
     def test_degree_separates_same_element_atoms(self, rng):
@@ -47,7 +47,7 @@ class TestEncode:
         m = parse_smiles("CC(C)C")
         degree = np.bincount([a for i, j, _ in m.bonds for a in (i, j)], minlength=m.n)
         assert sorted(degree.tolist()) == [1, 1, 1, 3]
-        points = codec.encode(ae, at, m).points
+        points = codec.encode(ae, at, m)
         leaves, center = points[degree == 1], points[degree == 3][0]
         assert np.allclose(leaves, leaves[0])
         assert np.abs(center - leaves[0]).max() > 1e-6
@@ -59,17 +59,16 @@ class TestDecodeGnn:
         # an edge head biased hard negative keeps every pair below tau
         ae.edge_mlp.layers[-1].W.data[:] = 0.0
         ae.edge_mlp.layers[-1].b.data[:] = -10.0
-        cloud = codec.LatentCloud(points=rng.standard_normal((5, 4)), z=2)
-        cand = codec.decode_gnn(ae, at, cloud)
+        cand = codec.decode(ae, at, rng.standard_normal((5, 4)))
         assert cand.edges == []
 
     def test_symmetric_rows_decode_symmetrically(self, models, rng):
         ae, at = models
         pts = rng.standard_normal((4, 4))
         pts[2] = pts[1]
-        cand = codec.decode_gnn(ae, at, codec.LatentCloud(points=pts, z=2))
+        cand = codec.decode(ae, at, pts)
         swapped = pts[[0, 2, 1, 3]]
-        cand2 = codec.decode_gnn(ae, at, codec.LatentCloud(points=swapped, z=2))
+        cand2 = codec.decode(ae, at, swapped)
         relabel = {0: 0, 1: 2, 2: 1, 3: 3}
         expect = sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in cand.edges)
         assert sorted(cand2.edges) == expect
@@ -77,9 +76,9 @@ class TestDecodeGnn:
 
     def test_deterministic(self, models, rng):
         ae, at = models
-        cloud = codec.LatentCloud(points=rng.standard_normal((6, 4)), z=2)
-        a = codec.decode_gnn(ae, at, cloud)
-        b = codec.decode_gnn(ae, at, cloud)
+        cloud = rng.standard_normal((6, 4))
+        a = codec.decode(ae, at, cloud)
+        b = codec.decode(ae, at, cloud)
         assert a.edges == b.edges and a.atoms == b.atoms
 
 
@@ -88,10 +87,10 @@ class TestDecodeEgnn:
         ae = codec.GraphAutoencoder(2, rng, kind="egnn", hidden=16)
         at = codec.AtomTypeAutoencoder(rng)
         pts = rng.standard_normal((6, 4))
-        base = codec.decode_egnn(ae, at, codec.LatentCloud(points=pts, z=2))
+        base = codec.decode(ae, at, pts)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         moved = pts @ q.T + rng.standard_normal(4)
-        rotated = codec.decode_egnn(ae, at, codec.LatentCloud(points=moved, z=2))
+        rotated = codec.decode(ae, at, moved)
         assert rotated.edges == base.edges
 
     def test_coincident_points_all_or_nothing(self, rng):
@@ -103,9 +102,37 @@ class TestDecodeEgnn:
 
     def test_too_few_points(self, rng):
         ae = codec.GraphAutoencoder(2, rng, kind="egnn", hidden=16)
-        at = codec.AtomTypeAutoencoder(rng)
         with pytest.raises(TooFewPoints):
-            codec.decode_egnn(ae, at, codec.LatentCloud(points=np.zeros((1, 4)), z=2))
+            codec.edge_probs_egnn(ae, T.tensor(np.zeros((1, 4))))
+
+    def test_single_point_decodes_to_one_atom(self, rng):
+        ae = codec.GraphAutoencoder(2, rng, kind="egnn", hidden=16)
+        at = codec.AtomTypeAutoencoder(rng)
+        cand = codec.decode(ae, at, rng.standard_normal((1, 4)))
+        assert cand.n == 1 and cand.edges == []
+
+
+class TestNonFiniteCloud:
+    @pytest.mark.parametrize("kind", ["gnn", "egnn"])
+    def test_all_nan_cloud_raises(self, kind, rng):
+        ae = codec.GraphAutoencoder(2, rng, kind=kind, hidden=16)
+        at = codec.AtomTypeAutoencoder(rng)
+        with pytest.raises(codec.NonFiniteCloud):
+            codec.decode(ae, at, np.full((5, 4), np.nan))
+
+    def test_one_infinite_entry_raises(self, models, rng):
+        ae, at = models
+        pts = rng.standard_normal((5, 4))
+        pts[3, 1] = np.inf
+        with pytest.raises(codec.NonFiniteCloud):
+            codec.decode(ae, at, pts)
+
+    def test_input_space_decode_raises(self, rng):
+        ae = codec.InputSpaceAutoencoder(2, rng, hidden=8)
+        latent = np.zeros((6, 2))
+        latent[4, 0] = np.nan
+        with pytest.raises(codec.NonFiniteCloud):
+            codec.input_space_decode(ae, latent, 3)
 
 
 class TestReconstructionLoss:
@@ -223,6 +250,12 @@ class TestEdgesAsNodes:
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
             codec.build_edges_as_nodes(parse_smiles("C"))
+
+    def test_same_size_molecules_share_one_graph(self):
+        a = codec.build_edges_as_nodes(parse_smiles("CCO"))
+        b = codec.build_edges_as_nodes(parse_smiles("C1CN1"))
+        assert a.edges is b.edges is pair_node_edges(3)
+        assert codec.build_edges_as_nodes(parse_smiles("CCCO")).edges is not a.edges
 
     def test_input_space_roundtrip_shapes(self, rng):
         ae = codec.InputSpaceAutoencoder(2, rng, hidden=8)

@@ -119,27 +119,27 @@ class TestGradCheckPrimitives:
 
     def test_segment_ops(self, rng):
         x = param(rng.standard_normal((8, 3)))
-        seg = np.array([0, 0, 1, 1, 2, 2, 2, 3])
+        plan = T.SegmentPlan(np.array([0, 0, 1, 1, 2, 2, 2, 3]), 5)
         tgt = rng.standard_normal((5, 3))  # segment 4 stays empty
         for op in (T.segment_mean, T.segment_min, T.segment_max,
                    T.segment_std, T.segment_sum):
-            worst = fd_gradcheck(lambda op=op: T.mse(op(x, seg, 5), T.tensor(tgt)), [x])
+            worst = fd_gradcheck(lambda op=op: T.mse(op(x, plan), T.tensor(tgt)), [x])
             assert worst < 1e-4, op.__name__
 
     def test_segment_empty_is_zero(self, rng):
         x = T.tensor(rng.standard_normal((2, 3)))
-        seg = np.array([1, 1])
+        plan = T.SegmentPlan(np.array([1, 1]), 3)
         for op in (T.segment_mean, T.segment_min, T.segment_max, T.segment_std):
-            out = op(x, seg, 3)
+            out = op(x, plan)
             assert np.all(out.data[0] == 0.0)
             assert np.all(out.data[2] == 0.0)
 
     def test_segment_std_zero_variance_gradient(self):
         # identical rows in a segment: the std gradient convention is 0
         x = param(np.array([[1.0], [1.0], [1.0]]))
-        seg = np.array([0, 0, 0])
+        plan = T.SegmentPlan(np.array([0, 0, 0]), 1)
         with Tape() as tape:
-            loss = T.sum_all(T.segment_std(x, seg, 1))
+            loss = T.sum_all(T.segment_std(x, plan))
         grads = backward(tape, loss)
         assert np.all(grads[x] == 0.0)
 

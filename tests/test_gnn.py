@@ -22,6 +22,8 @@ from moldiff.gnn import (
     complete_graph_edges,
     edges_from_pairs,
     egnn_distance_features,
+    pair_indices,
+    pair_node_edges,
     time_encode,
 )
 
@@ -49,6 +51,22 @@ class TestCompleteGraph:
     def test_zero_nodes(self):
         with pytest.raises(ZeroNodes):
             complete_graph_edges(0)
+
+
+class TestPairNodeGraph:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_explicit_construction(self, n):
+        # atom i and j each link both ways to the node n + k of pair k = (i, j)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        src = ([i for i, _ in pairs] + [j for _, j in pairs]
+               + [n + k for k in range(len(pairs))] * 2)
+        dst = ([n + k for k in range(len(pairs))] * 2
+               + [i for i, _ in pairs] + [j for _, j in pairs])
+        e = pair_node_edges(n)
+        assert e.n == n + len(pairs)
+        assert e.src.tolist() == src and e.dst.tolist() == dst
+        assert e.src.dtype == e.dst.dtype == np.intp
+        assert list(zip(*(a.tolist() for a in pair_indices(n)))) == pairs
 
 
 class TestPna:
@@ -173,7 +191,7 @@ class TestGraphConv:
 
         got, got_grad = run(lambda: T.complete_mean(x))
         want, want_grad = run(
-            lambda: T.segment_mean(T.gather_rows(x, e.src), e.dst_plan(), e.n))
+            lambda: T.segment_mean(T.gather_rows(x, e.src), e.dst_plan()))
         scale = np.max(np.abs(x.data))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
         assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(weights.data))
@@ -184,7 +202,7 @@ class TestGraphConv:
         lay = GraphConvLayer(3, 4, rng)
         x = rng.standard_normal((7, 3))
         e = complete_graph_edges(7)
-        mean = T.segment_mean(T.gather_rows(T.tensor(x), e.src), e.dst_plan(), e.n).data
+        mean = T.segment_mean(T.gather_rows(T.tensor(x), e.src), e.dst_plan()).data
         want = x @ lay.W_self.data + mean @ lay.W_nbr.data + lay.b.data
         assert np.allclose(lay(T.tensor(x), e).data, want, rtol=0.0, atol=1e-12)
 
