@@ -3,7 +3,8 @@
 The state re-bases every parameter onto one contiguous buffer so the
 moment updates run as a handful of whole-vector ufuncs instead of ten
 small ones per parameter. Parameters keep their shapes; their ``.data``
-arrays become views into the shared buffer.
+arrays become views into the shared buffer. Two preallocated work buffers
+take every intermediate, so a step allocates nothing of parameter size.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ class AdamState:
         self.m = np.zeros_like(self._flat)
         self.v = np.zeros_like(self._flat)
         self._g = np.zeros_like(self._flat)
+        self._w1 = np.empty_like(self._flat)
+        self._w2 = np.empty_like(self._flat)
 
 
 def adam_step(state: AdamState, grads: dict[Tensor, np.ndarray]) -> list[Tensor]:
@@ -48,12 +51,22 @@ def adam_step(state: AdamState, grads: dict[Tensor, np.ndarray]) -> list[Tensor]
             raise ShapeMismatch(f"gradient {pg.shape} for parameter {p.data.shape}")
         g[lo:hi] = pg.ravel()
 
+    # flat -= lr * m_hat / (sqrt(v_hat) + eps), with each product and
+    # quotient taken in the order that expression takes them
     b1, b2 = state.beta1, state.beta2
-    state.m *= b1
-    state.m += (1.0 - b1) * g
-    state.v *= b2
-    state.v += (1.0 - b2) * (g * g)
-    m_hat = state.m / (1.0 - b1 ** state.step)
-    v_hat = state.v / (1.0 - b2 ** state.step)
-    state._flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, w1, w2 = state.m, state.v, state._w1, state._w2
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=w1)
+    m += w1
+    v *= b2
+    np.multiply(g, g, out=w1)
+    w1 *= 1.0 - b2
+    v += w1
+    np.divide(m, 1.0 - b1 ** state.step, out=w1)    # m_hat
+    np.divide(v, 1.0 - b2 ** state.step, out=w2)    # v_hat
+    w1 *= state.lr
+    np.sqrt(w2, out=w2)
+    w2 += state.eps
+    w1 /= w2
+    state._flat -= w1
     return state.params

@@ -1,13 +1,17 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Operations executed inside a ``with Tape() as tape:`` block append local
-backward rules to the tape; ``backward(tape, loss)`` replays the rules in
-reverse construction order, which is already a valid topological order.
-Outside a tape every operation is a plain numpy computation with no
-recording overhead, so inference costs nothing extra.
+An op records a node when a tape is active (inside ``with Tape() as
+tape:``) and at least one of its inputs is attached: trainable, or the
+output of a node already on that tape. ``backward(tape, loss)`` replays the
+nodes in reverse construction order, which is already a valid topological
+order.
 
-Only tensors that are trainable, or derived from something trainable, get
-recorded. Targets and other constants pass through for free.
+Every op computes its value first and then asks ``_recording`` whether it
+records. Only when it does does the op build what the backward pass needs
+(gradient closures, masks, offsets, saved shapes). Off tape, and on a tape
+for ops whose inputs are all constants (targets, features, time columns),
+an op costs its numpy arithmetic, a ``Tensor`` and one check. Its value is
+the same array, bit for bit, in both modes.
 """
 
 from __future__ import annotations
@@ -33,13 +37,19 @@ class EmptyInput(ValueError):
     """Operation requires at least one element."""
 
 
+_F64 = np.dtype(np.float64)
+
+
 class Tensor:
     """A shaped float64 array, optionally a trainable leaf."""
 
     __slots__ = ("data", "trainable", "grad", "name")
 
     def __init__(self, data, trainable: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray would hand a float64 ndarray back unchanged; skip the call
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.trainable = trainable
         self.grad: np.ndarray | None = None
         self.name = name
@@ -97,22 +107,28 @@ class Tape:
         return id(t) in self._ids
 
 
-def _attached(tape: Tape, t: Tensor) -> bool:
-    return t.trainable or id(t) in tape._ids
+def _recording(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` records a node: a tape is active and some
+    input is trainable or was produced on it."""
+    tape = _ACTIVE_TAPE
+    if tape is None:
+        return False
+    ids = tape._ids
+    for t in inputs:
+        if t.trainable or id(t) in ids:
+            return True
+    return False
 
 
 def _record(out: Tensor, pairs) -> None:
-    """Append a node if any input participates in the gradient graph.
+    """Append a node to the active tape; call only when ``_recording`` said so.
 
     ``pairs`` is a sequence of (input tensor, grad_fn) where grad_fn maps the
     output gradient to that input's gradient contribution.
     """
     tape = _ACTIVE_TAPE
-    if tape is None:
-        return
-    if any(_attached(tape, t) for t, _ in pairs):
-        tape._nodes.append((out, tuple(pairs)))
-        tape._ids.add(id(out))
+    tape._nodes.append((out, tuple(pairs)))
+    tape._ids.add(id(out))
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -174,25 +190,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
-    _record(out, ((a, lambda g: _unbroadcast(g, a.data.shape)),
-                  (b, lambda g: _unbroadcast(g, b.data.shape))))
+    if _recording(a, b):
+        _record(out, ((a, lambda g: _unbroadcast(g, a.data.shape)),
+                      (b, lambda g: _unbroadcast(g, b.data.shape))))
     return out
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
-    _record(out, ((a, lambda g: _unbroadcast(g, a.data.shape)),
-                  (b, lambda g: _unbroadcast(-g, b.data.shape))))
+    if _recording(a, b):
+        _record(out, ((a, lambda g: _unbroadcast(g, a.data.shape)),
+                      (b, lambda g: _unbroadcast(-g, b.data.shape))))
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
     ad, bd = a.data, b.data
-    _record(out, ((a, lambda g: _unbroadcast(g * bd, ad.shape)),
-                  (b, lambda g: _unbroadcast(g * ad, bd.shape))))
+    out = Tensor(ad * bd)
+    if _recording(a, b):
+        _record(out, ((a, lambda g: _unbroadcast(g * bd, ad.shape)),
+                      (b, lambda g: _unbroadcast(g * ad, bd.shape))))
     return out
 
 
@@ -202,10 +221,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
-    _record(out, ((a, lambda g: g @ bd.T),
-                  (b, lambda g: ad.T @ g)))
+    out = Tensor(ad @ bd)
+    if _recording(a, b):
+        _record(out, ((a, lambda g: g @ bd.T),
+                      (b, lambda g: ad.T @ g)))
     return out
 
 
@@ -221,23 +241,27 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"affine {x.data.shape} @ {W.data.shape}")
     xd, wd = x.data, W.data
     out = Tensor(xd @ wd + b.data)
-    _record(out, ((x, lambda g: g @ wd.T),
-                  (W, lambda g: xd.T @ g),
-                  (b, lambda g: _unbroadcast(g, b.data.shape))))
+    if _recording(x, W, b):
+        _record(out, ((x, lambda g: g @ wd.T),
+                      (W, lambda g: xd.T @ g),
+                      (b, lambda g: _unbroadcast(g, b.data.shape))))
     return out
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    out = Tensor(np.where(mask, x.data, 0.0))
-    _record(out, ((x, lambda g: g * mask),))
+    """max(x, 0): +0.0 for x = -0.0, NaN for NaN; the gradient is 0 at x <= 0."""
+    out = Tensor(np.maximum(x.data, 0.0))
+    if _recording(x):
+        mask = x.data > 0.0
+        _record(out, ((x, lambda g: g * mask),))
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
     out = Tensor(s)
-    _record(out, ((x, lambda g: g * s * (1.0 - s)),))
+    if _recording(x):
+        _record(out, ((x, lambda g: g * s * (1.0 - s)),))
     return out
 
 
@@ -245,13 +269,13 @@ def sqrt(x: Tensor) -> Tensor:
     """Elementwise square root; gradient defined as 0 where x == 0."""
     r = np.sqrt(x.data)
     out = Tensor(r)
+    if _recording(x):
+        def grad(g):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(r > 0.0, 0.5 / np.where(r > 0.0, r, 1.0), 0.0)
+            return g * d
 
-    def grad(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(r > 0.0, 0.5 / np.where(r > 0.0, r, 1.0), 0.0)
-        return g * d
-
-    _record(out, ((x, grad),))
+        _record(out, ((x, grad),))
     return out
 
 
@@ -259,7 +283,8 @@ def reciprocal(x: Tensor) -> Tensor:
     """Elementwise 1 / x."""
     r = 1.0 / x.data
     out = Tensor(r)
-    _record(out, ((x, lambda g: -g * r * r),))
+    if _recording(x):
+        _record(out, ((x, lambda g: -g * r * r),))
     return out
 
 
@@ -270,6 +295,8 @@ def reciprocal(x: Tensor) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
+    if not _recording(*ts):
+        return out
     sizes = [t.data.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
@@ -289,11 +316,19 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along axis 0 or 1."""
-    sl = [slice(None)] * x.data.ndim
+    xd = x.data
+    if axis == 0:
+        out = Tensor(xd[start:start + length])
+    elif axis == 1:
+        out = Tensor(xd[:, start:start + length])
+    else:
+        raise ShapeMismatch(f"narrow along axis {axis}; expected 0 or 1")
+    if not _recording(x):
+        return out
+    sl = [slice(None)] * xd.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    out = Tensor(x.data[sl])
-    shape = x.data.shape
+    shape = xd.shape
 
     def grad(g):
         full = np.zeros(shape, dtype=np.float64)
@@ -312,6 +347,8 @@ def gather_rows(x: Tensor, index: np.ndarray, plan=None) -> Tensor:
     """
     idx = np.asarray(index, dtype=np.intp)
     out = Tensor(x.data[idx])
+    if not _recording(x):
+        return out
     shape = x.data.shape
 
     def grad(g):
@@ -328,15 +365,17 @@ def gather_rows(x: Tensor, index: np.ndarray, plan=None) -> Tensor:
 def row_sum(x: Tensor) -> Tensor:
     """Sum over axis 1, keeping the row axis: (n, d) -> (n, 1)."""
     out = Tensor(x.data.sum(axis=1, keepdims=True))
-    width = x.data.shape[1]
-    _record(out, ((x, lambda g: np.repeat(g, width, axis=1)),))
+    if _recording(x):
+        width = x.data.shape[1]
+        _record(out, ((x, lambda g: np.repeat(g, width, axis=1)),))
     return out
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
-    shape = x.data.shape
-    _record(out, ((x, lambda g: np.broadcast_to(g, shape).copy()),))
+    if _recording(x):
+        shape = x.data.shape
+        _record(out, ((x, lambda g: np.broadcast_to(g, shape).copy()),))
     return out
 
 
@@ -353,13 +392,14 @@ def _complete_mean(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if n == 1:
         return np.zeros_like(a)
-    return (a.sum(axis=0) - a) / (n - 1)
+    return (np.add.reduce(a, axis=0) - a) / (n - 1)
 
 
 def complete_mean(x: Tensor) -> Tensor:
     """Mean over the other rows, per row: (n, w) -> (n, w); zeros when n = 1."""
     out = Tensor(_complete_mean(x.data))
-    _record(out, ((x, _complete_mean),))
+    if _recording(x):
+        _record(out, ((x, _complete_mean),))
     return out
 
 
@@ -412,18 +452,16 @@ def _scatter_rows(g: np.ndarray, plan: SegmentPlan) -> np.ndarray:
 def segment_sum(x: Tensor, plan: SegmentPlan) -> Tensor:
     xs = x.data[plan.order]
     out = Tensor(_reduce(plan, xs, np.add, x.data.shape[1]))
-    _record(out, ((x, lambda g: _scatter_rows(g, plan)),))
+    if _recording(x):
+        _record(out, ((x, lambda g: _scatter_rows(g, plan)),))
     return out
 
 
 def segment_mean(x: Tensor, plan: SegmentPlan) -> Tensor:
     xs = x.data[plan.order]
     out = Tensor(_reduce(plan, xs, np.add, x.data.shape[1]) * plan.inv_counts_col)
-
-    def grad(g):
-        return _scatter_rows(g * plan.inv_counts_col, plan)
-
-    _record(out, ((x, grad),))
+    if _recording(x):
+        _record(out, ((x, lambda g: _scatter_rows(g * plan.inv_counts_col, plan)),))
     return out
 
 
@@ -432,6 +470,8 @@ def _segment_extreme(x: Tensor, plan: SegmentPlan, ufunc) -> Tensor:
     xs = xd[plan.order]
     result = _reduce(plan, xs, ufunc, xd.shape[1])
     out = Tensor(result)
+    if not _recording(x):
+        return out
 
     # Gradient routes to the first row attaining the extreme in each
     # (segment, column); ties give the whole gradient to one member.
@@ -474,6 +514,8 @@ def segment_std(x: Tensor, plan: SegmentPlan) -> Tensor:
     var = _reduce(plan, centered_s * centered_s, np.add, xd.shape[1]) * plan.inv_counts_col
     std = np.sqrt(var)
     out = Tensor(std)
+    if not _recording(x):
+        return out
 
     def grad(g):
         live = std > 1e-12 * (1.0 + np.abs(mu))
@@ -502,8 +544,9 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     diff = a.data - b.data
     n = diff.size
     out = Tensor((diff * diff).mean())
-    _record(out, ((a, lambda g: g * 2.0 * diff / n),
-                  (b, lambda g: g * -2.0 * diff / n)))
+    if _recording(a, b):
+        _record(out, ((a, lambda g: g * 2.0 * diff / n),
+                      (b, lambda g: g * -2.0 * diff / n)))
     return out
 
 
@@ -513,6 +556,8 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
     out = Tensor(s)
+    if not _recording(x):
+        return out
 
     def grad(g):
         dot = (g * s).sum(axis=1, keepdims=True)
@@ -533,6 +578,8 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     nll = lse - shifted[rows, t]
     n = t.shape[0]
     out = Tensor(nll.mean())
+    if not _recording(logits):
+        return out
     probs = np.exp(shifted - lse[:, None])
 
     def grad(g):

@@ -117,6 +117,11 @@ class TestGradCheckPrimitives:
 
         assert fd_gradcheck(build, [a, b]) < 1e-4
 
+    def test_narrow_only_along_rows_or_columns(self, rng):
+        x = T.tensor(rng.standard_normal((2, 3, 4)))
+        with pytest.raises(ShapeMismatch):
+            T.narrow(x, 2, 0, 1)
+
     def test_segment_ops(self, rng):
         x = param(rng.standard_normal((8, 3)))
         plan = T.SegmentPlan(np.array([0, 0, 1, 1, 2, 2, 2, 3]), 5)
@@ -233,6 +238,28 @@ class TestAdam:
             theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
         assert float(p.data) == pytest.approx(theta, abs=1e-12)
 
+    def test_random_steps_same_bits_as_whole_vector_formula(self, rng):
+        ps = [param(rng.standard_normal((3, 4))), param(rng.standard_normal(5))]
+        state = AdamState(ps, lr=0.01)
+        flat = np.concatenate([p.data.ravel() for p in ps])
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        for step in range(1, 6):
+            grads = {p: rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-6, 3)
+                     for p in ps}
+            adam_step(state, grads)
+            g = np.concatenate([grads[p].ravel() for p in ps])
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1 ** step)
+            v_hat = v / (1.0 - b2 ** step)
+            flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.concatenate([p.data.ravel() for p in ps]).tobytes() == flat.tobytes()
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+
     def test_shape_mismatch(self):
         p = param(np.zeros((2, 2)))
         state = AdamState([p])
@@ -296,7 +323,7 @@ class TestOdeIntegrate:
         assert abs(np.log2(ratio) - 4.0) < 0.6
 
     def test_non_finite_field(self):
-        with pytest.raises(NonFiniteField):
+        with pytest.raises(NonFiniteField), np.errstate(divide="ignore"):
             ode_integrate(lambda t, x: x / 0.0, np.array([1.0]), 0.0, 1.0, 10)
 
 
