@@ -6,7 +6,8 @@ neighbor messages plus a log(degree + 1) column, so atoms of one element
 but different degree encode differently; the atom-type encoder adds 2 more
 columns.
 Decoding runs the reverse: a PNA over the complete graph of latent points
-produces 4-wide output features, an MLP scores every unordered pair, and
+produces 4-wide output features, an MLP scores every unordered pair in
+both orientations and averages them (``gnn.symmetric_pair_logits``), and
 pairs at or above the threshold become edges. Bond types are assigned
 afterwards by a separate graph-convolutional classifier whose argmax is
 masked to valence-feasible types.
@@ -38,9 +39,10 @@ from .gnn import (
     complete_graph_edges,
     edges_from_pairs,
     egnn_distance_features,
-    pair_gather_plans,
+    pair_edges,
     pair_indices,
     pair_node_edges,
+    symmetric_pair_logits,
 )
 
 _ELEM_INDEX = {el: i for i, el in enumerate(ELEMENTS)}
@@ -152,14 +154,7 @@ def edge_probs_gnn(ae: GraphAutoencoder, cloud: Tensor) -> Tensor:
     n = cloud.data.shape[0]
     e = complete_graph_edges(n)
     f = ae.dec2(T.relu(ae.dec1(cloud, e)), e)
-    i_idx, j_idx = pair_indices(n)
-    plan_i, plan_j = pair_gather_plans(n)
-    fi = T.gather_rows(f, i_idx, plan_i)
-    fj = T.gather_rows(f, j_idx, plan_j)
-    fwd = T.concat([fi, fj], axis=1)
-    rev = T.concat([fj, fi], axis=1)
-    logits = T.mul(T.add(ae.edge_mlp(fwd), ae.edge_mlp(rev)), 0.5)
-    return T.sigmoid(logits)
+    return T.sigmoid(symmetric_pair_logits(ae.edge_mlp, f, pair_edges(n)))
 
 
 def edge_probs_egnn(ae: GraphAutoencoder, cloud: Tensor) -> Tensor:
@@ -235,7 +230,8 @@ def reconstruction_loss(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
 
 class EdgeTypeModel:
     """Two graph convolutions then an MLP over concatenated endpoint
-    embeddings; logits are symmetrized by averaging both orientations."""
+    embeddings; logits are symmetrized by averaging both orientations
+    (``gnn.symmetric_pair_logits``)."""
 
     def __init__(self, rng: np.random.Generator, hidden: int = 32,
                  name: str = "edgetype"):
@@ -243,14 +239,11 @@ class EdgeTypeModel:
         self.gcn2 = GcnLayer(hidden, hidden, rng, name=f"{name}.gcn2")
         self.head = Mlp([2 * hidden, hidden, len(BOND_TYPES)], rng, name=f"{name}.head")
 
-    def pair_logits(self, atoms: tuple[Element, ...], edges: list[tuple[int, int]]) -> Tensor:
-        e = edges_from_pairs(len(atoms), edges)
+    def pair_logits(self, atoms: tuple[Element, ...], e: EdgeIndex) -> Tensor:
+        """(P, bond types) logits for the P pairs of ``e``, an
+        ``edges_from_pairs`` index over ``atoms``, in its pair order."""
         h = T.relu(self.gcn2(T.relu(self.gcn1(T.tensor(atom_onehot(atoms)), e)), e))
-        i_idx = np.array([p[0] for p in edges], dtype=np.intp)
-        j_idx = np.array([p[1] for p in edges], dtype=np.intp)
-        fwd = T.concat([T.gather_rows(h, i_idx), T.gather_rows(h, j_idx)], axis=1)
-        rev = T.concat([T.gather_rows(h, j_idx), T.gather_rows(h, i_idx)], axis=1)
-        return T.mul(T.add(self.head(fwd), self.head(rev)), 0.5)
+        return symmetric_pair_logits(self.head, h, e)
 
     def named_params(self):
         return (self.gcn1.named_params() + self.gcn2.named_params()
@@ -262,9 +255,9 @@ def edge_type_loss(etm: EdgeTypeModel, m: MolGraph) -> Tensor | None:
     bonds = sorted(m.bonds, key=lambda e: (e[0], e[1]))
     if not bonds:
         return None
-    edges = [(i, j) for i, j, _ in bonds]
+    # molecular_edges lists the bonded pairs in this same sorted order
     targets = np.array([_BOND_INDEX[t] for _, _, t in bonds], dtype=np.intp)
-    logits = etm.pair_logits(m.atoms, edges)
+    logits = etm.pair_logits(m.atoms, molecular_edges(m))
     return T.softmax_cross_entropy(logits, targets)
 
 
@@ -280,7 +273,8 @@ def predict_edge_types(etm: EdgeTypeModel,
     if not candidate.edges:
         return MolGraph(candidate.atoms, frozenset()), []
 
-    logits = etm.pair_logits(candidate.atoms, candidate.edges).data
+    logits = etm.pair_logits(
+        candidate.atoms, edges_from_pairs(candidate.n, candidate.edges)).data
     order = np.argsort(-logits.max(axis=1), kind="stable")
 
     cap = [2 * el.max_valence for el in candidate.atoms]

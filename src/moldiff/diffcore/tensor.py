@@ -2,9 +2,10 @@
 
 An op records a node when a tape is active (inside ``with Tape() as
 tape:``) and at least one of its inputs is attached: trainable, or the
-output of a node already on that tape. ``backward(tape, loss)`` replays the
+output of a node already on that tape. The node keeps the gradient
+functions of its attached inputs only. ``backward(tape, loss)`` replays the
 nodes in reverse construction order, which is already a valid topological
-order.
+order, so it never computes a gradient for a constant.
 
 Every op computes its value first and then asks ``_recording`` whether it
 records. Only when it does does the op build what the backward pass needs
@@ -43,7 +44,7 @@ _F64 = np.dtype(np.float64)
 class Tensor:
     """A shaped float64 array, optionally a trainable leaf."""
 
-    __slots__ = ("data", "trainable", "grad", "name")
+    __slots__ = ("data", "trainable", "name")
 
     def __init__(self, data, trainable: bool = False, name: str | None = None):
         # np.asarray would hand a float64 ndarray back unchanged; skip the call
@@ -51,7 +52,6 @@ class Tensor:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.trainable = trainable
-        self.grad: np.ndarray | None = None
         self.name = name
 
     @property
@@ -124,18 +124,19 @@ def _record(out: Tensor, pairs) -> None:
     """Append a node to the active tape; call only when ``_recording`` said so.
 
     ``pairs`` is a sequence of (input tensor, grad_fn) where grad_fn maps the
-    output gradient to that input's gradient contribution.
+    output gradient to that input's gradient contribution; only the pairs
+    of attached inputs are kept.
     """
     tape = _ACTIVE_TAPE
-    tape._nodes.append((out, tuple(pairs)))
-    tape._ids.add(id(out))
+    ids = tape._ids
+    tape._nodes.append((out, tuple(p for p in pairs if p[0].trainable or id(p[0]) in ids)))
+    ids.add(id(out))
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Return d(loss)/d(leaf) for every trainable leaf reachable from loss.
 
-    Gradients accumulate additively across fan-out. Also mirrored onto each
-    leaf's ``.grad`` attribute for convenience.
+    Gradients accumulate additively across fan-out.
     """
     if loss.data.ndim != 0:
         raise LossNotScalar(f"loss has shape {loss.data.shape}, expected a scalar")
@@ -161,7 +162,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         g = grads.get(key)
         if g is None:
             continue
-        leaf.grad = g
         result[leaf] = g
     return result
 
@@ -339,26 +339,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return out
 
 
-def gather_rows(x: Tensor, index: np.ndarray, plan=None) -> Tensor:
-    """Select rows x[index]; the gradient scatter-adds back by index.
-
-    ``plan`` is an optional SegmentPlan over (index, row count) that turns
-    the scatter-add into a reduceat; pass it when the index is reused.
-    """
-    idx = np.asarray(index, dtype=np.intp)
-    out = Tensor(x.data[idx])
-    if not _recording(x):
-        return out
-    shape = x.data.shape
-
-    def grad(g):
-        if plan is not None:
-            return _reduce(plan, g[plan.order], np.add, g.shape[1])
-        full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, idx, g)
-        return full
-
-    _record(out, ((x, grad),))
+def gather_rows(x: Tensor, plan: SegmentPlan) -> Tensor:
+    """Rows x[plan.index] of a 2-D x with ``plan.num`` rows; the gradient
+    is the plan's segment sum."""
+    out = Tensor(x.data[plan.index])
+    if _recording(x):
+        _record(out, ((x, lambda g: _reduce(plan, g[plan.order], np.add, g.shape[1])),))
     return out
 
 
@@ -411,16 +397,20 @@ def complete_mean(x: Tensor) -> Tensor:
 # instead of the much slower ufunc.at; callers with a fixed graph structure
 # build it once. Empty segments aggregate to 0 for every statistic, matching
 # the zero-message convention for isolated nodes.
+# A gather is the adjoint of a segment sum, so ``gather_rows`` carries the
+# plan of its index and its gradient is that plan's segment sum.
 
 
 class SegmentPlan:
-    """Sorted-row bookkeeping for repeated segment reductions."""
+    """Sorted-row bookkeeping for repeated segment reductions over ``index``,
+    an array of segment ids in [0, num)."""
 
-    __slots__ = ("num", "order", "sorted_seg", "counts", "safe", "nonempty",
+    __slots__ = ("index", "num", "order", "sorted_seg", "counts", "safe", "nonempty",
                  "starts", "inv_counts_col")
 
     def __init__(self, seg, num: int):
         seg = np.asarray(seg, dtype=np.intp)
+        self.index = seg
         self.num = num
         self.order = np.argsort(seg, kind="stable")
         self.sorted_seg = seg[self.order]

@@ -32,7 +32,7 @@ import numpy as np
 from .diffcore import tensor as T
 from .diffcore.ode import ode_integrate
 from .diffcore.tensor import EmptyInput, ShapeMismatch, Tensor, dct_matrix
-from .gnn import EgnnNet, FlowFieldNet, GcnStack, complete_graph_edges
+from .gnn import EgnnNet, FlowFieldNet, GcnStack
 
 
 class StepOutOfRange(ValueError):
@@ -124,7 +124,7 @@ class GnnRestorer:
         n = x_t.data.shape[0]
         h_t = np.full((n, 1), t / total)
         s_t = T.concat([x_t, T.tensor(h_t)], axis=1)
-        d_t = self.net(s_t, complete_graph_edges(n))
+        d_t = self.net(s_t)
         return T.narrow(T.sub(d_t, s_t), 1, 0, self.width)
 
     def named_params(self):
@@ -265,7 +265,7 @@ class HeatModel:
             self.seeds.setdefault(c.shape[0], []).append(c)
 
     def delta(self, x: Tensor) -> Tensor:
-        return self.net(x, complete_graph_edges(x.data.shape[0]))
+        return self.net(x)
 
     def named_params(self):
         return self.net.named_params()

@@ -1,11 +1,12 @@
 """Graph network building blocks.
 
-Everything here is permutation-equivariant by construction: layers see
-nodes only through an explicit edge index, and aggregation is a segment
-statistic over incoming messages (on complete graphs, its closed form).
-Layers hold trainable tensors and are callable on (features, edges);
-stacking and activation policy live in the small network classes at the
-bottom, which the flows and codecs share.
+Everything here is permutation-equivariant by construction. Each layer
+gets only the graph data it reads: message-passing layers are called on
+(features, edges) and aggregate a segment statistic over an explicit
+``EdgeIndex``; complete-graph layers are called on features alone, since
+their graph is every ordered pair of x's rows. Both pair heads (edge and
+bond type) are ``symmetric_pair_logits``. Stacking and activation policy
+live in the small network classes at the bottom, shared by flows and codecs.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ class OutOfRange(ValueError):
     pass
 
 
-class NotCompleteGraph(ValueError):
-    """A complete-graph layer was handed some other edge index."""
-
-
 # ---------------------------------------------------------------------------
 # edge indexes
 
@@ -47,8 +44,8 @@ class NotCompleteGraph(ValueError):
 class EdgeIndex:
     """Directed (src, dst) pairs over ``n`` nodes.
 
-    Aggregation plans and normalization weights are computed lazily and
-    cached, so a reused edge index (complete graphs, training molecules)
+    Aggregation plans and normalization weights are computed on first use
+    and cached, so a reused edge index (complete graphs, training molecules)
     pays for its sorting once.
     """
 
@@ -59,47 +56,28 @@ class EdgeIndex:
     def __post_init__(self):
         self.src = np.asarray(self.src, dtype=np.intp)
         self.dst = np.asarray(self.dst, dtype=np.intp)
-        self._gcn = None
-        self._src_plan = None
-        self._dst_plan = None
-        self._complete = None
 
     def __len__(self) -> int:
         return len(self.src)
 
+    @cached_property
     def src_plan(self) -> T.SegmentPlan:
-        if self._src_plan is None:
-            self._src_plan = T.SegmentPlan(self.src, self.n)
-        return self._src_plan
+        return T.SegmentPlan(self.src, self.n)
 
+    @cached_property
     def dst_plan(self) -> T.SegmentPlan:
-        if self._dst_plan is None:
-            self._dst_plan = T.SegmentPlan(self.dst, self.n)
-        return self._dst_plan
+        return T.SegmentPlan(self.dst, self.n)
 
-    def is_complete(self) -> bool:
-        """Whether this is every ordered pair src != dst, each exactly once."""
-        if self._complete is None:
-            n = self.n
-            # with dst in range, src * n + dst names each (src, dst) uniquely
-            in_range = np.all((self.dst >= 0) & (self.dst < n))
-            keys = np.sort(self.src * n + self.dst)
-            self._complete = bool(in_range and np.array_equal(
-                keys, np.flatnonzero(~np.eye(n, dtype=bool))))
-        return self._complete
-
-    def gcn_norm(self):
-        """Self-loop-augmented edge list with symmetric normalization weights
-        and the matching aggregation plans."""
-        if self._gcn is None:
-            loops = np.arange(self.n, dtype=np.intp)
-            src = np.concatenate([self.src, loops])
-            dst = np.concatenate([self.dst, loops])
-            deg = np.bincount(dst, minlength=self.n).astype(np.float64)
-            coef = 1.0 / np.sqrt(deg[src] * deg[dst])
-            self._gcn = (src, coef[:, None], T.SegmentPlan(src, self.n),
-                         T.SegmentPlan(dst, self.n))
-        return self._gcn
+    @cached_property
+    def gcn_norm(self) -> tuple[np.ndarray, T.SegmentPlan, T.SegmentPlan]:
+        """Symmetric normalization weights of the self-loop-augmented edge
+        list, as a column, and its source and destination plans."""
+        loops = np.arange(self.n, dtype=np.intp)
+        src = np.concatenate([self.src, loops])
+        dst = np.concatenate([self.dst, loops])
+        deg = np.bincount(dst, minlength=self.n).astype(np.float64)
+        coef = 1.0 / np.sqrt(deg[src] * deg[dst])
+        return coef[:, None], T.SegmentPlan(src, self.n), T.SegmentPlan(dst, self.n)
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +92,8 @@ def complete_graph_edges(n: int) -> EdgeIndex:
 
 
 def edges_from_pairs(n: int, pairs) -> EdgeIndex:
-    """Directed edge index with both orientations of each undirected pair."""
+    """Directed edge index with both orientations of each undirected pair:
+    the (i, j) rows in the order given, then the (j, i) rows."""
     if not pairs:
         return EdgeIndex(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), n)
     a = np.array([p[0] for p in pairs], dtype=np.intp)
@@ -165,8 +144,8 @@ class PnaLayer:
     def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
         if x.data.shape[1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        msgs = T.gather_rows(x, e.src, e.src_plan())
-        plan = e.dst_plan()
+        msgs = T.gather_rows(x, e.src_plan)
+        plan = e.dst_plan
         agg = T.concat([
             x,
             T.segment_mean(msgs, plan),
@@ -194,8 +173,8 @@ class GcnLayer:
     def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
         if x.data.shape[1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        src, coef, src_plan, dst_plan = e.gcn_norm()
-        msgs = T.mul(T.gather_rows(x, src, src_plan), T.tensor(coef))
+        coef, src_plan, dst_plan = e.gcn_norm
+        msgs = T.mul(T.gather_rows(x, src_plan), T.tensor(coef))
         mixed = T.segment_sum(msgs, dst_plan)
         return T.affine(mixed, self.W, self.b)
 
@@ -216,8 +195,7 @@ class GraphConvLayer:
     On the complete graph without self-loops the neighbor mean of row i is
     (sum_j x_j - x_i) / (n - 1), and 0 when n = 1, so the layer computes it
     in O(n w) with ``T.complete_mean`` instead of passing n(n - 1)
-    messages. ``e`` must be the complete graph on x's rows; any other edge
-    index raises ``NotCompleteGraph``.
+    messages. The graph is x's rows, so the layer is called on x alone.
     """
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
@@ -228,13 +206,9 @@ class GraphConvLayer:
         self.W_nbr = T.param(glorot(rng, in_width, out_width), name=f"{name}.Wn")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
-    def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.data.shape[1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        if e.n != x.data.shape[0] or not e.is_complete():
-            raise NotCompleteGraph(
-                f"expected the complete graph on {x.data.shape[0]} nodes, got "
-                f"{len(e)} edges on {e.n}")
         nbr = T.affine(T.complete_mean(x), self.W_nbr, self.b)
         return T.affine(x, self.W_self, nbr)
 
@@ -285,10 +259,27 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def pair_gather_plans(n: int) -> tuple["T.SegmentPlan", "T.SegmentPlan"]:
-    """Scatter plans for gathering node rows by pair endpoints."""
+def pair_gather_plans(n: int) -> tuple[T.SegmentPlan, T.SegmentPlan]:
+    """Gather plans for the first and second ends of ``pair_indices(n)``."""
     i_idx, j_idx = pair_indices(n)
     return T.SegmentPlan(i_idx, n), T.SegmentPlan(j_idx, n)
+
+
+@lru_cache(maxsize=None)
+def pair_edges(n: int) -> EdgeIndex:
+    """Both orientations of every pair of ``pair_indices(n)``, laid out as
+    ``edges_from_pairs`` lays them out. Cached; treat as read-only."""
+    i_idx, j_idx = pair_indices(n)
+    return EdgeIndex(np.concatenate([i_idx, j_idx]), np.concatenate([j_idx, i_idx]), n)
+
+
+def symmetric_pair_logits(mlp: Mlp, h: Tensor, e: EdgeIndex) -> Tensor:
+    """(P, out) order-free pair scores: the mean of mlp([h_i, h_j]) and
+    mlp([h_j, h_i]), with the MLP run once over all 2P rows of ``e``, the
+    (i, j) rows then the (j, i) rows, as ``edges_from_pairs`` lays them out."""
+    both = mlp(T.concat([T.gather_rows(h, e.src_plan), T.gather_rows(h, e.dst_plan)], axis=1))
+    p = len(e) // 2
+    return T.mul(T.add(T.narrow(both, 0, 0, p), T.narrow(both, 0, p, p)), 0.5)
 
 
 @lru_cache(maxsize=None)
@@ -313,9 +304,8 @@ def egnn_distance_features(cloud) -> Tensor:
     n = x.data.shape[0]
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    i_idx, j_idx = pair_indices(n)
     plan_i, plan_j = pair_gather_plans(n)
-    diff = T.sub(T.gather_rows(x, i_idx, plan_i), T.gather_rows(x, j_idx, plan_j))
+    diff = T.sub(T.gather_rows(x, plan_i), T.gather_rows(x, plan_j))
     d2 = T.row_sum(T.mul(diff, diff))
     dist = T.sqrt(d2)
     return T.concat([dist, d2], axis=1)
@@ -363,7 +353,7 @@ class GcnStack:
 
     ``conv`` picks the layer flavor: "gcn" (symmetric normalized, for
     sparse molecular graphs) or "graph" (self/neighbor split, for complete
-    graphs).
+    graphs). ``graph`` is an ``EdgeIndex`` for "gcn" and empty for "graph".
     """
 
     def __init__(self, widths: list[int], rng: np.random.Generator,
@@ -372,9 +362,9 @@ class GcnStack:
         self.layers = [layer_cls(widths[i], widths[i + 1], rng, name=f"{name}.{i}")
                        for i in range(len(widths) - 1)]
 
-    def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
+    def __call__(self, x: Tensor, *graph: EdgeIndex) -> Tensor:
         for i, layer in enumerate(self.layers):
-            x = layer(x, e)
+            x = layer(x, *graph)
             if i < len(self.layers) - 1:
                 x = T.relu(x)
         return x
@@ -400,11 +390,10 @@ class FlowFieldNet:
 
     def __call__(self, x: Tensor, t: float) -> Tensor:
         n = x.data.shape[0]
-        e = complete_graph_edges(n)
         # RK4 stage times can overshoot the interval by one rounding step
         enc = time_encode(min(max(t, 0.0), 1.0), 1.0, self.time_enc)
         feat = T.concat([x, T.tensor(np.broadcast_to(enc, (n, enc.size)))], axis=1)
-        h = T.relu(self.entry(feat, e))
+        h = T.relu(self.entry(feat))
         for layer in self.hidden:
             h = T.relu(layer(h))
         return self.out(h)
@@ -448,20 +437,19 @@ class EgnnNet:
         if n < 2:
             return T.mul(x, 0.0)
         e = complete_graph_edges(n)
-        src, dst = e.src, e.dst
         h = self.embed(T.tensor(np.full((n, 1), h_t)))
         x0 = x
-        src_plan, dst_plan = e.src_plan(), e.dst_plan()
+        src_plan, dst_plan = e.src_plan, e.dst_plan
         for edge_mlp, coord_mlp, node_mlp in zip(self.edge_mlps, self.coord_mlps,
                                                  self.node_mlps):
-            diff = T.sub(T.gather_rows(x, dst, dst_plan), T.gather_rows(x, src, src_plan))
+            diff = T.sub(T.gather_rows(x, dst_plan), T.gather_rows(x, src_plan))
             d2 = T.row_sum(T.mul(diff, diff))
             dist = T.sqrt(d2)
             # unit-bounded directions, as in EGNN/EDM: raw differences grow
             # with the cloud and feed back into the next layer's distances
             unit = T.mul(diff, T.reciprocal(T.add(dist, 1.0)))
             pair_in = T.concat(
-                [T.gather_rows(h, dst, dst_plan), T.gather_rows(h, src, src_plan),
+                [T.gather_rows(h, dst_plan), T.gather_rows(h, src_plan),
                  dist, d2], axis=1)
             m = edge_mlp(pair_in)
             w = coord_mlp(m)

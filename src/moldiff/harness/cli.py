@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..chem import load_dataset, parse_smiles, write_smiles
-from .config import EXPERIMENTS, ExperimentConfig, config_from_dict
+from .config import EXPERIMENTS, ExperimentConfig, config_from_dict, read_config_file
 from .generate import generate_molecules
 from .metrics import evaluate
 from .report import read_results_csv, write_report
@@ -39,9 +39,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    raw = read_config_file(args.config) if args.config else {}
     for key in ("experiment", "latent_z", "epochs", "lr", "dataset", "subset",
                 "seed", "sample_count", "sample_range", "repetitions",
                 "output_dir"):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 # the flow kind (see moldiff.flows.build) that each experiment trains
@@ -81,28 +82,49 @@ class ExperimentConfig:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the annotated type: a bool is no int, an
+    int is a float, a tuple is a list of its length."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    kinds = args or (hint,)  # X | None lists its members
+    if float in kinds:
+        kinds += (int,)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a parsed JSON object; unknown keys are an error."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    """Build a config from a parsed JSON object; unknown keys and values of
+    the wrong type are an error."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     if "experiment" not in raw:
         raise ConfigInvalid("config needs an 'experiment' key")
+    for key, value in raw.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            want = str(hint) if typing.get_args(hint) else hint.__name__
+            raise ConfigInvalid(f"{key} must be {want}, got {value!r}")
     kwargs = dict(raw)
     if "sample_range" in kwargs:
-        sr = kwargs["sample_range"]
-        if not (isinstance(sr, (list, tuple)) and len(sr) == 2):
-            raise ConfigInvalid("sample_range must be a [low, high] pair")
-        kwargs["sample_range"] = (sr[0], sr[1])
+        kwargs["sample_range"] = tuple(kwargs["sample_range"])
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config_file(path) -> dict:
+    """The JSON object in a config file, not yet validated."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot load config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a flat JSON object")
-    return config_from_dict(raw)
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config_file(path))

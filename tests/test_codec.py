@@ -7,7 +7,7 @@ from moldiff import codec
 from moldiff.chem import BondType, Element, molgraph, parse_smiles
 from moldiff.diffcore import AdamState, Tape, adam_step, backward
 from moldiff.diffcore import tensor as T
-from moldiff.gnn import TooFewPoints, pair_indices, pair_node_edges
+from moldiff.gnn import TooFewPoints, edges_from_pairs, pair_indices, pair_node_edges
 
 from conftest import fd_gradcheck
 
@@ -209,8 +209,8 @@ class TestEdgeTypes:
     def test_symmetrized_logits(self, rng):
         etm = codec.EdgeTypeModel(rng, hidden=8)
         atoms = (Element.C, Element.N, Element.O)
-        logits_fwd = etm.pair_logits(atoms, [(0, 1), (1, 2)]).data
-        logits_rev = etm.pair_logits(atoms, [(1, 0), (2, 1)]).data
+        logits_fwd = etm.pair_logits(atoms, edges_from_pairs(3, [(0, 1), (1, 2)])).data
+        logits_rev = etm.pair_logits(atoms, edges_from_pairs(3, [(1, 0), (2, 1)])).data
         assert np.allclose(logits_fwd, logits_rev)
 
     def test_loss_gradcheck(self, rng):

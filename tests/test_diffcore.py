@@ -60,6 +60,18 @@ class TestBackward:
         with pytest.raises(DetachedLoss):
             backward(tape, stray)
 
+    def test_node_keeps_only_attached_inputs(self, rng):
+        x = T.tensor(rng.standard_normal((4, 3)))
+        w = param(rng.standard_normal((3, 2)))
+        b = param(rng.standard_normal(2))
+        with Tape() as tape:
+            h = T.affine(x, w, b)
+            y = T.mul(h, T.tensor(rng.standard_normal((4, 2))))
+        assert [inp for inp, _ in tape._nodes[0][1]] == [w, b]
+        # a produced input is attached too; the constant factor is not
+        assert [inp for inp, _ in tape._nodes[1][1]] == [h]
+        assert tape._nodes[1][0] is y
+
     def test_backward_deterministic(self, rng):
         x = param(rng.standard_normal((4, 3)))
         w = param(rng.standard_normal((3, 2)))
@@ -107,12 +119,12 @@ class TestGradCheckPrimitives:
     def test_concat_narrow_gather_reshape(self, rng):
         a = param(rng.standard_normal((3, 2)))
         b = param(rng.standard_normal((2, 2)))
-        idx = np.array([0, 2, 2, 1])
+        plan = T.SegmentPlan(np.array([0, 2, 2, 1]), 5)  # rows 3 and 4 unread
         tgt = rng.standard_normal((4, 2))
 
         def build():
             cat = T.concat([a, b], axis=0)
-            picked = T.gather_rows(cat, idx)
+            picked = T.gather_rows(cat, plan)
             return T.mse(T.narrow(picked, 1, 0, 2), T.tensor(tgt))
 
         assert fd_gradcheck(build, [a, b]) < 1e-4

@@ -12,7 +12,6 @@ from moldiff.gnn import (
     GcnStack,
     GraphConvLayer,
     Mlp,
-    NotCompleteGraph,
     OutOfRange,
     PnaLayer,
     TimeEncoding,
@@ -22,8 +21,10 @@ from moldiff.gnn import (
     complete_graph_edges,
     edges_from_pairs,
     egnn_distance_features,
+    pair_edges,
     pair_indices,
     pair_node_edges,
+    symmetric_pair_logits,
     time_encode,
 )
 
@@ -67,6 +68,62 @@ class TestPairNodeGraph:
         assert e.src.tolist() == src and e.dst.tolist() == dst
         assert e.src.dtype == e.dst.dtype == np.intp
         assert list(zip(*(a.tolist() for a in pair_indices(n)))) == pairs
+
+
+class TestPairHead:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_pair_edges_is_edges_from_pairs(self, n):
+        e = pair_edges(n)
+        want = edges_from_pairs(n, list(zip(*(a.tolist() for a in pair_indices(n)))))
+        assert e.n == want.n == n
+        assert e.src.tolist() == want.src.tolist() and e.dst.tolist() == want.dst.tolist()
+        assert e.src.dtype == e.dst.dtype == np.intp
+        assert pair_edges(n) is e
+
+    @staticmethod
+    def two_pass(mlp, h, pairs):
+        """Both orientations through the MLP separately, then averaged."""
+        i_idx = [a for a, _ in pairs]
+        j_idx = [b for _, b in pairs]
+        fwd = np.concatenate([h[i_idx], h[j_idx]], axis=1)
+        rev = np.concatenate([h[j_idx], h[i_idx]], axis=1)
+        return 0.5 * (mlp(T.tensor(fwd)).data + mlp(T.tensor(rev)).data)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_matches_two_pass_average(self, n, rng):
+        mlp = Mlp([8, 16, 3], rng)
+        h = rng.standard_normal((n, 4))
+        e = pair_edges(n)
+        got = symmetric_pair_logits(mlp, T.tensor(h), e).data
+        want = self.two_pass(mlp, h, list(zip(*pair_indices(n))))
+        assert got.shape == (n * (n - 1) // 2, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_unchanged_when_ends_swap(self, rng):
+        mlp = Mlp([8, 16, 3], rng)
+        h = T.tensor(rng.standard_normal((6, 4)))
+        pairs = [(0, 1), (4, 2), (3, 5), (1, 4)]
+        got = symmetric_pair_logits(mlp, h, edges_from_pairs(6, pairs)).data
+        swapped = symmetric_pair_logits(
+            mlp, h, edges_from_pairs(6, [(b, a) for a, b in pairs])).data
+        assert np.max(np.abs(got - swapped)) <= 1e-12 * np.max(np.abs(got))
+
+    def test_gradient_matches_two_pass(self, rng):
+        mlp = Mlp([8, 16, 3], rng)
+        h = T.param(rng.standard_normal((5, 4)))
+        pairs = [(0, 1), (1, 2), (2, 4), (0, 3)]
+        weights = T.tensor(rng.standard_normal((len(pairs), 3)))
+        with T.Tape() as tape:
+            out = symmetric_pair_logits(mlp, h, edges_from_pairs(5, pairs))
+            got = T.backward(tape, T.sum_all(T.mul(out, weights)))[h]
+        i_idx = T.SegmentPlan([a for a, _ in pairs], 5)
+        j_idx = T.SegmentPlan([b for _, b in pairs], 5)
+        with T.Tape() as tape:
+            hi, hj = T.gather_rows(h, i_idx), T.gather_rows(h, j_idx)
+            two = T.mul(T.add(mlp(T.concat([hi, hj], axis=1)),
+                              mlp(T.concat([hj, hi], axis=1))), 0.5)
+            want = T.backward(tape, T.sum_all(T.mul(two, weights)))[h]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestPna:
@@ -163,16 +220,15 @@ class TestGraphConv:
         # the motivating property: distinct inputs stay distinct
         lay = GraphConvLayer(3, 3, rng)
         x = rng.standard_normal((5, 3))
-        out = lay(T.tensor(x), complete_graph_edges(5)).data
+        out = lay(T.tensor(x)).data
         assert np.std(out, axis=0).max() > 1e-3
 
     def test_equivariance(self, rng):
         lay = GraphConvLayer(2, 4, rng)
         x = rng.standard_normal((6, 2))
-        e = complete_graph_edges(6)
-        out = lay(T.tensor(x), e).data
+        out = lay(T.tensor(x)).data
         perm = rng.permutation(6)
-        pout = lay(T.tensor(x[np.argsort(perm)]), e).data
+        pout = lay(T.tensor(x[np.argsort(perm)])).data
         assert np.allclose(pout, out[np.argsort(perm)])
 
 
@@ -191,7 +247,7 @@ class TestGraphConv:
 
         got, got_grad = run(lambda: T.complete_mean(x))
         want, want_grad = run(
-            lambda: T.segment_mean(T.gather_rows(x, e.src), e.dst_plan()))
+            lambda: T.segment_mean(T.gather_rows(x, e.src_plan), e.dst_plan))
         scale = np.max(np.abs(x.data))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
         assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(weights.data))
@@ -202,17 +258,9 @@ class TestGraphConv:
         lay = GraphConvLayer(3, 4, rng)
         x = rng.standard_normal((7, 3))
         e = complete_graph_edges(7)
-        mean = T.segment_mean(T.gather_rows(T.tensor(x), e.src), e.dst_plan()).data
+        mean = T.segment_mean(T.gather_rows(T.tensor(x), e.src_plan), e.dst_plan).data
         want = x @ lay.W_self.data + mean @ lay.W_nbr.data + lay.b.data
-        assert np.allclose(lay(T.tensor(x), e).data, want, rtol=0.0, atol=1e-12)
-
-    def test_rejects_other_graphs(self, rng):
-        lay = GraphConvLayer(2, 2, rng)
-        x = T.tensor(rng.standard_normal((3, 2)))
-        with pytest.raises(NotCompleteGraph):
-            lay(x, edges_from_pairs(3, [(0, 1), (1, 2)]))
-        with pytest.raises(NotCompleteGraph):
-            lay(x, complete_graph_edges(4))
+        assert np.allclose(lay(T.tensor(x)).data, want, rtol=0.0, atol=1e-12)
 
 
 class TestDistanceFeatures:
@@ -302,7 +350,7 @@ class TestNets:
         x = rng.standard_normal((5, 3))
         enc = time_encode(0.3, 1.0, net.time_enc)
         feat = T.tensor(np.concatenate([x, np.tile(enc, (5, 1))], axis=1))
-        h = T.relu(net.entry(feat, complete_graph_edges(5)))
+        h = T.relu(net.entry(feat))
         for layer in net.hidden:
             h = T.relu(layer(h))
         assert np.array_equal(net.velocity(0.3, x), net.out(h).data)

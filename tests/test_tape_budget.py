@@ -42,7 +42,15 @@ def test_reconstruction_loss_nodes():
     at = codec.AtomTypeAutoencoder(np.random.default_rng(4))
     with Tape() as tape:
         codec.reconstruction_loss(ae, at, m)
-    assert len(tape) == 45
+    assert len(tape) == 43
+
+
+def test_edge_type_loss_nodes():
+    m = parse_smiles(NINE_ATOMS)
+    etm = codec.EdgeTypeModel(np.random.default_rng(6))
+    with Tape() as tape:
+        codec.edge_type_loss(etm, m)
+    assert len(tape) == 18
 
 
 def test_velocity_tensors(cloud, monkeypatch):

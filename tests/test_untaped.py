@@ -20,7 +20,6 @@ from moldiff.gnn import (
     FlowFieldNet,
     GcnStack,
     PnaLayer,
-    complete_graph_edges,
     edges_from_pairs,
 )
 from moldiff.harness.config import FLOW_KINDS
@@ -110,6 +109,7 @@ def _op_modes(fn, *arrays):
 
 _SEG = np.array([0, 2, 2, 1, 0, 2, 4])  # segment 3 is empty
 _PLAN = T.SegmentPlan(_SEG, 5)
+_FULL_PLAN = T.SegmentPlan([4, 0, 3, 1, 2, 0], 5)  # every row gathered
 
 OPS = {
     "add": (lambda a, b: T.add(a, b), [(4, 3), (3,)]),
@@ -125,8 +125,8 @@ OPS = {
     "concat1": (lambda a, b: T.concat([a, b], axis=1), [(4, 2), (4, 3)]),
     "narrow0": (lambda x: T.narrow(x, 0, 1, 3), [(5, 3)]),
     "narrow1": (lambda x: T.narrow(x, 1, 2, 2), [(5, 6)]),
-    "gather_rows": (lambda x: T.gather_rows(x, _SEG), [(5, 3)]),
-    "gather_rows_plan": (lambda x: T.gather_rows(x, _SEG, _PLAN), [(5, 3)]),
+    "gather_rows": (lambda x: T.gather_rows(x, _FULL_PLAN), [(5, 3)]),
+    "gather_rows_plan": (lambda x: T.gather_rows(x, _PLAN), [(5, 3)]),
     "row_sum": (T.row_sum, [(4, 3)]),
     "sum_all": (T.sum_all, [(4, 3)]),
     "complete_mean": (T.complete_mean, [(6, 3)]),
@@ -180,11 +180,11 @@ def test_pna_layer(rng):
 @pytest.mark.parametrize("conv", ["gcn", "graph"])
 def test_gcn_stack(conv, rng):
     m, e = _molecule_graph()
-    if conv == "graph":
-        e = complete_graph_edges(m.n)
+    # complete-graph layers take no edge index
+    graph = (e,) if conv == "gcn" else ()
     net = GcnStack([3, 16, 16, 16, 3], rng, conv=conv)
     x = T.tensor(rng.standard_normal((m.n, 3)))
-    off, on = _net_modes(lambda: net(x, e))
+    off, on = _net_modes(lambda: net(x, *graph))
     assert same_bits(off, on)
 
 
@@ -214,8 +214,8 @@ def test_edge_probs(kind, rng):
 def test_edge_type_logits(rng):
     etm = codec.EdgeTypeModel(rng, hidden=8)
     atoms = (Element.C, Element.N, Element.O, Element.C)
-    edges = [(0, 1), (1, 2), (0, 3), (2, 3)]
-    off, on = _net_modes(lambda: etm.pair_logits(atoms, edges))
+    e = edges_from_pairs(4, [(0, 1), (1, 2), (0, 3), (2, 3)])
+    off, on = _net_modes(lambda: etm.pair_logits(atoms, e))
     assert same_bits(off, on)
 
 
