@@ -65,6 +65,15 @@ def molecular_edges(m: MolGraph) -> EdgeIndex:
     return edges_from_pairs(m.n, sorted((i, j) for i, j, _ in m.bonds))
 
 
+@lru_cache(maxsize=65536)
+def pair_targets(m: MolGraph) -> np.ndarray:
+    """(P, 1) 0/1 adjacency over ``pair_indices(m.n)``; cached, treat as read-only."""
+    target = np.zeros((len(pair_indices(m.n)[0]), 1))
+    for i, j, _ in m.bonds:  # bonds have i < j: row-major index of (i, j) above the diagonal
+        target[i * m.n - i * (i + 1) // 2 + j - i - 1, 0] = 1.0
+    return target
+
+
 @dataclass
 class UntypedGraph:
     """Decoder candidate: atoms plus an edge set awaiting bond types."""
@@ -215,12 +224,7 @@ def reconstruction_loss(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
     atom_probs = at.decode_probs(atom_cols)
     loss = T.mse(atom_probs, T.tensor(onehot))
     if m.n >= 2:
-        probs = edge_probs(ae, cloud)
-        bonded = {(i, j) for i, j, _ in m.bonds}
-        i_idx, j_idx = pair_indices(m.n)
-        target = np.array([[1.0 if (a, b) in bonded else 0.0]
-                           for a, b in zip(i_idx, j_idx)])
-        loss = T.add(loss, T.mse(probs, T.tensor(target)))
+        loss = T.add(loss, T.mse(edge_probs(ae, cloud), T.tensor(pair_targets(m))))
     return loss
 
 

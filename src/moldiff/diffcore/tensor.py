@@ -13,11 +13,15 @@ records. Only when it does does the op build what the backward pass needs
 for ops whose inputs are all constants (targets, features, time columns),
 an op costs its numpy arithmetic, a ``Tensor`` and one check. Its value is
 the same array, bit for bit, in both modes.
+
+Message passing runs on small dense operators per graph (``SegmentPlan``);
+``pna_aggregate`` records a whole PNA aggregation as one node with one
+hand-written backward. See the segment aggregation section.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -341,10 +345,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def gather_rows(x: Tensor, plan: SegmentPlan) -> Tensor:
     """Rows x[plan.index] of a 2-D x with ``plan.num`` rows; the gradient
-    is the plan's segment sum."""
+    is the plan's segment sum, ``plan.member @ g``."""
     out = Tensor(x.data[plan.index])
     if _recording(x):
-        _record(out, ((x, lambda g: _reduce(plan, g[plan.order], np.add, g.shape[1])),))
+        _record(out, ((x, lambda g: plan.member @ g),))
     return out
 
 
@@ -392,132 +396,123 @@ def complete_mean(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # segment aggregation (message passing substrate)
 #
-# A SegmentPlan maps each row of x to a segment id in [0, num) and
-# precomputes the sort that lets every statistic run through ufunc.reduceat
-# instead of the much slower ufunc.at; callers with a fixed graph structure
-# build it once. Empty segments aggregate to 0 for every statistic, matching
-# the zero-message convention for isolated nodes.
-# A gather is the adjoint of a segment sum, so ``gather_rows`` carries the
-# plan of its index and its gradient is that plan's segment sum.
+# A SegmentPlan maps each row of a message array to a segment id in [0, num)
+# and builds two dense operators on first use, so once per cached edge index.
+# ``member``, the (num, len) 0/1 matrix, makes a segment sum and the gradient
+# of a gather one product each. ``table`` lists each segment's rows in row
+# order, padded to the largest segment K with the segment's first row, so
+# min and max reduce along one axis of a (K, num, w) array; the padding
+# changes neither the extreme nor which row attains it first. Graphs here
+# are small (at most 9 atoms; the largest, the 45-node pair-node graph, has
+# 144 edges), and at that size a dense product or one axis reduction is
+# several times cheaper than sorting the rows and reducing each segment.
+#
+# Empty segments (isolated nodes) aggregate to 0. Min and max send their
+# gradient to the first row, in row order, that attains the extreme. The std
+# is the two-pass form (from sums of squares it cancels catastrophically for
+# near-equal rows), and its gradient is 0 unless std > 1e-12 (1 + |mean|):
+# equal values can pick up a ~1e-16 std from the rounding of their mean.
 
 
 class SegmentPlan:
-    """Sorted-row bookkeeping for repeated segment reductions over ``index``,
-    an array of segment ids in [0, num)."""
-
-    __slots__ = ("index", "num", "order", "sorted_seg", "counts", "safe", "nonempty",
-                 "starts", "inv_counts_col")
+    """Dense aggregation operators for ``index``, an array of segment ids
+    in [0, num), one per row. The operators are built on first use, so a
+    plan that only gathers off the tape builds none of them."""
 
     def __init__(self, seg, num: int):
-        seg = np.asarray(seg, dtype=np.intp)
-        self.index = seg
+        self.index = np.asarray(seg, dtype=np.intp)
         self.num = num
-        self.order = np.argsort(seg, kind="stable")
-        self.sorted_seg = seg[self.order]
-        self.counts = np.bincount(seg, minlength=num).astype(np.float64)
-        self.safe = np.maximum(self.counts, 1.0)
-        self.nonempty = np.nonzero(self.counts > 0)[0]
-        self.starts = np.searchsorted(self.sorted_seg, self.nonempty)
-        self.inv_counts_col = (1.0 / self.safe)[:, None]
+        self.counts = np.bincount(self.index, minlength=num).astype(np.float64)
+        self.inv_counts_col = (1.0 / np.maximum(self.counts, 1.0))[:, None]
+        self.empty = np.flatnonzero(self.counts == 0)
 
     def __len__(self) -> int:
-        return len(self.sorted_seg)
+        return len(self.index)
 
+    @cached_property
+    def member(self) -> np.ndarray:
+        """(num, len) 0/1 matrix: member[s, r] = 1 when row r is in segment s."""
+        member = np.zeros((self.num, len(self.index)))
+        member[self.index, np.arange(len(self.index))] = 1.0
+        return member
 
-def _reduce(plan: SegmentPlan, xs: np.ndarray, ufunc, width: int) -> np.ndarray:
-    out = np.zeros((plan.num, width), dtype=np.float64)
-    if len(plan.nonempty):
-        out[plan.nonempty] = ufunc.reduceat(xs, plan.starts, axis=0)
-    return out
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Each row's position within its segment, counting in row order."""
+        order = np.argsort(self.index, kind="stable")
+        counts = self.counts.astype(np.intp)
+        starts = np.cumsum(counts) - counts
+        rank = np.empty(len(self.index), dtype=np.intp)
+        rank[order] = np.arange(len(self.index)) - starts[self.index[order]]
+        return rank
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """(K, num) rows of each segment in row order, padded with its first row."""
+        heads = self.rank == 0
+        first = np.zeros(self.num, dtype=np.intp)
+        first[self.index[heads]] = np.flatnonzero(heads)
+        table = np.repeat(first[None, :], int(self.counts.max(initial=0)), axis=0)
+        table[self.rank, self.index] = np.arange(len(self.index))
+        return table
 
-def _scatter_rows(g: np.ndarray, plan: SegmentPlan) -> np.ndarray:
-    """Gradient of a segment sum: broadcast g back to member rows."""
-    gs = g[plan.sorted_seg]
-    full = np.empty_like(gs)
-    full[plan.order] = gs
-    return full
-
-
-def segment_sum(x: Tensor, plan: SegmentPlan) -> Tensor:
-    xs = x.data[plan.order]
-    out = Tensor(_reduce(plan, xs, np.add, x.data.shape[1]))
-    if _recording(x):
-        _record(out, ((x, lambda g: _scatter_rows(g, plan)),))
-    return out
+    @cached_property
+    def slot(self) -> np.ndarray:
+        """Each row's position in the flattened (K, num) table."""
+        return self.rank * self.num + self.index
 
 
 def segment_mean(x: Tensor, plan: SegmentPlan) -> Tensor:
-    xs = x.data[plan.order]
-    out = Tensor(_reduce(plan, xs, np.add, x.data.shape[1]) * plan.inv_counts_col)
+    """Mean of the rows of x in each segment: (len, w) -> (num, w)."""
+    out = Tensor((plan.member @ x.data) * plan.inv_counts_col)
     if _recording(x):
-        _record(out, ((x, lambda g: _scatter_rows(g * plan.inv_counts_col, plan)),))
+        _record(out, ((x, lambda g: plan.member.T @ (g * plan.inv_counts_col)),))
     return out
 
 
-def _segment_extreme(x: Tensor, plan: SegmentPlan, ufunc) -> Tensor:
-    xd = x.data
-    xs = xd[plan.order]
-    result = _reduce(plan, xs, ufunc, xd.shape[1])
-    out = Tensor(result)
-    if not _recording(x):
-        return out
+def pna_aggregate(x: Tensor, src_plan: SegmentPlan, dst_plan: SegmentPlan) -> Tensor:
+    """Principal neighbourhood aggregation as one node: (n, w) -> (n, 5w + 1).
 
-    # Gradient routes to the first row attaining the extreme in each
-    # (segment, column); ties give the whole gradient to one member.
-    def grad(g):
-        rows = np.arange(xs.shape[0], dtype=np.intp)[:, None]
-        eligible = xs == result[plan.sorted_seg]
-        cand = np.where(eligible, rows, xs.shape[0])
-        sel = np.full((plan.num, xd.shape[1]), xs.shape[0], dtype=np.intp)
-        if len(plan.nonempty):
-            sel[plan.nonempty] = np.minimum.reduceat(cand, plan.starts, axis=0)
-        winner = rows == sel[plan.sorted_seg]
-        gs = np.where(winner, g[plan.sorted_seg], 0.0)
-        full = np.empty_like(gs)
-        full[plan.order] = gs
-        return full
-
-    _record(out, ((x, grad),))
-    return out
-
-
-def segment_min(x: Tensor, plan: SegmentPlan) -> Tensor:
-    return _segment_extreme(x, plan, np.minimum)
-
-
-def segment_max(x: Tensor, plan: SegmentPlan) -> Tensor:
-    return _segment_extreme(x, plan, np.maximum)
-
-
-def segment_std(x: Tensor, plan: SegmentPlan) -> Tensor:
-    """Population standard deviation per segment; gradient is 0 at zero variance.
-
-    "Zero" is judged with a relative tolerance: a segment of identical
-    values can acquire a ~1e-16 spurious std from the rounding of its mean,
-    and dividing by it would blow the gradient up instead of muting it.
+    Each row of the output is [x, mean, min, max, std, log(d + 1)], where
+    the statistics run over the messages ``x[src_plan.index]`` that arrive
+    at that row by ``dst_plan`` and ``d`` is its in-degree. The std is the
+    population std. Rows with no messages get zeros for all four.
     """
     xd = x.data
-    xs = xd[plan.order]
-    mu = _reduce(plan, xs, np.add, xd.shape[1]) * plan.inv_counts_col
-    centered_s = xs - mu[plan.sorted_seg]
-    var = _reduce(plan, centered_s * centered_s, np.add, xd.shape[1]) * plan.inv_counts_col
-    std = np.sqrt(var)
-    out = Tensor(std)
+    n, w = xd.shape
+    msgs = xd[src_plan.index]
+    inv = dst_plan.inv_counts_col
+    out = np.empty((n, 5 * w + 1))
+    out[:, :w] = xd
+    mean = out[:, w:2 * w]
+    np.multiply(dst_plan.member @ msgs, inv, out=mean)
+    vals = msgs[dst_plan.table]
+    vals.min(axis=0, initial=np.inf, out=out[:, 2 * w:3 * w])
+    vals.max(axis=0, initial=-np.inf, out=out[:, 3 * w:4 * w])
+    out[dst_plan.empty, 2 * w:4 * w] = 0.0
+    centered = msgs - mean[dst_plan.index]
+    std = out[:, 4 * w:5 * w]
+    np.sqrt((dst_plan.member @ (centered * centered)) * inv, out=std)
+    out[:, 5 * w] = np.log1p(dst_plan.counts)
+    result = Tensor(out)
     if not _recording(x):
-        return out
+        return result
 
     def grad(g):
-        live = std > 1e-12 * (1.0 + np.abs(mu))
-        denom = plan.safe[:, None] * np.where(live, std, 1.0)
-        factor = np.where(live, g / denom, 0.0)
-        gs = factor[plan.sorted_seg] * centered_s
-        full = np.empty_like(gs)
-        full[plan.order] = gs
-        return full
+        if not len(dst_plan):  # no messages: the statistics are constants
+            return g[:, :w]
+        live = std > 1e-12 * (1.0 + np.abs(mean))
+        factor = np.where(live, g[:, 4 * w:5 * w] * inv / np.where(live, std, 1.0), 0.0)
+        d_msgs = (g[:, w:2 * w] * inv)[dst_plan.index] + factor[dst_plan.index] * centered
+        rows, cols = np.arange(n)[:, None], np.arange(w)
+        d_slots = np.zeros(vals.shape)
+        d_slots[vals.argmin(axis=0), rows, cols] = g[:, 2 * w:3 * w]
+        d_slots[vals.argmax(axis=0), rows, cols] += g[:, 3 * w:4 * w]
+        d_msgs += d_slots.reshape(-1, w)[dst_plan.slot]
+        return g[:, :w] + src_plan.member @ d_msgs
 
-    _record(out, ((x, grad),))
-    return out
+    _record(result, ((x, grad),))
+    return result
 
 
 # ---------------------------------------------------------------------------

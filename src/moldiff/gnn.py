@@ -2,8 +2,9 @@
 
 Everything here is permutation-equivariant by construction. Each layer
 gets only the graph data it reads: message-passing layers are called on
-(features, edges) and aggregate a segment statistic over an explicit
-``EdgeIndex``; complete-graph layers are called on features alone, since
+(features, edges) and aggregate over an explicit ``EdgeIndex`` through the
+dense operators it caches (segment plans for PNA, a normalized adjacency
+matrix for GCN); complete-graph layers are called on features alone, since
 their graph is every ordered pair of x's rows. Both pair heads (edge and
 bond type) are ``symmetric_pair_logits``. Stacking and activation policy
 live in the small network classes at the bottom, shared by flows and codecs.
@@ -44,9 +45,9 @@ class OutOfRange(ValueError):
 class EdgeIndex:
     """Directed (src, dst) pairs over ``n`` nodes.
 
-    Aggregation plans and normalization weights are computed on first use
-    and cached, so a reused edge index (complete graphs, training molecules)
-    pays for its sorting once.
+    Aggregation plans and the GCN matrix are computed on first use and
+    cached, so a reused edge index (complete graphs, training molecules)
+    builds its operators once.
     """
 
     src: np.ndarray
@@ -69,15 +70,15 @@ class EdgeIndex:
         return T.SegmentPlan(self.dst, self.n)
 
     @cached_property
-    def gcn_norm(self) -> tuple[np.ndarray, T.SegmentPlan, T.SegmentPlan]:
-        """Symmetric normalization weights of the self-loop-augmented edge
-        list, as a column, and its source and destination plans."""
-        loops = np.arange(self.n, dtype=np.intp)
-        src = np.concatenate([self.src, loops])
-        dst = np.concatenate([self.dst, loops])
-        deg = np.bincount(dst, minlength=self.n).astype(np.float64)
-        coef = 1.0 / np.sqrt(deg[src] * deg[dst])
-        return coef[:, None], T.SegmentPlan(src, self.n), T.SegmentPlan(dst, self.n)
+    def gcn_matrix(self) -> np.ndarray:
+        """D^-1/2 (A + I) D^-1/2 as a dense (n, n) matrix, where A[d, s]
+        counts the edges s -> d and D is the in-degree of A + I, so
+        ``gcn_matrix @ x`` is the self-loop-augmented, symmetrically
+        normalized neighbour sum. Treat as read-only."""
+        a = np.eye(self.n)
+        np.add.at(a, (self.dst, self.src), 1.0)
+        deg = a.sum(axis=1)
+        return a / np.sqrt(np.outer(deg, deg))
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +126,8 @@ class PnaLayer:
     node's own features, the four statistics and a degree column
     log(d + 1), then applies one linear map. ``d`` is the node's in-degree.
     Isolated nodes aggregate a zero message and have degree column 0.
+    The aggregation is one tape node (``T.pna_aggregate``) and the linear
+    map another.
 
     Keeping the self features in the update is what lets a stack of these
     layers reconstruct per-node identity on a complete graph; aggregates
@@ -144,24 +147,16 @@ class PnaLayer:
     def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
         if x.data.shape[1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        msgs = T.gather_rows(x, e.src_plan)
-        plan = e.dst_plan
-        agg = T.concat([
-            x,
-            T.segment_mean(msgs, plan),
-            T.segment_min(msgs, plan),
-            T.segment_max(msgs, plan),
-            T.segment_std(msgs, plan),
-            T.tensor(np.log1p(plan.counts)[:, None]),
-        ], axis=1)
-        return T.affine(agg, self.W, self.b)
+        return T.affine(T.pna_aggregate(x, e.src_plan, e.dst_plan), self.W, self.b)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W.name, self.W), (self.b.name, self.b)]
 
 
 class GcnLayer:
-    """Graph convolution with self-loops and symmetric degree normalization."""
+    """Graph convolution with self-loops and symmetric degree normalization:
+    ``e.gcn_matrix @ x`` then one linear map, two tape nodes. The dense
+    matrix is at most 45 x 45 here (the pair-node graph of 9 atoms)."""
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
                  name: str = "gcn"):
@@ -173,10 +168,7 @@ class GcnLayer:
     def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
         if x.data.shape[1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        coef, src_plan, dst_plan = e.gcn_norm
-        msgs = T.mul(T.gather_rows(x, src_plan), T.tensor(coef))
-        mixed = T.segment_sum(msgs, dst_plan)
-        return T.affine(mixed, self.W, self.b)
+        return T.affine(T.matmul(T.tensor(e.gcn_matrix), x), self.W, self.b)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W.name, self.W), (self.b.name, self.b)]
@@ -286,7 +278,7 @@ def symmetric_pair_logits(mlp: Mlp, h: Tensor, e: EdgeIndex) -> Tensor:
 def pair_node_edges(n: int) -> EdgeIndex:
     """The pair-node graph: nodes 0..n-1, then node n + k for the k-th
     unordered pair of ``pair_indices(n)``, joined both ways to its two
-    endpoints. Cached, so same-size graphs share plans and GCN norms;
+    endpoints. Cached, so same-size graphs share plans and the GCN matrix;
     treat as read-only."""
     i_idx, j_idx = pair_indices(n)
     pairs = np.arange(n, n + len(i_idx), dtype=np.intp)

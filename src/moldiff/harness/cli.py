@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..chem import load_dataset, parse_smiles, write_smiles
+from ..chem import MolGraph, SmilesError, load_dataset, parse_smiles, write_smiles
 from .config import EXPERIMENTS, ExperimentConfig, config_from_dict, read_config_file
 from .generate import generate_molecules
 from .metrics import evaluate
@@ -71,11 +71,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     training = load_dataset(args.dataset)
-    candidates = []
+    candidates: list[MolGraph | None] = []
     for line in Path(args.candidates).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
-            candidates.append(parse_smiles(line))
+            try:
+                candidates.append(parse_smiles(line))
+            except SmilesError:
+                candidates.append(None)
     report = evaluate(candidates, training)
     print(json.dumps(report.to_dict(), indent=2))
     return 0

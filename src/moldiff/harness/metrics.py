@@ -28,18 +28,21 @@ class MetricsReport:
     flow_seconds: float = 0.0
     params: int = 0
     count: int = 0
+    unparsed: int = 0
     degenerate: bool = False
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def evaluate(candidates: list[MolGraph], training: Dataset) -> MetricsReport:
-    """Score a candidate batch against the training set."""
+def evaluate(candidates: list[MolGraph | None], training: Dataset) -> MetricsReport:
+    """Score a candidate batch against the training set. A None candidate
+    is one whose SMILES did not parse: it counts as invalid, and in
+    ``unparsed``."""
     if not candidates:
         raise EmptyCandidateSet("no candidates to evaluate")
-    valid = [m for m in candidates if check_validity(m).valid]
-    report = MetricsReport(count=len(candidates))
+    valid = [m for m in candidates if m is not None and check_validity(m).valid]
+    report = MetricsReport(count=len(candidates), unparsed=candidates.count(None))
     report.validity = 100.0 * len(valid) / len(candidates)
     if not valid:
         report.degenerate = True
@@ -67,5 +70,6 @@ def mean_report(reports: list[MetricsReport]) -> MetricsReport:
         flow_seconds=first.flow_seconds,
         params=first.params,
         count=sum(r.count for r in reports),
+        unparsed=sum(r.unparsed for r in reports),
         degenerate=all(r.degenerate for r in reports),
     )

@@ -80,6 +80,30 @@ class TestEvaluateCommand:
         assert printed["count"] == 3 and printed["validity"] == 100.0
         assert printed["uniqueness"] == pytest.approx(200.0 / 3)
         assert printed["novelty"] == 50.0
+        assert printed["unparsed"] == 0
+
+    def test_unparseable_line_counts_as_invalid(self, tmp_path, capsys):
+        candidates = tmp_path / "candidates.smi"
+        candidates.write_text("CCO\nC(\nCCN\n", encoding="utf-8")
+        training = tmp_path / "train.smi"
+        training.write_text("CCO\n", encoding="utf-8")
+        assert cli.main(["evaluate", "--candidates", str(candidates),
+                         "--dataset", str(training)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["count"] == 3 and printed["unparsed"] == 1
+        assert printed["validity"] == pytest.approx(200.0 / 3)
+        assert printed["uniqueness"] == 100.0 and printed["novelty"] == 50.0
+
+    def test_no_line_parses(self, tmp_path, capsys):
+        candidates = tmp_path / "candidates.smi"
+        candidates.write_text("C(\nC1CC\n", encoding="utf-8")
+        training = tmp_path / "train.smi"
+        training.write_text("CCO\n", encoding="utf-8")
+        assert cli.main(["evaluate", "--candidates", str(candidates),
+                         "--dataset", str(training)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["count"] == 2 and printed["unparsed"] == 2
+        assert printed["validity"] == 0.0 and printed["degenerate"]
 
 
 class TestResultsCsv:

@@ -161,6 +161,15 @@ class TestReconstructionLoss:
         edge_term = float(T.mse(probs, T.tensor(target)).data)
         assert edge_term == pytest.approx(0.25)
 
+    def test_pair_targets_match_bond_set(self, corpus):
+        for m in corpus.molecules[:100]:
+            bonded = {(i, j) for i, j, _ in m.bonds}
+            i_idx, j_idx = pair_indices(m.n)
+            want = np.array([[1.0 if (a, b) in bonded else 0.0]
+                             for a, b in zip(i_idx, j_idx)]).reshape(-1, 1)
+            assert np.array_equal(codec.pair_targets(m), want)
+            assert codec.pair_targets(m) is codec.pair_targets(m)
+
     def test_gradients_pass_finite_differences(self, rng):
         ae = codec.GraphAutoencoder(2, rng, hidden=8, edge_hidden=8)
         at = codec.AtomTypeAutoencoder(rng)

@@ -184,6 +184,117 @@ class TestPna:
             lay(T.tensor(np.zeros((2, 4))), edges_from_pairs(2, [(0, 1)]))
 
 
+def pna_reference(x, g, e):
+    """Per-node loops over the messages x[src] arriving at each node, in
+    edge order: the value [x, mean, min, max, std, log(d + 1)] and the
+    gradient of sum(g * value) with respect to x."""
+    n, w = x.shape
+    out = np.zeros((n, 5 * w + 1))
+    dx = g[:, :w].copy()
+    for i in range(n):
+        edges = [k for k in range(len(e)) if e.dst[k] == i]
+        out[i, :w] = x[i]
+        out[i, 5 * w] = np.log(len(edges) + 1.0)
+        if not edges:
+            continue
+        msgs = np.array([x[e.src[k]] for k in edges])
+        mean = msgs.mean(axis=0)
+        std = np.sqrt(((msgs - mean) ** 2).mean(axis=0))
+        out[i, w:5 * w] = np.concatenate([mean, msgs.min(axis=0), msgs.max(axis=0), std])
+        g_mean, g_min, g_max, g_std = (g[i, (1 + s) * w:(2 + s) * w] for s in range(4))
+        for c in range(w):
+            first_min = next(r for r in range(len(edges)) if msgs[r, c] == msgs[:, c].min())
+            first_max = next(r for r in range(len(edges)) if msgs[r, c] == msgs[:, c].max())
+            live = std[c] > 1e-12 * (1.0 + abs(mean[c]))
+            for r, k in enumerate(edges):
+                d = g_mean[c] / len(edges)
+                d += g_min[c] * (r == first_min) + g_max[c] * (r == first_max)
+                if live:
+                    d += g_std[c] * (msgs[r, c] - mean[c]) / (len(edges) * std[c])
+                dx[e.src[k], c] += d
+    return out, dx
+
+
+def pna_taped(x, g, e):
+    xt = T.param(x)
+    with T.Tape() as tape:
+        out = T.pna_aggregate(xt, e.src_plan, e.dst_plan)
+        grads = T.backward(tape, T.sum_all(T.mul(out, T.tensor(g))))
+    assert len(tape) == 3
+    return out.data, grads[xt]
+
+
+def molecular_graph():
+    return edges_from_pairs(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 6)])
+
+
+class TestPnaAggregate:
+    @pytest.mark.parametrize("graph", ["complete1", "complete2", "complete9", "molecule",
+                                       "pair_node4"])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_message_passing_reference(self, graph, ties, rng):
+        e = {"complete1": complete_graph_edges(1), "complete2": complete_graph_edges(2),
+             "complete9": complete_graph_edges(9), "molecule": molecular_graph(),
+             "pair_node4": pair_node_edges(4)}[graph]
+        x = rng.standard_normal((e.n, 3))
+        if ties:  # relu outputs: many exact zeros, so tied extremes
+            x = np.maximum(np.round(x), 0.0)
+        g = rng.standard_normal((e.n, 16))
+        got, got_grad = pna_taped(x, g, e)
+        want, want_grad = pna_reference(x, g, e)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got_grad - want_grad)) <= 1e-12
+
+    @pytest.mark.parametrize("pairs, winner", [([(0, 1), (0, 2), (0, 3)], 1),
+                                               ([(0, 3), (0, 2), (0, 1)], 3)])
+    def test_tied_extremes_send_gradient_to_first_edge(self, pairs, winner):
+        # node 0 hears three equal messages; min and max each pick the first
+        x = np.array([[5.0], [2.0], [2.0], [2.0]])
+        g = np.zeros((4, 6))
+        g[0, 2] = 1.0
+        g[0, 3] = 10.0
+        _, grad = pna_taped(x, g, edges_from_pairs(4, pairs))
+        want = np.zeros((4, 1))
+        want[winner] = 11.0
+        assert np.array_equal(grad, want)
+
+    @pytest.mark.parametrize("value", [1.0, 0.1])
+    def test_zero_variance_has_zero_std_gradient(self, value):
+        # three copies of 0.1 have a mean off by one rounding step and a
+        # ~1e-17 std; the std column must still pass no gradient
+        x = np.full((4, 1), value)
+        g = np.zeros((4, 6))
+        g[0, 4] = 1.0
+        out, grad = pna_taped(x, g, edges_from_pairs(4, [(0, 1), (0, 2), (0, 3)]))
+        assert out[0, 4] < 1e-15
+        assert np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("e", [edges_from_pairs(4, [(0, 1)]), edges_from_pairs(3, [])],
+                             ids=["isolated", "no_edges"])
+    def test_empty_segments_give_zeros(self, e, rng):
+        x = rng.standard_normal((e.n, 2)) + 3.0
+        g = rng.standard_normal((e.n, 11))
+        out, grad = pna_taped(x, g, e)
+        empty = e.dst_plan.counts == 0
+        assert np.all(out[empty, 2:10] == 0.0)
+        assert np.array_equal(out[:, :2], x)
+        want_grad = pna_reference(x, g, e)[1]
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12
+
+
+class TestGcnMatrix:
+    @pytest.mark.parametrize("e", [molecular_graph(), pair_node_edges(3), edges_from_pairs(3, [])],
+                             ids=["molecule", "pair_node3", "no_edges"])
+    def test_equals_formula(self, e):
+        a = np.zeros((e.n, e.n))
+        for s, d in zip(e.src, e.dst):
+            a[d, s] += 1.0
+        a_hat = a + np.eye(e.n)
+        d_inv_sqrt = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
+        want = d_inv_sqrt @ a_hat @ d_inv_sqrt
+        assert np.max(np.abs(e.gcn_matrix - want)) <= 1e-15
+
+
 class TestGcn:
     def test_identity_on_isolated_node(self, rng):
         lay = GcnLayer(2, 2, rng)

@@ -35,14 +35,30 @@ def test_flow_loss_nodes(kind, width, nodes, cloud):
     assert len(tape) == nodes
 
 
-def test_reconstruction_loss_nodes():
+def _reconstruction_loss_nodes(kind: str) -> int:
     m = parse_smiles(NINE_ATOMS)
     assert m.n == 9
-    ae = codec.GraphAutoencoder(2, np.random.default_rng(3))
+    ae = codec.GraphAutoencoder(2, np.random.default_rng(3), kind=kind)
     at = codec.AtomTypeAutoencoder(np.random.default_rng(4))
     with Tape() as tape:
         codec.reconstruction_loss(ae, at, m)
-    assert len(tape) == 43
+    return len(tape)
+
+
+def test_reconstruction_loss_nodes():
+    assert _reconstruction_loss_nodes("gnn") == 28
+
+
+def test_egnn_reconstruction_loss_nodes():
+    assert _reconstruction_loss_nodes("egnn") == 30
+
+
+def test_input_space_loss_nodes():
+    ae = codec.InputSpaceAutoencoder(2, np.random.default_rng(7))
+    g = codec.build_edges_as_nodes(parse_smiles(NINE_ATOMS))
+    with Tape() as tape:
+        codec.input_space_loss(ae, g)
+    assert len(tape) == 30
 
 
 def test_edge_type_loss_nodes():
@@ -50,7 +66,7 @@ def test_edge_type_loss_nodes():
     etm = codec.EdgeTypeModel(np.random.default_rng(6))
     with Tape() as tape:
         codec.edge_type_loss(etm, m)
-    assert len(tape) == 18
+    assert len(tape) == 16
 
 
 def test_velocity_tensors(cloud, monkeypatch):

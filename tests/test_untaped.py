@@ -110,6 +110,7 @@ def _op_modes(fn, *arrays):
 _SEG = np.array([0, 2, 2, 1, 0, 2, 4])  # segment 3 is empty
 _PLAN = T.SegmentPlan(_SEG, 5)
 _FULL_PLAN = T.SegmentPlan([4, 0, 3, 1, 2, 0], 5)  # every row gathered
+_DST_PLAN = T.SegmentPlan([0, 2, 2, 1, 0, 2], 5)  # nodes 3 and 4 hear nothing
 
 OPS = {
     "add": (lambda a, b: T.add(a, b), [(4, 3), (3,)]),
@@ -130,11 +131,8 @@ OPS = {
     "row_sum": (T.row_sum, [(4, 3)]),
     "sum_all": (T.sum_all, [(4, 3)]),
     "complete_mean": (T.complete_mean, [(6, 3)]),
-    "segment_sum": (lambda x: T.segment_sum(x, _PLAN), [(7, 3)]),
     "segment_mean": (lambda x: T.segment_mean(x, _PLAN), [(7, 3)]),
-    "segment_min": (lambda x: T.segment_min(x, _PLAN), [(7, 3)]),
-    "segment_max": (lambda x: T.segment_max(x, _PLAN), [(7, 3)]),
-    "segment_std": (lambda x: T.segment_std(x, _PLAN), [(7, 3)]),
+    "pna_aggregate": (lambda x: T.pna_aggregate(x, _FULL_PLAN, _DST_PLAN), [(5, 3)]),
     "mse": (lambda a, b: T.mse(a, b), [(4, 3), (4, 3)]),
     "softmax": (T.softmax, [(4, 3)]),
     "softmax_cross_entropy": (
