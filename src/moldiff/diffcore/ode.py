@@ -24,7 +24,7 @@ def ode_integrate(field: Callable[[float, np.ndarray], np.ndarray],
 
     def eval_field(t, y):
         d = np.asarray(field(t, y), dtype=np.float64)
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise NonFiniteField(f"field not finite at t={t}")
         return d
 

@@ -14,9 +14,12 @@ for ops whose inputs are all constants (targets, features, time columns),
 an op costs its numpy arithmetic, a ``Tensor`` and one check. Its value is
 the same array, bit for bit, in both modes.
 
-Message passing runs on small dense operators per graph (``SegmentPlan``);
-``pna_aggregate`` records a whole PNA aggregation as one node with one
-hand-written backward. See the segment aggregation section.
+Two ops record a whole network piece as one node with one hand-written
+backward. ``complete_stack`` runs a ReLU stack of layers on the complete
+graph of x's rows (the restorers and the velocity network); see the
+complete-graph section. ``pna_aggregate`` runs a PNA aggregation on small
+dense operators per graph (``SegmentPlan``); see the segment aggregation
+section.
 """
 
 from __future__ import annotations
@@ -370,12 +373,18 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# complete-graph aggregation
+# complete-graph networks
 #
 # On the complete graph without self-loops, every row's neighbour mean is
 # the column sum less the row itself, over n - 1. That is O(n w) where
 # gathering the n(n - 1) messages and reducing them is O(n^2 w). The map
 # is symmetric, so the backward pass applies the same closed form to g.
+#
+# ``complete_stack`` runs a whole ReLU stack of such layers (and of plain
+# affine layers) as one node. At n <= 45 rows and widths <= 64 a layer's
+# products take a few microseconds, about what a node costs in Tensor and
+# op-call overhead, so a layer of separate nodes (mean, two affines, ReLU)
+# would spend much of its time on that overhead.
 
 
 def _complete_mean(a: np.ndarray) -> np.ndarray:
@@ -385,11 +394,85 @@ def _complete_mean(a: np.ndarray) -> np.ndarray:
     return (np.add.reduce(a, axis=0) - a) / (n - 1)
 
 
-def complete_mean(x: Tensor) -> Tensor:
-    """Mean over the other rows, per row: (n, w) -> (n, w); zeros when n = 1."""
-    out = Tensor(_complete_mean(x.data))
-    if _recording(x):
-        _record(out, ((x, _complete_mean),))
+def complete_stack(x: Tensor, layers) -> Tensor:
+    """A ReLU stack on the complete graph of x's rows, as one tape node.
+
+    Each layer is ``(W, Wn, b)`` and maps h to ``h @ W + b``, plus
+    ``mean_others(h) @ Wn`` when ``Wn`` is not None, where
+    ``mean_others(h)`` is each row's mean over the other rows (zeros when
+    there is one row). ReLU runs between layers, not after the last. The
+    value and every gradient have the same bits as the same stack built
+    from ``affine`` and ``relu`` nodes; a ReLU's gradient is 0 at inputs
+    <= 0 and NaN stays NaN.
+    """
+    xd = x.data
+    if xd.ndim != 2:
+        raise ShapeMismatch(f"complete_stack expects a 2-D x, got shape {xd.shape}")
+    if not layers:
+        raise EmptyInput("complete_stack needs at least one layer")
+    arrays, inputs, means = [], [], []
+    h = xd
+    last = len(layers) - 1
+    for i, (W, Wn, b) in enumerate(layers):
+        wd, bd = W.data, b.data
+        if wd.ndim != 2 or wd.shape[0] != h.shape[1] or bd.shape != (wd.shape[1],):
+            raise ShapeMismatch(f"complete_stack layer {i}: {h.shape} @ {wd.shape} + {bd.shape}")
+        inputs.append(h)
+        if Wn is None:
+            wn = m = None
+            act = h @ wd + bd
+        else:
+            wn = Wn.data
+            if wn.shape != wd.shape:
+                raise ShapeMismatch(f"complete_stack layer {i}: Wn {wn.shape} vs W {wd.shape}")
+            m = _complete_mean(h)
+            act = h @ wd + (m @ wn + bd)
+        if i < last:
+            np.maximum(act, 0.0, out=act)
+        arrays.append((wd, wn, bd.shape))
+        means.append(m)
+        h = act
+    out = Tensor(h)
+    if _ACTIVE_TAPE is None:  # sampling: skip gathering the parameters
+        return out
+    params = [t for layer in layers for t in layer]
+    if not _recording(x, *(t for t in params if t is not None)):
+        return out
+    x_attached = x.trainable or _ACTIVE_TAPE.produced(x)
+    cache = [None, None]
+
+    def node_grads(g_out):
+        # backward hands every pair of a node the same g: compute once
+        if cache[0] is g_out:
+            return cache[1]
+        grads = [None] * (2 + len(params))
+        g = g_out
+        for i in range(last, -1, -1):
+            wd, wn, b_shape = arrays[i]
+            if i < last:  # the ReLU after layer i; its output is layer i + 1's input
+                g = g * (inputs[i + 1] > 0.0)
+            grads[1 + 3 * i] = inputs[i].T @ g
+            if wn is not None:
+                grads[2 + 3 * i] = means[i].T @ g
+            grads[3 + 3 * i] = _unbroadcast(g, b_shape)
+            if i > 0:
+                gx = g @ wd.T
+                g = gx if wn is None else gx + _complete_mean(g @ wn.T)
+            elif x_attached:
+                grads[0] = g @ wd.T
+                if wn is not None:
+                    grads[-1] = _complete_mean(g @ wn.T)
+        cache[0], cache[1] = g_out, grads
+        return grads
+
+    # x's gradient is two contributions, its self path and then its
+    # neighbour path, so it sums with x's other uses in the order of an
+    # affine-and-relu stack
+    inputs_of_grads = [x, *params]
+    if layers[0][1] is not None:
+        inputs_of_grads.append(x)
+    _record(out, [(t, lambda g, k=k: node_grads(g)[k])
+                  for k, t in enumerate(inputs_of_grads) if t is not None])
     return out
 
 

@@ -8,6 +8,9 @@ matrix for GCN); complete-graph layers are called on features alone, since
 their graph is every ordered pair of x's rows. Both pair heads (edge and
 bond type) are ``symmetric_pair_logits``. Stacking and activation policy
 live in the small network classes at the bottom, shared by flows and codecs.
+The complete-graph networks there (``GcnStack(conv="graph")`` and
+``FlowFieldNet``) hand their layers' ``spec`` to one ``T.complete_stack``
+call, which runs the whole stack as one tape node.
 """
 
 from __future__ import annotations
@@ -186,8 +189,10 @@ class GraphConvLayer:
 
     On the complete graph without self-loops the neighbor mean of row i is
     (sum_j x_j - x_i) / (n - 1), and 0 when n = 1, so the layer computes it
-    in O(n w) with ``T.complete_mean`` instead of passing n(n - 1)
-    messages. The graph is x's rows, so the layer is called on x alone.
+    in O(n w) instead of passing n(n - 1) messages. The graph is x's rows,
+    so the layer is called on x alone. A call is the one-layer case of
+    ``T.complete_stack``; the stacks below pass all their layers' ``spec``
+    to one such call instead of calling the layers.
     """
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
@@ -198,11 +203,15 @@ class GraphConvLayer:
         self.W_nbr = T.param(glorot(rng, in_width, out_width), name=f"{name}.Wn")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
+    @property
+    def spec(self) -> tuple[Tensor, Tensor, Tensor]:
+        """The layer as ``T.complete_stack`` takes it."""
+        return self.W_self, self.W_nbr, self.b
+
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.shape[1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        nbr = T.affine(T.complete_mean(x), self.W_nbr, self.b)
-        return T.affine(x, self.W_self, nbr)
+        return T.complete_stack(x, [self.spec])
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W_self.name, self.W_self), (self.W_nbr.name, self.W_nbr),
@@ -214,6 +223,11 @@ class Dense:
                  name: str = "dense"):
         self.W = T.param(glorot(rng, in_width, out_width), name=f"{name}.W")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
+
+    @property
+    def spec(self) -> tuple[Tensor, None, Tensor]:
+        """The layer as ``T.complete_stack`` takes it: no neighbor path."""
+        return self.W, None, self.b
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.affine(x, self.W, self.b)
@@ -346,6 +360,8 @@ class GcnStack:
     ``conv`` picks the layer flavor: "gcn" (symmetric normalized, for
     sparse molecular graphs) or "graph" (self/neighbor split, for complete
     graphs). ``graph`` is an ``EdgeIndex`` for "gcn" and empty for "graph".
+    A "graph" stack runs as one ``T.complete_stack`` node; a "gcn" stack
+    records two nodes per layer and one per ReLU.
     """
 
     def __init__(self, widths: list[int], rng: np.random.Generator,
@@ -353,8 +369,14 @@ class GcnStack:
         layer_cls = {"gcn": GcnLayer, "graph": GraphConvLayer}[conv]
         self.layers = [layer_cls(widths[i], widths[i + 1], rng, name=f"{name}.{i}")
                        for i in range(len(widths) - 1)]
+        self.complete = conv == "graph"
 
     def __call__(self, x: Tensor, *graph: EdgeIndex) -> Tensor:
+        if self.complete:
+            if x.data.shape[1] != self.layers[0].in_width:
+                raise WidthMismatch(
+                    f"expected width {self.layers[0].in_width}, got {x.data.shape[1]}")
+            return T.complete_stack(x, [layer.spec for layer in self.layers])
         for i, layer in enumerate(self.layers):
             x = layer(x, *graph)
             if i < len(self.layers) - 1:
@@ -368,7 +390,8 @@ class GcnStack:
 class FlowFieldNet:
     """Velocity network: initial graph convolution over the complete graph,
     a tower of dense hidden layers with ReLU, and a linear output head.
-    Sinusoidal time features are concatenated onto every node."""
+    Sinusoidal time features are concatenated onto every node, and the
+    whole tower runs as one ``T.complete_stack`` node."""
 
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
                  hidden_layers: int = 10, name: str = "flowfield"):
@@ -381,14 +404,14 @@ class FlowFieldNet:
         self.out = Dense(hidden, width, rng, name=f"{name}.out")
 
     def __call__(self, x: Tensor, t: float) -> Tensor:
-        n = x.data.shape[0]
+        n, width = x.data.shape
+        if width != self.width:
+            raise WidthMismatch(f"expected width {self.width}, got {width}")
         # RK4 stage times can overshoot the interval by one rounding step
         enc = time_encode(min(max(t, 0.0), 1.0), 1.0, self.time_enc)
-        feat = T.concat([x, T.tensor(np.broadcast_to(enc, (n, enc.size)))], axis=1)
-        h = T.relu(self.entry(feat))
-        for layer in self.hidden:
-            h = T.relu(layer(h))
-        return self.out(h)
+        feat = T.concat([x, T.tensor(np.repeat(enc[None, :], n, axis=0))], axis=1)
+        layers = [self.entry.spec, *(layer.spec for layer in self.hidden), self.out.spec]
+        return T.complete_stack(feat, layers)
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self(T.tensor(x), t).data

@@ -22,7 +22,7 @@ from .. import codec, flows
 from ..chem import Dataset, MolGraph
 from ..diffcore import AdamState, Tape, adam_step, backward, load_params, save_params
 from .config import FLOW_KINDS, ExperimentConfig
-from .data import resolve_dataset
+from .data import DatasetError, resolve_dataset
 
 
 class CheckpointMismatch(ValueError):
@@ -90,7 +90,11 @@ def _param_list(named):
 
 
 def _train_loop(loss_fn, items, epochs, params, lr, rng) -> list[float]:
-    """Generic per-item training loop; returns mean loss per epoch."""
+    """Generic per-item training loop; returns mean loss per epoch.
+
+    An item whose ``loss_fn`` returns None takes no step. An epoch in which
+    no item took a step has no mean loss and records nan.
+    """
     state = AdamState(params, lr=lr)
     epoch_losses = []
     idx = np.arange(len(items))
@@ -106,7 +110,7 @@ def _train_loop(loss_fn, items, epochs, params, lr, rng) -> list[float]:
             adam_step(state, grads)
             total += float(loss.data)
             counted += 1
-        epoch_losses.append(total / max(counted, 1))
+        epoch_losses.append(total / counted if counted else float("nan"))
     return epoch_losses
 
 
@@ -137,27 +141,46 @@ def _untrained(cfg: ExperimentConfig, dataset: Dataset, init_rng: np.random.Gene
         edge_type=codec.EdgeTypeModel(init_rng), flow=None, standardizer=None)
 
 
+def _cloud_molecules(pipe: TrainedPipeline) -> list[MolGraph]:
+    """The training molecules that give the flow a cloud: all of them, or
+    for the input-space codec those with two atoms or more (its graph has a
+    node per atom pair)."""
+    if pipe.input_ae is None:
+        return pipe.subset
+    return [m for m in pipe.subset if m.n >= 2]
+
+
 def _encode_subset(pipe: TrainedPipeline) -> Iterator[np.ndarray]:
     """Frozen-encoder embeddings of the training molecules, each computed
     when the iterator reaches it."""
     if pipe.input_ae is not None:
         return (pipe.input_ae.encode_t(codec.build_edges_as_nodes(m)).data
-                for m in pipe.subset if m.n >= 2)
+                for m in _cloud_molecules(pipe))
     return (codec.encode_t(pipe.graph_ae, pipe.atom_ae, m).data for m in pipe.subset)
 
 
 def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> TrainedPipeline:
-    """Run both training phases and write checkpoints under cfg.run_dir."""
+    """Run both training phases and write checkpoints under cfg.run_dir.
+
+    Raises :class:`DatasetError`, before any training, when no training
+    molecule would give the flow a cloud.
+    """
     if dataset is None:
         dataset = resolve_dataset(cfg)
     init_rng, subset_rng, ae_rng, flow_rng, _ = _spawn(cfg.seed, 5)
     pipe = _untrained(cfg, dataset, init_rng, subset_rng)
+    if not _cloud_molecules(pipe):
+        if not pipe.subset:
+            raise DatasetError(f"{dataset.source}: no molecules to train on")
+        raise DatasetError(
+            f"{dataset.source}: {cfg.experiment} needs molecules of two atoms or more"
+            f" for the flow, and all {len(pipe.subset)} training molecules have one atom")
 
     # phase 1: autoencoder(s) plus the bond-type classifier
     t0 = time.perf_counter()
     ae_params = [p for ae in pipe.autoencoders for _, p in ae.named_params()]
     if pipe.input_ae is not None:
-        graphs = [codec.build_edges_as_nodes(m) for m in pipe.subset if m.n >= 2]
+        graphs = [codec.build_edges_as_nodes(m) for m in _cloud_molecules(pipe)]
         ae_hist = _train_loop(lambda g: codec.input_space_loss(pipe.input_ae, g),
                               graphs, cfg.epochs, ae_params, cfg.lr, ae_rng)
     else:

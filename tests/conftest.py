@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moldiff.diffcore import Tape, backward
+from moldiff.diffcore import tensor as T
 from moldiff.harness import synthetic_dataset
 
 
@@ -38,6 +39,31 @@ def fd_gradcheck(build, params, h: float = 1e-6, floor: float = 1e-6) -> float:
             rel = abs(num - gflat[k]) / max(abs(num), abs(gflat[k]), floor)
             worst = max(worst, rel)
     return worst
+
+
+def mean_only(width: int) -> list:
+    """A one-layer ``complete_stack`` whose output is the neighbour mean:
+    no self path, the identity on the neighbour path, no bias."""
+    return [(T.tensor(np.zeros((width, width))), T.tensor(np.eye(width)),
+             T.tensor(np.zeros(width)))]
+
+
+def _complete_mean_node(x):
+    """The closed-form neighbour mean as a tape node of its own."""
+    out = T.Tensor(T._complete_mean(x.data))
+    if T._recording(x):
+        T._record(out, ((x, T._complete_mean),))
+    return out
+
+
+def per_layer_stack(x, layers):
+    """``T.complete_stack(x, layers)`` from separate nodes: a mean node, two
+    affine nodes and a ReLU per layer. Same arithmetic, so the same bits."""
+    for i, (w, wn, b) in enumerate(layers):
+        x = T.affine(x, w, b if wn is None else T.affine(_complete_mean_node(x), wn, b))
+        if i < len(layers) - 1:
+            x = T.relu(x)
+    return x
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from moldiff.diffcore import (
 )
 from moldiff.diffcore import tensor as T
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, mean_only, per_layer_stack
 
 
 class TestBackward:
@@ -208,23 +208,147 @@ class TestAffine:
 
 
 class TestCompleteMean:
+    """The closed-form neighbour mean inside ``complete_stack``."""
+
     @pytest.mark.parametrize("n", [2, 9, 45])
     def test_against_finite_differences(self, n, rng):
         x = param(rng.standard_normal((n, 3)))
         tgt = rng.standard_normal((n, 3))
-        assert fd_gradcheck(lambda: T.mse(T.complete_mean(x), T.tensor(tgt)), [x]) < 1e-4
+        assert fd_gradcheck(
+            lambda: T.mse(T.complete_stack(x, mean_only(3)), T.tensor(tgt)), [x]) < 1e-4
 
     def test_single_row_is_zero(self, rng):
         x = param(rng.standard_normal((1, 4)))
         with Tape() as tape:
-            out = T.complete_mean(x)
+            out = T.complete_stack(x, mean_only(4))
             grads = backward(tape, T.sum_all(out))
         assert np.array_equal(out.data, np.zeros((1, 4)))
         assert np.array_equal(grads[x], np.zeros((1, 4)))
 
     def test_hand_computed(self):
         x = T.tensor(np.array([[1.0], [2.0], [6.0]]))
-        assert np.array_equal(T.complete_mean(x).data, [[4.0], [3.5], [1.5]])
+        assert np.array_equal(T.complete_stack(x, mean_only(1)).data, [[4.0], [3.5], [1.5]])
+
+
+def stack_layers(rng, widths, nbr) -> list:
+    """Trainable (W, Wn or None, b) layers; ``nbr[i]`` gives layer i a
+    neighbour path."""
+    return [(param(rng.standard_normal((a, b))),
+             param(rng.standard_normal((a, b))) if k else None,
+             param(rng.standard_normal(b)))
+            for a, b, k in zip(widths, widths[1:], nbr)]
+
+
+def _bits(a):
+    return a.shape, a.tobytes()
+
+
+class TestCompleteStack:
+    @staticmethod
+    def run(stack, x, layers, weights):
+        """Value, node count and gradients of sum((stack(x) - x) * weights):
+        x feeds the stack and the loss, as in a noise predictor."""
+        with Tape() as tape:
+            out = stack(x, layers)
+            loss = T.sum_all(T.mul(T.sub(out, x), weights))
+            grads = backward(tape, loss)
+        params = [x] + [t for layer in layers for t in layer if t is not None]
+        return out.data, len(tape), [grads.get(p) for p in params]
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 45])
+    def test_same_bits_as_per_layer_nodes(self, n, rng):
+        layers = stack_layers(rng, [3, 8, 8, 8, 3], [True, False, True, False])
+        x = param(rng.standard_normal((n, 3)))
+        weights = T.tensor(rng.standard_normal((n, 3)))
+        one, one_nodes, one_grads = self.run(T.complete_stack, x, layers, weights)
+        ref, ref_nodes, ref_grads = self.run(per_layer_stack, x, layers, weights)
+        assert _bits(one) == _bits(ref)
+        assert [_bits(g) for g in one_grads] == [_bits(g) for g in ref_grads]
+        # three loss nodes, plus one stack node or 4 + 2 + 4 + 1 per-layer nodes
+        assert (one_nodes, ref_nodes) == (3 + 1, 3 + 11)
+
+    def test_against_finite_differences(self, rng):
+        layers = stack_layers(rng, [2, 4, 3, 2], [True, False, True])
+        x = param(rng.standard_normal((5, 2)))
+        tgt = rng.standard_normal((5, 2))
+        params = [x] + [t for layer in layers for t in layer if t is not None]
+        assert fd_gradcheck(
+            lambda: T.mse(T.complete_stack(x, layers), T.tensor(tgt)), params) < 1e-4
+
+    def test_relu_ties_at_zero_pass_no_gradient(self):
+        # layer 0 outputs exactly 0 at row 0, unit 0, and -0.0 at row 2, unit 1
+        x = param(np.array([[1.0], [-1.0], [0.0]]))
+        layers = [(param(np.array([[1.0, -1.0]])), None, param(np.array([-1.0, -0.0]))),
+                  (param(np.array([[1.0], [1.0]])), None, param(np.array([-0.0])))]
+        with Tape() as tape:
+            out = T.complete_stack(x, layers)
+            grads = backward(tape, T.sum_all(out))
+        assert np.array_equal(out.data, [[0.0], [1.0], [0.0]])
+        assert not np.any(np.signbit(out.data))
+        # only row 1, unit 1 is above 0
+        assert np.array_equal(grads[layers[0][0]], [[0.0, -1.0]])
+        assert np.array_equal(grads[layers[0][2]], [0.0, 1.0])
+        assert np.array_equal(grads[x], [[0.0], [-1.0], [0.0]])
+        assert np.array_equal(grads[layers[1][0]], [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("nbr", [True, False])
+    def test_nan_propagates(self, nbr, rng):
+        layers = stack_layers(rng, [2, 4, 2], [nbr, False])
+        x = param(rng.standard_normal((4, 2)))
+        x.data[1, 0] = np.nan
+        weights = T.tensor(rng.standard_normal((4, 2)))
+        one, _, one_grads = self.run(T.complete_stack, x, layers, weights)
+        ref, _, ref_grads = self.run(per_layer_stack, x, layers, weights)
+        assert _bits(one) == _bits(ref)
+        assert [_bits(g) for g in one_grads] == [_bits(g) for g in ref_grads]
+        # the neighbour mean carries row 1 into every row
+        rows = np.isnan(one).any(axis=1)
+        assert list(rows) == ([True] * 4 if nbr else [False, True, False, False])
+
+    def test_backward_twice_on_one_tape(self, rng):
+        layers = stack_layers(rng, [2, 3, 2], [True, True])
+        x = T.tensor(rng.standard_normal((4, 2)))
+        w = T.tensor(rng.standard_normal((4, 2)))
+        with Tape() as tape:
+            out = T.complete_stack(x, layers)
+            plain, weighted = T.sum_all(out), T.sum_all(T.mul(out, w))
+        first, second = backward(tape, plain), backward(tape, weighted)
+        for loss, grads in ((lambda o: T.sum_all(o), first),
+                            (lambda o: T.sum_all(T.mul(o, w)), second)):
+            with Tape() as fresh:
+                want = backward(fresh, loss(T.complete_stack(x, layers)))
+            assert want.keys() == grads.keys()
+            for p in want:
+                assert np.array_equal(grads[p], want[p])
+
+    def test_constant_input_gets_no_gradient(self, rng):
+        layers = stack_layers(rng, [2, 3, 2], [True, False])
+        x = T.tensor(rng.standard_normal((4, 2)))
+        with Tape() as tape:
+            grads = backward(tape, T.sum_all(T.complete_stack(x, layers)))
+        assert len(tape) == 2
+        assert set(grads) == {t for layer in layers for t in layer if t is not None}
+
+    @pytest.mark.parametrize("bad", ["x_width", "inner_width", "nbr_shape", "bias", "x_1d"])
+    def test_shape_errors_are_typed(self, bad, rng):
+        x = T.tensor(rng.standard_normal((4, 2)))
+        layers = stack_layers(rng, [2, 3, 2], [True, False])
+        if bad == "x_width":
+            x = T.tensor(rng.standard_normal((4, 3)))
+        elif bad == "inner_width":
+            layers[1] = (param(np.ones((4, 2))), None, param(np.ones(2)))
+        elif bad == "nbr_shape":
+            layers[0] = (layers[0][0], param(np.ones((2, 4))), layers[0][2])
+        elif bad == "bias":
+            layers[1] = (layers[1][0], None, param(np.ones(3)))
+        else:
+            x = T.tensor(np.ones(2))
+        with pytest.raises(ShapeMismatch):
+            T.complete_stack(x, layers)
+
+    def test_no_layers(self, rng):
+        with pytest.raises(T.EmptyInput):
+            T.complete_stack(T.tensor(rng.standard_normal((3, 2))), [])
 
 
 class TestAdam:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moldiff.diffcore import tensor as T
+from moldiff.flows import GnnRestorer
 from moldiff.gnn import (
     Dense,
     EgnnNet,
@@ -27,6 +28,8 @@ from moldiff.gnn import (
     symmetric_pair_logits,
     time_encode,
 )
+
+from conftest import per_layer_stack
 
 
 def random_orthogonal(rng, d):
@@ -345,25 +348,34 @@ class TestGraphConv:
 
     @pytest.mark.parametrize("n", [1, 2, 9, 45])
     def test_complete_mean_matches_message_passing(self, n, rng):
-        """The closed form against gathering every message and averaging."""
+        """A graph-conv stack, whose neighbour means are the closed form,
+        against one that gathers every message and averages it, in value
+        and in the gradients of x and of every parameter."""
         e = complete_graph_edges(n)
+        stack = GcnStack([3, 8, 8, 3], rng, conv="graph")
         x = T.param(rng.standard_normal((n, 3)) * 10.0)
         weights = T.tensor(rng.standard_normal((n, 3)))
+        params = [x] + [p for _, p in stack.named_params()]
 
-        def run(mean):
+        def message_passing(h):
+            for i, layer in enumerate(stack.layers):
+                mean = T.segment_mean(T.gather_rows(h, e.src_plan), e.dst_plan)
+                h = T.add(T.affine(h, layer.W_self, layer.b), T.matmul(mean, layer.W_nbr))
+                if i < len(stack.layers) - 1:
+                    h = T.relu(h)
+            return h
+
+        def run(net):
             with T.Tape() as tape:
-                out = mean()
+                out = net(x)
                 grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
-            return out.data, grads[x]
+            return out.data, [grads[p] for p in params]
 
-        got, got_grad = run(lambda: T.complete_mean(x))
-        want, want_grad = run(
-            lambda: T.segment_mean(T.gather_rows(x, e.src_plan), e.dst_plan))
-        scale = np.max(np.abs(x.data))
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
-        assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(weights.data))
-        if n == 1:
-            assert np.array_equal(got, np.zeros((1, 3)))
+        got, got_grads = run(stack)
+        want, want_grads = run(message_passing)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for g, w in zip(got_grads, want_grads):
+            assert np.max(np.abs(g - w)) <= 1e-12 * max(np.max(np.abs(w)), 1.0)
 
     def test_matches_message_passing_layer(self, rng):
         lay = GraphConvLayer(3, 4, rng)
@@ -372,6 +384,16 @@ class TestGraphConv:
         mean = T.segment_mean(T.gather_rows(T.tensor(x), e.src_plan), e.dst_plan).data
         want = x @ lay.W_self.data + mean @ lay.W_nbr.data + lay.b.data
         assert np.allclose(lay(T.tensor(x)).data, want, rtol=0.0, atol=1e-12)
+
+
+    def test_width_mismatch(self, rng):
+        x = T.tensor(rng.standard_normal((4, 2)))
+        with pytest.raises(WidthMismatch):
+            GraphConvLayer(3, 4, rng)(x)
+        with pytest.raises(WidthMismatch):
+            GcnStack([3, 4, 3], rng, conv="graph")(x)
+        with pytest.raises(WidthMismatch):
+            FlowFieldNet(3, rng, hidden=4, hidden_layers=1)(x, 0.5)
 
 
 class TestDistanceFeatures:
@@ -465,6 +487,46 @@ class TestNets:
         for layer in net.hidden:
             h = T.relu(layer(h))
         assert np.array_equal(net.velocity(0.3, x), net.out(h).data)
+
+    @staticmethod
+    def input_gradient(run, x, weights):
+        """run(x)'s value and the gradient of sum(run(x) * weights) in x."""
+        with T.Tape() as tape:
+            out = run(x)
+            grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
+        return out.data.tobytes(), grads[x].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 45])
+    def test_flow_field_trainable_input_gradient(self, n, rng):
+        """One stack node gives the bits of per-layer nodes."""
+        net = FlowFieldNet(3, rng, hidden=8, hidden_layers=2)
+        x = T.param(rng.standard_normal((n, 3)))
+        weights = T.tensor(rng.standard_normal((n, 3)))
+
+        def layer_by_layer(x):
+            enc = time_encode(0.3, 1.0, net.time_enc)
+            feat = T.concat([x, T.tensor(np.tile(enc, (n, 1)))], axis=1)
+            layers = [net.entry, *net.hidden, net.out]
+            return per_layer_stack(feat, [layer.spec for layer in layers])
+
+        assert (self.input_gradient(lambda x: net(x, 0.3), x, weights)
+                == self.input_gradient(layer_by_layer, x, weights))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 45])
+    def test_predict_noise_trainable_input_gradient(self, n, rng):
+        """x reaches the loss through the stack and through the residual;
+        both sum in the order of per-layer nodes."""
+        restorer = GnnRestorer(2, rng)
+        x = T.param(rng.standard_normal((n, 2)))
+        weights = T.tensor(rng.standard_normal((n, 2)))
+
+        def layer_by_layer(x):
+            s = T.concat([x, T.tensor(np.full((n, 1), 17 / 50))], axis=1)
+            h = per_layer_stack(s, [layer.spec for layer in restorer.net.layers])
+            return T.narrow(T.sub(h, s), 1, 0, 2)
+
+        assert (self.input_gradient(lambda x: restorer.predict_noise(x, 17, 50), x, weights)
+                == self.input_gradient(layer_by_layer, x, weights))
 
     @staticmethod
     def unit_weight_egnn(rng, layers):

@@ -140,3 +140,41 @@ def test_egnn_training_stays_finite(tmp_path):
     rng = np.random.default_rng(0)
     for _ in range(3):
         assert np.all(np.isfinite(flows.ddpm_generate(pipe.flow, 9, rng)))
+
+
+ONE_ATOM = ("C", "N", "O", "C")
+
+
+@pytest.fixture()
+def train_loops(monkeypatch):
+    """Count the training loops train_experiment starts."""
+    from moldiff.harness import train
+    calls = []
+    loop = train._train_loop
+
+    def counting(*args):
+        calls.append(1)
+        return loop(*args)
+
+    monkeypatch.setattr(train, "_train_loop", counting)
+    return calls
+
+
+@pytest.mark.parametrize("exp, mols, cause", [
+    ("gnn_gaussian", (), "no molecules"),
+    ("input_space_gaussian", ONE_ATOM, "two atoms or more"),
+])
+def test_no_flow_cloud_raises_before_training(exp, mols, cause, train_loops, tmp_path):
+    cfg = harness.ExperimentConfig(experiment=exp, epochs=1, seed=0, output_dir=str(tmp_path))
+    with pytest.raises(harness.DatasetError, match=cause):
+        harness.train_experiment(cfg, small_dataset([parse_smiles(s) for s in mols]))
+    assert not train_loops
+
+
+def test_epoch_without_a_step_records_nan(tmp_path):
+    # one-atom molecules have no bonds, so the bond-type model takes no step
+    cfg = harness.ExperimentConfig(experiment="gnn_gaussian", epochs=2, seed=0,
+                                   output_dir=str(tmp_path))
+    pipe = harness.train_experiment(cfg, small_dataset([parse_smiles(s) for s in ONE_ATOM]))
+    assert np.isnan(pipe.history["edge_type"]).all() and len(pipe.history["edge_type"]) == 2
+    assert np.isfinite(pipe.history["ae"]).all() and np.isfinite(pipe.history["flow"]).all()

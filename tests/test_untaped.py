@@ -24,6 +24,8 @@ from moldiff.gnn import (
 )
 from moldiff.harness.config import FLOW_KINDS
 
+from conftest import mean_only
+
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -130,7 +132,10 @@ OPS = {
     "gather_rows_plan": (lambda x: T.gather_rows(x, _PLAN), [(5, 3)]),
     "row_sum": (T.row_sum, [(4, 3)]),
     "sum_all": (T.sum_all, [(4, 3)]),
-    "complete_mean": (T.complete_mean, [(6, 3)]),
+    "complete_mean": (lambda x: T.complete_stack(x, mean_only(3)), [(6, 3)]),
+    "complete_stack": (
+        lambda x, w, wn, b, w2, b2: T.complete_stack(x, [(w, wn, b), (w2, None, b2)]),
+        [(6, 3), (3, 4), (3, 4), (4,), (4, 2), (2,)]),
     "segment_mean": (lambda x: T.segment_mean(x, _PLAN), [(7, 3)]),
     "pna_aggregate": (lambda x: T.pna_aggregate(x, _FULL_PLAN, _DST_PLAN), [(5, 3)]),
     "mse": (lambda a, b: T.mse(a, b), [(4, 3), (4, 3)]),
