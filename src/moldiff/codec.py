@@ -10,7 +10,7 @@ produces 4-wide output features, an MLP scores every unordered pair in
 both orientations and averages them (``gnn.symmetric_pair_logits``), and
 pairs at or above the threshold become edges. Bond types are assigned
 afterwards by a separate graph-convolutional classifier whose argmax is
-masked to valence-feasible types.
+masked to valence-feasible types. Each MLP or GCN stack is one tape node.
 
 The EGNN decoder and the input-space autoencoder both run on the pair-node
 graph, ``gnn.pair_node_edges(n)``: the n atoms plus one node per unordered
@@ -233,9 +233,9 @@ def reconstruction_loss(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
 
 
 class EdgeTypeModel:
-    """Two graph convolutions then an MLP over concatenated endpoint
-    embeddings; logits are symmetrized by averaging both orientations
-    (``gnn.symmetric_pair_logits``)."""
+    """Two graph convolutions with ReLU (one ``T.relu_stack`` node) then an
+    MLP over concatenated endpoint embeddings; logits are symmetrized by
+    averaging both orientations (``gnn.symmetric_pair_logits``)."""
 
     def __init__(self, rng: np.random.Generator, hidden: int = 32,
                  name: str = "edgetype"):
@@ -246,7 +246,8 @@ class EdgeTypeModel:
     def pair_logits(self, atoms: tuple[Element, ...], e: EdgeIndex) -> Tensor:
         """(P, bond types) logits for the P pairs of ``e``, an
         ``edges_from_pairs`` index over ``atoms``, in its pair order."""
-        h = T.relu(self.gcn2(T.relu(self.gcn1(T.tensor(atom_onehot(atoms)), e)), e))
+        h = T.relu(T.relu_stack(T.tensor(atom_onehot(atoms)),
+                                [self.gcn1.spec, self.gcn2.spec], e.gcn_matrix))
         return symmetric_pair_logits(self.head, h, e)
 
     def named_params(self):

@@ -15,11 +15,11 @@ an op costs its numpy arithmetic, a ``Tensor`` and one check. Its value is
 the same array, bit for bit, in both modes.
 
 Two ops record a whole network piece as one node with one hand-written
-backward. ``complete_stack`` runs a ReLU stack of layers on the complete
-graph of x's rows (the restorers and the velocity network); see the
-complete-graph section. ``pna_aggregate`` runs a PNA aggregation on small
-dense operators per graph (``SegmentPlan``); see the segment aggregation
-section.
+backward. ``relu_stack`` runs every ReLU stack of the package: the MLPs,
+the GCN stacks over a constant propagation matrix, and the complete-graph
+networks (the restorers and the velocity network); see the ReLU-stack
+section. ``pna_aggregate`` runs a PNA aggregation on small dense operators
+per graph (``SegmentPlan``); see the segment aggregation section.
 """
 
 from __future__ import annotations
@@ -373,18 +373,18 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# complete-graph networks
+# ReLU stacks
 #
-# On the complete graph without self-loops, every row's neighbour mean is
-# the column sum less the row itself, over n - 1. That is O(n w) where
-# gathering the n(n - 1) messages and reducing them is O(n^2 w). The map
-# is symmetric, so the backward pass applies the same closed form to g.
+# ``relu_stack`` runs a whole ReLU stack (an MLP, a GCN stack, a
+# complete-graph network) as one node. At n <= 45 rows and widths <= 64 a
+# layer's products take a few microseconds, about what a node costs in
+# Tensor and op-call overhead, so a layer of separate nodes (neighbour map,
+# two affines, ReLU) would spend much of its time on that overhead.
 #
-# ``complete_stack`` runs a whole ReLU stack of such layers (and of plain
-# affine layers) as one node. At n <= 45 rows and widths <= 64 a layer's
-# products take a few microseconds, about what a node costs in Tensor and
-# op-call overhead, so a layer of separate nodes (mean, two affines, ReLU)
-# would spend much of its time on that overhead.
+# Without a propagation matrix the neighbour map is the complete-graph
+# mean: the column sum less the row itself, over n - 1, in O(n w) where
+# gathering the n(n - 1) messages would be O(n^2 w). The map is symmetric,
+# so the backward pass applies the same closed form to g.
 
 
 def _complete_mean(a: np.ndarray) -> np.ndarray:
@@ -394,43 +394,45 @@ def _complete_mean(a: np.ndarray) -> np.ndarray:
     return (np.add.reduce(a, axis=0) - a) / (n - 1)
 
 
-def complete_stack(x: Tensor, layers) -> Tensor:
-    """A ReLU stack on the complete graph of x's rows, as one tape node.
+def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
+    """A ReLU stack on the graph of x's rows, as one tape node.
 
-    Each layer is ``(W, Wn, b)`` and maps h to ``h @ W + b``, plus
-    ``mean_others(h) @ Wn`` when ``Wn`` is not None, where
-    ``mean_others(h)`` is each row's mean over the other rows (zeros when
-    there is one row). ReLU runs between layers, not after the last. The
-    value and every gradient have the same bits as the same stack built
-    from ``affine`` and ``relu`` nodes; a ReLU's gradient is 0 at inputs
-    <= 0 and NaN stays NaN.
+    Each layer is ``(W, Wn, b)`` and maps h to ``h @ W + N(h) @ Wn + b``,
+    without the term of a weight that is None (one may be, not both).
+    ``N(h)`` is ``prop @ h`` for a constant (n, n) ``prop``, or with
+    ``prop`` None each row's mean over the other rows (zeros for one row).
+    ReLU runs between layers, not after the last. The value and every
+    gradient have the same bits as the same stack built from ``matmul``,
+    ``affine`` and ``relu`` nodes; a ReLU's gradient is 0 at inputs <= 0
+    and NaN stays NaN.
     """
     xd = x.data
     if xd.ndim != 2:
-        raise ShapeMismatch(f"complete_stack expects a 2-D x, got shape {xd.shape}")
+        raise ShapeMismatch(f"relu_stack expects a 2-D x, got shape {xd.shape}")
     if not layers:
-        raise EmptyInput("complete_stack needs at least one layer")
-    arrays, inputs, means = [], [], []
+        raise EmptyInput("relu_stack needs at least one layer")
+    if prop is None:
+        nbr = nbr_t = _complete_mean
+    else:
+        if np.shape(prop) != (len(xd), len(xd)):
+            raise ShapeMismatch(f"relu_stack: prop {np.shape(prop)} for {len(xd)} rows")
+        nbr, nbr_t = (lambda a: prop @ a), (lambda a: prop.T @ a)
+    arrays, inputs = [], []
     h = xd
     last = len(layers) - 1
     for i, (W, Wn, b) in enumerate(layers):
-        wd, bd = W.data, b.data
-        if wd.ndim != 2 or wd.shape[0] != h.shape[1] or bd.shape != (wd.shape[1],):
-            raise ShapeMismatch(f"complete_stack layer {i}: {h.shape} @ {wd.shape} + {bd.shape}")
+        wd, wn, bd = None if W is None else W.data, None if Wn is None else Wn.data, b.data
+        w = wn if wd is None else wd
+        if (w is None or w.ndim != 2 or w.shape[0] != h.shape[1] or bd.shape != (w.shape[1],)
+                or not (wd is None or wn is None or wn.shape == wd.shape)):
+            shapes = [None if a is None else a.shape for a in (wd, wn)]
+            raise ShapeMismatch(f"relu_stack layer {i} on {h.shape}: W, Wn {shapes}, b {bd.shape}")
         inputs.append(h)
-        if Wn is None:
-            wn = m = None
-            act = h @ wd + bd
-        else:
-            wn = Wn.data
-            if wn.shape != wd.shape:
-                raise ShapeMismatch(f"complete_stack layer {i}: Wn {wn.shape} vs W {wd.shape}")
-            m = _complete_mean(h)
-            act = h @ wd + (m @ wn + bd)
+        m = None if wn is None else nbr(h)
+        act = h @ wd + bd if m is None else m @ wn + bd if wd is None else h @ wd + (m @ wn + bd)
         if i < last:
             np.maximum(act, 0.0, out=act)
-        arrays.append((wd, wn, bd.shape))
-        means.append(m)
+        arrays.append((wd, wn, m, bd.shape))
         h = act
     out = Tensor(h)
     if _ACTIVE_TAPE is None:  # sampling: skip gathering the parameters
@@ -448,29 +450,30 @@ def complete_stack(x: Tensor, layers) -> Tensor:
         grads = [None] * (2 + len(params))
         g = g_out
         for i in range(last, -1, -1):
-            wd, wn, b_shape = arrays[i]
+            wd, wn, m, b_shape = arrays[i]
             if i < last:  # the ReLU after layer i; its output is layer i + 1's input
                 g = g * (inputs[i + 1] > 0.0)
-            grads[1 + 3 * i] = inputs[i].T @ g
+            if wd is not None:
+                grads[1 + 3 * i] = inputs[i].T @ g
             if wn is not None:
-                grads[2 + 3 * i] = means[i].T @ g
+                grads[2 + 3 * i] = m.T @ g
             grads[3 + 3 * i] = _unbroadcast(g, b_shape)
-            if i > 0:
-                gx = g @ wd.T
-                g = gx if wn is None else gx + _complete_mean(g @ wn.T)
-            elif x_attached:
-                grads[0] = g @ wd.T
-                if wn is not None:
-                    grads[-1] = _complete_mean(g @ wn.T)
+            if i == 0 and not x_attached:
+                break
+            gx = None if wd is None else g @ wd.T
+            gn = None if wn is None else nbr_t(g @ wn.T)
+            if i == 0:
+                grads[0], grads[-1] = gx, gn
+            else:
+                g = gx if gn is None else gn if gx is None else gx + gn
         cache[0], cache[1] = g_out, grads
         return grads
 
     # x's gradient is two contributions, its self path and then its
-    # neighbour path, so it sums with x's other uses in the order of an
-    # affine-and-relu stack
-    inputs_of_grads = [x, *params]
-    if layers[0][1] is not None:
-        inputs_of_grads.append(x)
+    # neighbour path, so it sums with x's other uses in the order of a
+    # stack of separate nodes
+    w0, wn0, _ = layers[0]
+    inputs_of_grads = [None if w0 is None else x, *params, None if wn0 is None else x]
     _record(out, [(t, lambda g, k=k: node_grads(g)[k])
                   for k, t in enumerate(inputs_of_grads) if t is not None])
     return out

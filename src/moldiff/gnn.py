@@ -1,16 +1,14 @@
 """Graph network building blocks.
 
-Everything here is permutation-equivariant by construction. Each layer
-gets only the graph data it reads: message-passing layers are called on
+Everything here is permutation-equivariant by construction. Each network
+gets only the graph data it reads: PNA layers and GCN stacks are called on
 (features, edges) and aggregate over an explicit ``EdgeIndex`` through the
 dense operators it caches (segment plans for PNA, a normalized adjacency
-matrix for GCN); complete-graph layers are called on features alone, since
-their graph is every ordered pair of x's rows. Both pair heads (edge and
-bond type) are ``symmetric_pair_logits``. Stacking and activation policy
-live in the small network classes at the bottom, shared by flows and codecs.
-The complete-graph networks there (``GcnStack(conv="graph")`` and
-``FlowFieldNet``) hand their layers' ``spec`` to one ``T.complete_stack``
-call, which runs the whole stack as one tape node.
+matrix for GCN); complete-graph networks are called on features alone,
+since their graph is every ordered pair of x's rows. Both pair heads (edge
+and bond type) are ``symmetric_pair_logits``. Every stack (``Mlp``, both
+``GcnStack`` flavors, ``FlowFieldNet``) hands its layers' ``spec``,
+``(W, Wn, b)``, to one ``T.relu_stack`` call: one tape node.
 """
 
 from __future__ import annotations
@@ -38,6 +36,10 @@ class TooFewPoints(ValueError):
 
 class OutOfRange(ValueError):
     pass
+
+
+class GraphMismatch(ValueError):
+    """A stack was called without the graph it needs, or with one it does not take."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +145,6 @@ class PnaLayer:
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
                  name: str = "pna"):
         self.in_width = in_width
-        self.out_width = out_width
         self.W = T.param(glorot(rng, 5 * in_width + 1, out_width), name=f"{name}.W")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
@@ -157,21 +158,20 @@ class PnaLayer:
 
 
 class GcnLayer:
-    """Graph convolution with self-loops and symmetric degree normalization:
-    ``e.gcn_matrix @ x`` then one linear map, two tape nodes. The dense
-    matrix is at most 45 x 45 here (the pair-node graph of 9 atoms)."""
+    """Graph convolution with self-loops and symmetric degree normalization,
+    ``(e.gcn_matrix @ x) @ W + b``, run from ``spec`` by ``T.relu_stack``
+    with ``prop=e.gcn_matrix`` (at most 45 x 45: the 9-atom pair-node graph)."""
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
                  name: str = "gcn"):
         self.in_width = in_width
-        self.out_width = out_width
         self.W = T.param(glorot(rng, in_width, out_width), name=f"{name}.W")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
-    def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
-        if x.data.shape[1] != self.in_width:
-            raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        return T.affine(T.matmul(T.tensor(e.gcn_matrix), x), self.W, self.b)
+    @property
+    def spec(self) -> tuple[None, Tensor, Tensor]:
+        """The layer as ``T.relu_stack`` takes it: a neighbor path only."""
+        return None, self.W, self.b
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W.name, self.W), (self.b.name, self.b)]
@@ -190,28 +190,26 @@ class GraphConvLayer:
     On the complete graph without self-loops the neighbor mean of row i is
     (sum_j x_j - x_i) / (n - 1), and 0 when n = 1, so the layer computes it
     in O(n w) instead of passing n(n - 1) messages. The graph is x's rows,
-    so the layer is called on x alone. A call is the one-layer case of
-    ``T.complete_stack``; the stacks below pass all their layers' ``spec``
-    to one such call instead of calling the layers.
+    so the layer is called on x alone. A call is a one-layer ``T.relu_stack``;
+    the stacks below pass their layers' ``spec`` to one such call instead.
     """
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
                  name: str = "graphconv"):
         self.in_width = in_width
-        self.out_width = out_width
         self.W_self = T.param(glorot(rng, in_width, out_width), name=f"{name}.Ws")
         self.W_nbr = T.param(glorot(rng, in_width, out_width), name=f"{name}.Wn")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
     @property
     def spec(self) -> tuple[Tensor, Tensor, Tensor]:
-        """The layer as ``T.complete_stack`` takes it."""
+        """The layer as ``T.relu_stack`` takes it."""
         return self.W_self, self.W_nbr, self.b
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.shape[1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
-        return T.complete_stack(x, [self.spec])
+        return T.relu_stack(x, [self.spec])
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [(self.W_self.name, self.W_self), (self.W_nbr.name, self.W_nbr),
@@ -226,7 +224,7 @@ class Dense:
 
     @property
     def spec(self) -> tuple[Tensor, None, Tensor]:
-        """The layer as ``T.complete_stack`` takes it: no neighbor path."""
+        """The layer as ``T.relu_stack`` takes it: no neighbor path."""
         return self.W, None, self.b
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -237,18 +235,14 @@ class Dense:
 
 
 class Mlp:
-    """Dense stack with ReLU between layers, linear output."""
+    """Dense stack with ReLU between layers, linear output, as one node."""
 
     def __init__(self, widths: list[int], rng: np.random.Generator, name: str = "mlp"):
         self.layers = [Dense(widths[i], widths[i + 1], rng, name=f"{name}.{i}")
                        for i in range(len(widths) - 1)]
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = T.relu(x)
-        return x
+        return T.relu_stack(x, [layer.spec for layer in self.layers])
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [p for layer in self.layers for p in layer.named_params()]
@@ -355,13 +349,14 @@ def time_encode(t: float, total: float, enc: TimeEncoding) -> np.ndarray:
 
 
 class GcnStack:
-    """Graph convolutions with ReLU between layers, linear output.
+    """Graph convolutions with ReLU between layers, linear output, as one node.
 
     ``conv`` picks the layer flavor: "gcn" (symmetric normalized, for
     sparse molecular graphs) or "graph" (self/neighbor split, for complete
-    graphs). ``graph`` is an ``EdgeIndex`` for "gcn" and empty for "graph".
-    A "graph" stack runs as one ``T.complete_stack`` node; a "gcn" stack
-    records two nodes per layer and one per ReLU.
+    graphs). A "gcn" stack is called with the ``EdgeIndex`` ``e`` whose
+    ``gcn_matrix`` it propagates over; a "graph" stack runs on the complete
+    graph of x's rows and takes no ``e``. Either mistake raises
+    ``GraphMismatch``.
     """
 
     def __init__(self, widths: list[int], rng: np.random.Generator,
@@ -371,17 +366,13 @@ class GcnStack:
                        for i in range(len(widths) - 1)]
         self.complete = conv == "graph"
 
-    def __call__(self, x: Tensor, *graph: EdgeIndex) -> Tensor:
-        if self.complete:
-            if x.data.shape[1] != self.layers[0].in_width:
-                raise WidthMismatch(
-                    f"expected width {self.layers[0].in_width}, got {x.data.shape[1]}")
-            return T.complete_stack(x, [layer.spec for layer in self.layers])
-        for i, layer in enumerate(self.layers):
-            x = layer(x, *graph)
-            if i < len(self.layers) - 1:
-                x = T.relu(x)
-        return x
+    def __call__(self, x: Tensor, e: EdgeIndex | None = None) -> Tensor:
+        if self.complete != (e is None):
+            raise GraphMismatch("a gcn stack needs an edge index; a complete-graph one takes none")
+        if x.data.shape[1] != self.layers[0].in_width:
+            raise WidthMismatch(f"expected width {self.layers[0].in_width}, got {x.data.shape[1]}")
+        return T.relu_stack(x, [layer.spec for layer in self.layers],
+                            None if e is None else e.gcn_matrix)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [p for layer in self.layers for p in layer.named_params()]
@@ -391,7 +382,7 @@ class FlowFieldNet:
     """Velocity network: initial graph convolution over the complete graph,
     a tower of dense hidden layers with ReLU, and a linear output head.
     Sinusoidal time features are concatenated onto every node, and the
-    whole tower runs as one ``T.complete_stack`` node."""
+    whole tower runs as one ``T.relu_stack`` node."""
 
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
                  hidden_layers: int = 10, name: str = "flowfield"):
@@ -411,7 +402,7 @@ class FlowFieldNet:
         enc = time_encode(min(max(t, 0.0), 1.0), 1.0, self.time_enc)
         feat = T.concat([x, T.tensor(np.repeat(enc[None, :], n, axis=0))], axis=1)
         layers = [self.entry.spec, *(layer.spec for layer in self.hidden), self.out.spec]
-        return T.complete_stack(feat, layers)
+        return T.relu_stack(feat, layers)
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self(T.tensor(x), t).data

@@ -7,6 +7,7 @@ ExperimentConfig fields; a JSON config file can stand in for flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -40,9 +41,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args) -> ExperimentConfig:
     raw = read_config_file(args.config) if args.config else {}
-    for key in ("experiment", "latent_z", "epochs", "lr", "dataset", "subset",
-                "seed", "sample_count", "sample_range", "repetitions",
-                "output_dir"):
+    for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = value

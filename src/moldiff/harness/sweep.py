@@ -55,7 +55,8 @@ def run_experiment(cfg: ExperimentConfig,
     report.ae_seconds = pipeline.ae_seconds
     report.flow_seconds = pipeline.flow_seconds
     report.params = pipeline.param_count
-    (cfg.run_dir / "metrics.json").write_text(json.dumps(report.to_dict(), indent=2))
+    (cfg.run_dir / "metrics.json").write_text(
+        json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return report, pipeline
 
 

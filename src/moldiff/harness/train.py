@@ -5,13 +5,14 @@ autoencoder, atom-type autoencoder, bond-type classifier) and ``flow.mdl1``
 (restoration model plus the embedding standardizer, with the flow's
 ``meta()`` in the metadata header). Loading rebuilds the flow from the
 stored schedule constants, not from the defaults. Wall-clock seconds for
-the two phases and the total trainable parameter count are recorded
-alongside.
+the two phases, the parameter count, the history and the BLAS threads go
+in ``training.json``, which is strict JSON: a non-finite epoch loss is ``null``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -238,11 +239,14 @@ def save_pipeline(pipe: TrainedPipeline) -> None:
         "ae_seconds": pipe.ae_seconds,
         "flow_seconds": pipe.flow_seconds,
         "param_count": pipe.param_count,
-        "history": pipe.history,
+        "history": {k: [v if np.isfinite(v) else None for v in losses]
+                    for k, losses in pipe.history.items()},
         "dataset": pipe.dataset.source,
         "subset_size": len(pipe.subset),
+        "threads": {name: os.environ.get(name) for name in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
-    (run_dir / "training.json").write_text(json.dumps(record, indent=2))
+    (run_dir / "training.json").write_text(json.dumps(record, indent=2, allow_nan=False))
 
 
 def _restore(named_params, stored: dict[str, np.ndarray], path) -> None:
@@ -301,5 +305,6 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     pipe.ae_seconds = record.get("ae_seconds", 0.0)
     pipe.flow_seconds = record.get("flow_seconds", 0.0)
     pipe.param_count = record.get("param_count", 0)
-    pipe.history = record.get("history", {})
+    pipe.history = {k: [np.nan if v is None else v for v in losses]
+                    for k, losses in record.get("history", {}).items()}
     return pipe

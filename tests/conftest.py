@@ -42,10 +42,9 @@ def fd_gradcheck(build, params, h: float = 1e-6, floor: float = 1e-6) -> float:
 
 
 def mean_only(width: int) -> list:
-    """A one-layer ``complete_stack`` whose output is the neighbour mean:
+    """A one-layer ``relu_stack`` whose output is the neighbour mean:
     no self path, the identity on the neighbour path, no bias."""
-    return [(T.tensor(np.zeros((width, width))), T.tensor(np.eye(width)),
-             T.tensor(np.zeros(width)))]
+    return [(None, T.tensor(np.eye(width)), T.tensor(np.zeros(width)))]
 
 
 def _complete_mean_node(x):
@@ -56,11 +55,17 @@ def _complete_mean_node(x):
     return out
 
 
-def per_layer_stack(x, layers):
-    """``T.complete_stack(x, layers)`` from separate nodes: a mean node, two
-    affine nodes and a ReLU per layer. Same arithmetic, so the same bits."""
+def per_layer_stack(x, layers, prop=None):
+    """``T.relu_stack(x, layers, prop)`` from separate nodes: per layer, a
+    neighbour node (the complete-graph mean, or ``T.matmul`` by ``prop``)
+    when it has ``Wn``, one or two ``affine`` nodes and a ``relu``. Same
+    arithmetic, so the same bits."""
     for i, (w, wn, b) in enumerate(layers):
-        x = T.affine(x, w, b if wn is None else T.affine(_complete_mean_node(x), wn, b))
+        if wn is None:
+            x = T.affine(x, w, b)
+        else:
+            m = _complete_mean_node(x) if prop is None else T.matmul(T.tensor(prop), x)
+            x = T.affine(m, wn, b) if w is None else T.affine(x, w, T.affine(m, wn, b))
         if i < len(layers) - 1:
             x = T.relu(x)
     return x

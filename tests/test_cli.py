@@ -1,5 +1,6 @@
 """Config validation, the command line, and the results CSV."""
 
+import dataclasses
 import json
 
 import pytest
@@ -63,6 +64,45 @@ class TestConfig:
 
     def test_heat_runs_one_latent_column(self):
         assert ExperimentConfig(experiment="heat_1d", latent_z=2).latent_z == 1
+
+
+# every config field, set by its flag to a value other than its default
+EVERY_FLAG = {
+    "experiment": ("--experiment", "flow_matching"),
+    "latent_z": ("--latent-z", "6"),
+    "epochs": ("--epochs", "3"),
+    "lr": ("--lr", "0.5"),
+    "dataset": ("--dataset", "mols.smi"),
+    "subset": ("--subset", "7"),
+    "seed": ("--seed", "11"),
+    "sample_count": ("--sample-count", "4"),
+    "sample_range": ("--sample-range", "3", "9"),
+    "output_dir": ("--output-dir", "elsewhere"),
+    "repetitions": ("--repetitions", "2"),
+}
+
+
+class Built(Exception):
+    """Stops a command once it has built its config."""
+
+
+@pytest.mark.parametrize("command, entry", [("train", "train_experiment"),
+                                            ("generate", "load_pipeline")])
+def test_every_field_set_by_flag(command, entry, monkeypatch):
+    assert set(EVERY_FLAG) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    seen = []
+
+    def capture(cfg, *_):
+        seen.append(cfg)
+        raise Built
+
+    monkeypatch.setattr(cli, entry, capture)
+    with pytest.raises(Built):
+        cli.main([command, *(arg for flag in EVERY_FLAG.values() for arg in flag)])
+    want = ExperimentConfig(experiment="flow_matching", latent_z=6, epochs=3, lr=0.5,
+                            dataset="mols.smi", subset=7, seed=11, sample_count=4,
+                            sample_range=(3, 9), output_dir="elsewhere", repetitions=2)
+    assert seen == [want]
 
 
 class TestEvaluateCommand:

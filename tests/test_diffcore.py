@@ -1,8 +1,12 @@
 """Tape engine, optimizer, DCT basis, integrator, checkpoints."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from moldiff.chem import parse_smiles
+from moldiff.codec import molecular_edges
 from moldiff.diffcore import (
     AdamState,
     DetachedLoss,
@@ -19,6 +23,7 @@ from moldiff.diffcore import (
     save_params,
 )
 from moldiff.diffcore import tensor as T
+from moldiff.gnn import EdgeIndex, pair_node_edges
 
 from conftest import fd_gradcheck, mean_only, per_layer_stack
 
@@ -208,35 +213,40 @@ class TestAffine:
 
 
 class TestCompleteMean:
-    """The closed-form neighbour mean inside ``complete_stack``."""
+    """The closed-form neighbour mean inside ``relu_stack``."""
 
     @pytest.mark.parametrize("n", [2, 9, 45])
     def test_against_finite_differences(self, n, rng):
         x = param(rng.standard_normal((n, 3)))
         tgt = rng.standard_normal((n, 3))
         assert fd_gradcheck(
-            lambda: T.mse(T.complete_stack(x, mean_only(3)), T.tensor(tgt)), [x]) < 1e-4
+            lambda: T.mse(T.relu_stack(x, mean_only(3)), T.tensor(tgt)), [x]) < 1e-4
 
     def test_single_row_is_zero(self, rng):
         x = param(rng.standard_normal((1, 4)))
         with Tape() as tape:
-            out = T.complete_stack(x, mean_only(4))
+            out = T.relu_stack(x, mean_only(4))
             grads = backward(tape, T.sum_all(out))
         assert np.array_equal(out.data, np.zeros((1, 4)))
         assert np.array_equal(grads[x], np.zeros((1, 4)))
 
     def test_hand_computed(self):
         x = T.tensor(np.array([[1.0], [2.0], [6.0]]))
-        assert np.array_equal(T.complete_stack(x, mean_only(1)).data, [[4.0], [3.5], [1.5]])
+        assert np.array_equal(T.relu_stack(x, mean_only(1)).data, [[4.0], [3.5], [1.5]])
 
 
-def stack_layers(rng, widths, nbr) -> list:
-    """Trainable (W, Wn or None, b) layers; ``nbr[i]`` gives layer i a
-    neighbour path."""
-    return [(param(rng.standard_normal((a, b))),
+def stack_layers(rng, widths, nbr, own=None) -> list:
+    """Trainable (W or None, Wn or None, b) layers; ``nbr[i]`` gives layer
+    i a neighbour path and ``own[i]`` (default: every layer) a self path."""
+    own = own or [True] * len(nbr)
+    return [(param(rng.standard_normal((a, b))) if o else None,
              param(rng.standard_normal((a, b))) if k else None,
              param(rng.standard_normal(b)))
-            for a, b, k in zip(widths, widths[1:], nbr)]
+            for a, b, k, o in zip(widths, widths[1:], nbr, own)]
+
+
+def trainables(layers) -> list:
+    return [t for layer in layers for t in layer if t is not None]
 
 
 def _bits(a):
@@ -252,15 +262,14 @@ class TestCompleteStack:
             out = stack(x, layers)
             loss = T.sum_all(T.mul(T.sub(out, x), weights))
             grads = backward(tape, loss)
-        params = [x] + [t for layer in layers for t in layer if t is not None]
-        return out.data, len(tape), [grads.get(p) for p in params]
+        return out.data, len(tape), [grads.get(p) for p in [x, *trainables(layers)]]
 
     @pytest.mark.parametrize("n", [1, 2, 9, 45])
     def test_same_bits_as_per_layer_nodes(self, n, rng):
         layers = stack_layers(rng, [3, 8, 8, 8, 3], [True, False, True, False])
         x = param(rng.standard_normal((n, 3)))
         weights = T.tensor(rng.standard_normal((n, 3)))
-        one, one_nodes, one_grads = self.run(T.complete_stack, x, layers, weights)
+        one, one_nodes, one_grads = self.run(T.relu_stack, x, layers, weights)
         ref, ref_nodes, ref_grads = self.run(per_layer_stack, x, layers, weights)
         assert _bits(one) == _bits(ref)
         assert [_bits(g) for g in one_grads] == [_bits(g) for g in ref_grads]
@@ -271,9 +280,8 @@ class TestCompleteStack:
         layers = stack_layers(rng, [2, 4, 3, 2], [True, False, True])
         x = param(rng.standard_normal((5, 2)))
         tgt = rng.standard_normal((5, 2))
-        params = [x] + [t for layer in layers for t in layer if t is not None]
-        assert fd_gradcheck(
-            lambda: T.mse(T.complete_stack(x, layers), T.tensor(tgt)), params) < 1e-4
+        assert fd_gradcheck(lambda: T.mse(T.relu_stack(x, layers), T.tensor(tgt)),
+                            [x, *trainables(layers)]) < 1e-4
 
     def test_relu_ties_at_zero_pass_no_gradient(self):
         # layer 0 outputs exactly 0 at row 0, unit 0, and -0.0 at row 2, unit 1
@@ -281,7 +289,7 @@ class TestCompleteStack:
         layers = [(param(np.array([[1.0, -1.0]])), None, param(np.array([-1.0, -0.0]))),
                   (param(np.array([[1.0], [1.0]])), None, param(np.array([-0.0])))]
         with Tape() as tape:
-            out = T.complete_stack(x, layers)
+            out = T.relu_stack(x, layers)
             grads = backward(tape, T.sum_all(out))
         assert np.array_equal(out.data, [[0.0], [1.0], [0.0]])
         assert not np.any(np.signbit(out.data))
@@ -297,7 +305,7 @@ class TestCompleteStack:
         x = param(rng.standard_normal((4, 2)))
         x.data[1, 0] = np.nan
         weights = T.tensor(rng.standard_normal((4, 2)))
-        one, _, one_grads = self.run(T.complete_stack, x, layers, weights)
+        one, _, one_grads = self.run(T.relu_stack, x, layers, weights)
         ref, _, ref_grads = self.run(per_layer_stack, x, layers, weights)
         assert _bits(one) == _bits(ref)
         assert [_bits(g) for g in one_grads] == [_bits(g) for g in ref_grads]
@@ -310,13 +318,13 @@ class TestCompleteStack:
         x = T.tensor(rng.standard_normal((4, 2)))
         w = T.tensor(rng.standard_normal((4, 2)))
         with Tape() as tape:
-            out = T.complete_stack(x, layers)
+            out = T.relu_stack(x, layers)
             plain, weighted = T.sum_all(out), T.sum_all(T.mul(out, w))
         first, second = backward(tape, plain), backward(tape, weighted)
         for loss, grads in ((lambda o: T.sum_all(o), first),
                             (lambda o: T.sum_all(T.mul(o, w)), second)):
             with Tape() as fresh:
-                want = backward(fresh, loss(T.complete_stack(x, layers)))
+                want = backward(fresh, loss(T.relu_stack(x, layers)))
             assert want.keys() == grads.keys()
             for p in want:
                 assert np.array_equal(grads[p], want[p])
@@ -325,9 +333,9 @@ class TestCompleteStack:
         layers = stack_layers(rng, [2, 3, 2], [True, False])
         x = T.tensor(rng.standard_normal((4, 2)))
         with Tape() as tape:
-            grads = backward(tape, T.sum_all(T.complete_stack(x, layers)))
+            grads = backward(tape, T.sum_all(T.relu_stack(x, layers)))
         assert len(tape) == 2
-        assert set(grads) == {t for layer in layers for t in layer if t is not None}
+        assert set(grads) == set(trainables(layers))
 
     @pytest.mark.parametrize("bad", ["x_width", "inner_width", "nbr_shape", "bias", "x_1d"])
     def test_shape_errors_are_typed(self, bad, rng):
@@ -344,11 +352,119 @@ class TestCompleteStack:
         else:
             x = T.tensor(np.ones(2))
         with pytest.raises(ShapeMismatch):
-            T.complete_stack(x, layers)
+            T.relu_stack(x, layers)
 
     def test_no_layers(self, rng):
         with pytest.raises(T.EmptyInput):
-            T.complete_stack(T.tensor(rng.standard_normal((3, 2))), [])
+            T.relu_stack(T.tensor(rng.standard_normal((3, 2))), [])
+
+
+NINE_ATOMS = "CC(C)CC(=O)OCN"
+
+# directed edges 0 -> 1, 0 -> 2, 1 -> 2, 3 -> 2: in-degrees differ, so the
+# GCN matrix is not symmetric
+DIRECTED = EdgeIndex([0, 0, 1, 3], [1, 2, 2, 2], 4)
+
+GRAPHS = {
+    "pair2": lambda: pair_node_edges(2),
+    "pair4": lambda: pair_node_edges(4),
+    "pair9": lambda: pair_node_edges(9),
+    "molecule": lambda: molecular_edges(parse_smiles(NINE_ATOMS)),
+    "directed": lambda: DIRECTED,
+}
+
+# (nbr, own) per layer: a GCN stack has no self path; "mixed" has a layer
+# with both paths, one with the neighbour path only and one with the self
+# path only
+KINDS = {"gcn": ([True] * 3, [False] * 3), "mixed": ([True, True, False], [True, False, True])}
+
+
+class TestReluStack:
+    """``relu_stack`` over a constant propagation matrix, with layers that
+    have no self path: the GCN stacks."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_same_bits_as_per_layer_nodes(self, graph, kind, rng):
+        prop = GRAPHS[graph]().gcn_matrix
+        n = prop.shape[0]
+        layers = stack_layers(rng, [3, 8, 8, 3], *KINDS[kind])
+        x = param(rng.standard_normal((n, 3)))
+        weights = T.tensor(rng.standard_normal((n, 3)))
+        run = TestCompleteStack.run
+        one, one_nodes, one_grads = run(partial(T.relu_stack, prop=prop), x, layers, weights)
+        ref, ref_nodes, ref_grads = run(partial(per_layer_stack, prop=prop), x, layers, weights)
+        assert _bits(one) == _bits(ref)
+        assert [_bits(g) for g in one_grads] == [_bits(g) for g in ref_grads]
+        # both kinds take 8 per-layer nodes: gcn 2 + 1 + 2 + 1 + 2,
+        # mixed 3 + 1 + 2 + 1 + 1
+        assert (one_nodes, ref_nodes) == (3 + 1, 3 + 8)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("graph", ["molecule", "directed"])
+    def test_against_finite_differences(self, graph, kind, rng):
+        prop = GRAPHS[graph]().gcn_matrix
+        layers = stack_layers(rng, [2, 4, 3, 2], *KINDS[kind])
+        x = param(rng.standard_normal((prop.shape[0], 2)))
+        tgt = rng.standard_normal((prop.shape[0], 2))
+        assert fd_gradcheck(lambda: T.mse(T.relu_stack(x, layers, prop), T.tensor(tgt)),
+                            [x, *trainables(layers)]) < 1e-4
+
+    def test_backward_applies_the_transpose(self, rng):
+        prop = DIRECTED.gcn_matrix
+        assert not np.allclose(prop, prop.T)
+        x = param(rng.standard_normal((4, 2)))
+        weights = rng.standard_normal((4, 2))
+        with Tape() as tape:
+            out = T.relu_stack(x, [(None, T.tensor(np.eye(2)), T.tensor(np.zeros(2)))], prop)
+            grads = backward(tape, T.sum_all(T.mul(out, T.tensor(weights))))
+        assert np.array_equal(out.data, prop @ x.data)
+        assert np.array_equal(grads[x], prop.T @ weights)
+        assert not np.allclose(grads[x], prop @ weights)
+
+    def test_attached_input_also_in_the_loss(self, rng):
+        """x comes from a node on the tape and reaches the loss twice."""
+        prop = GRAPHS["molecule"]().gcn_matrix
+        layers = stack_layers(rng, [3, 8, 3], [True, True], [True, False])
+        leaf = param(rng.standard_normal((prop.shape[0], 3)))
+        weights = T.tensor(rng.standard_normal((prop.shape[0], 3)))
+
+        def run(stack):
+            with Tape() as tape:
+                x = T.mul(leaf, 1.5)
+                out = stack(x, layers, prop)
+                grads = backward(tape, T.sum_all(T.mul(T.sub(out, x), weights)))
+            return [_bits(out.data)] + [_bits(grads[p]) for p in [leaf, *trainables(layers)]]
+
+        assert run(T.relu_stack) == run(per_layer_stack)
+
+    def test_constant_input_records_one_node(self, rng):
+        prop = GRAPHS["molecule"]().gcn_matrix
+        layers = stack_layers(rng, [4, 3, 3], *KINDS["gcn"])
+        x = T.tensor(rng.standard_normal((prop.shape[0], 4)))
+        with Tape() as tape:
+            out = T.relu_stack(x, layers, prop)
+        assert len(tape) == 1
+        with Tape() as tape:
+            grads = backward(tape, T.sum_all(T.relu_stack(x, layers, prop)))
+        assert set(grads) == set(trainables(layers))
+        assert _bits(T.relu_stack(x, layers, prop).data) == _bits(out.data)
+
+    @pytest.mark.parametrize("bad", ["prop_rows", "prop_cols", "no_weights", "nbr_width"])
+    def test_shape_errors_are_typed(self, bad, rng):
+        x = T.tensor(rng.standard_normal((4, 2)))
+        prop = DIRECTED.gcn_matrix
+        layers = stack_layers(rng, [2, 3, 2], [True, True], [False, False])
+        if bad == "prop_rows":
+            prop = np.eye(5)
+        elif bad == "prop_cols":
+            prop = np.ones((4, 3))
+        elif bad == "no_weights":
+            layers[1] = (None, None, layers[1][2])
+        else:
+            layers[1] = (None, param(np.ones((4, 2))), layers[1][2])
+        with pytest.raises(ShapeMismatch):
+            T.relu_stack(x, layers, prop)
 
 
 class TestAdam:

@@ -9,8 +9,8 @@ from moldiff.gnn import (
     Dense,
     EgnnNet,
     FlowFieldNet,
-    GcnLayer,
     GcnStack,
+    GraphMismatch,
     GraphConvLayer,
     Mlp,
     OutOfRange,
@@ -299,34 +299,47 @@ class TestGcnMatrix:
 
 
 class TestGcn:
+    """One-layer GCN stacks: ``(gcn_matrix @ x) @ W + b``."""
+
+    @staticmethod
+    def identity_stack(rng, width):
+        stack = GcnStack([width, width], rng)
+        stack.layers[0].W.data = np.eye(width)
+        stack.layers[0].b.data[:] = 0.0
+        return stack
+
     def test_identity_on_isolated_node(self, rng):
-        lay = GcnLayer(2, 2, rng)
-        lay.W.data = np.eye(2)
-        lay.b.data[:] = 0.0
+        stack = self.identity_stack(rng, 2)
         x = np.array([[1.5, -2.0]])
-        out = lay(T.tensor(x), edges_from_pairs(1, []))
+        out = stack(T.tensor(x), edges_from_pairs(1, []))
         assert np.allclose(out.data, x)
 
     def test_two_node_hand_computed(self, rng):
         # D^{-1/2}(A+I)D^{-1/2} for a single edge: every entry is 1/2
-        lay = GcnLayer(2, 2, rng)
-        lay.W.data = np.eye(2)
-        lay.b.data[:] = 0.0
+        stack = self.identity_stack(rng, 2)
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
-        out = lay(T.tensor(x), edges_from_pairs(2, [(0, 1)])).data
+        out = stack(T.tensor(x), edges_from_pairs(2, [(0, 1)])).data
         expected = np.array([[0.5, 0.5], [0.5, 0.5]]) @ x
         assert np.allclose(out, expected)
 
     def test_equivariance(self, rng):
-        lay = GcnLayer(3, 3, rng)
+        stack = GcnStack([3, 3], rng)
         x = rng.standard_normal((5, 3))
         pairs = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        out = lay(T.tensor(x), edges_from_pairs(5, pairs)).data
+        out = stack(T.tensor(x), edges_from_pairs(5, pairs)).data
         perm = rng.permutation(5)
         px = x[np.argsort(perm)]
         ppairs = [(perm[a], perm[b]) for a, b in pairs]
-        pout = lay(T.tensor(px), edges_from_pairs(5, ppairs)).data
+        pout = stack(T.tensor(px), edges_from_pairs(5, ppairs)).data
         assert np.allclose(pout, out[np.argsort(perm)])
+
+    def test_graph_argument_is_typed(self, rng):
+        x = T.tensor(rng.standard_normal((3, 2)))
+        e = edges_from_pairs(3, [(0, 1)])
+        with pytest.raises(GraphMismatch):
+            GcnStack([2, 4, 2], rng)(x)
+        with pytest.raises(GraphMismatch):
+            GcnStack([2, 4, 2], rng, conv="graph")(x, e)
 
 
 class TestGraphConv:
@@ -487,6 +500,31 @@ class TestNets:
         for layer in net.hidden:
             h = T.relu(layer(h))
         assert np.array_equal(net.velocity(0.3, x), net.out(h).data)
+
+    @pytest.mark.parametrize("net", ["mlp", "gcn", "graph"])
+    def test_stack_same_bits_as_per_layer_nodes(self, net, rng):
+        """Each stack is one node with the bits of per-layer nodes, in its
+        value and in the gradients of x and of every parameter."""
+        e = pair_node_edges(4)
+        if net == "mlp":
+            stack, args, prop = Mlp([3, 8, 8, 3], rng), (), None
+        elif net == "gcn":
+            stack, args, prop = GcnStack([3, 8, 8, 3], rng), (e,), e.gcn_matrix
+        else:
+            stack, args, prop = GcnStack([3, 8, 8, 3], rng, conv="graph"), (), None
+        x = T.param(rng.standard_normal((e.n, 3)))
+        weights = T.tensor(rng.standard_normal((e.n, 3)))
+        params = [x] + [p for _, p in stack.named_params()]
+
+        def run(fn):
+            with T.Tape() as tape:
+                out = fn(x)
+                grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
+            return len(tape), [out.data.tobytes()] + [grads[p].tobytes() for p in params]
+
+        nodes, got = run(lambda x: stack(x, *args))
+        _, want = run(lambda x: per_layer_stack(x, [lay.spec for lay in stack.layers], prop))
+        assert nodes == 3 and got == want
 
     @staticmethod
     def input_gradient(run, x, weights):

@@ -13,6 +13,7 @@ from moldiff.diffcore import load_params, save_params
 pytestmark = pytest.mark.slow
 
 EXPERIMENTS = ("gnn_gaussian", "input_space_gaussian", "heat_1d", "flow_matching")
+ALL_EXPERIMENTS = (*EXPERIMENTS, "egnn_gaussian")
 SAMPLERS = {"gnn_gaussian": "ddpm_generate", "input_space_gaussian": "ddpm_generate",
             "heat_1d": "heat_generate", "flow_matching": "fm_generate"}
 COUNT = 3
@@ -171,10 +172,46 @@ def test_no_flow_cloud_raises_before_training(exp, mols, cause, train_loops, tmp
     assert not train_loops
 
 
-def test_epoch_without_a_step_records_nan(tmp_path):
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_epoch_without_a_step_records_nan(tmp_path, monkeypatch):
+    """In memory as nan; in the strict-JSON training.json as null, which
+    loading reads back as nan. training.json also records the BLAS threads."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     # one-atom molecules have no bonds, so the bond-type model takes no step
     cfg = harness.ExperimentConfig(experiment="gnn_gaussian", epochs=2, seed=0,
                                    output_dir=str(tmp_path))
     pipe = harness.train_experiment(cfg, small_dataset([parse_smiles(s) for s in ONE_ATOM]))
     assert np.isnan(pipe.history["edge_type"]).all() and len(pipe.history["edge_type"]) == 2
     assert np.isfinite(pipe.history["ae"]).all() and np.isfinite(pipe.history["flow"]).all()
+    record = json.loads((cfg.run_dir / "training.json").read_text(),
+                        parse_constant=_refuse_constant)
+    assert record["history"]["edge_type"] == [None, None]
+    assert record["history"]["ae"] == pipe.history["ae"]
+    assert record["threads"]["OMP_NUM_THREADS"] == "1"
+    assert record["threads"]["MKL_NUM_THREADS"] is None
+    assert "OPENBLAS_NUM_THREADS" in record["threads"]
+    loaded = harness.load_pipeline(cfg, pipe.dataset)
+    assert np.isnan(loaded.history["edge_type"]).all() and len(loaded.history["edge_type"]) == 2
+    assert loaded.history["ae"] == pipe.history["ae"]
+
+
+def _trained_state(exp, dataset, out) -> list[bytes]:
+    cfg = harness.ExperimentConfig(experiment=exp, epochs=1, subset=6, seed=4,
+                                   output_dir=str(out))
+    pipe = harness.train_experiment(cfg, dataset)
+    arrays = [p.data for _, p in pipe.codec_params() + pipe.flow.named_params()]
+    arrays += [pipe.standardizer.mean, pipe.standardizer.std]
+    arrays += [np.array(pipe.history[k]) for k in sorted(pipe.history)]
+    return [a.tobytes() for a in arrays] + [s.encode() for s in smiles(pipe)]
+
+
+@pytest.mark.parametrize("exp", ALL_EXPERIMENTS)
+def test_training_is_reproducible(exp, dataset, tmp_path):
+    """Two trainings from one seed give the same bits: every trained array,
+    the standardizer, the history and the generated SMILES."""
+    first = _trained_state(exp, dataset, tmp_path / "a")
+    assert _trained_state(exp, dataset, tmp_path / "b") == first

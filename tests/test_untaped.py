@@ -16,6 +16,7 @@ from moldiff.chem import Element, parse_smiles
 from moldiff.diffcore import Tape
 from moldiff.diffcore import tensor as T
 from moldiff.gnn import (
+    EdgeIndex,
     EgnnNet,
     FlowFieldNet,
     GcnStack,
@@ -113,6 +114,8 @@ _SEG = np.array([0, 2, 2, 1, 0, 2, 4])  # segment 3 is empty
 _PLAN = T.SegmentPlan(_SEG, 5)
 _FULL_PLAN = T.SegmentPlan([4, 0, 3, 1, 2, 0], 5)  # every row gathered
 _DST_PLAN = T.SegmentPlan([0, 2, 2, 1, 0, 2], 5)  # nodes 3 and 4 hear nothing
+# a directed graph's GCN matrix: not symmetric
+_PROP = EdgeIndex([0, 0, 1, 3, 4], [1, 2, 2, 2, 0], 5).gcn_matrix
 
 OPS = {
     "add": (lambda a, b: T.add(a, b), [(4, 3), (3,)]),
@@ -132,10 +135,13 @@ OPS = {
     "gather_rows_plan": (lambda x: T.gather_rows(x, _PLAN), [(5, 3)]),
     "row_sum": (T.row_sum, [(4, 3)]),
     "sum_all": (T.sum_all, [(4, 3)]),
-    "complete_mean": (lambda x: T.complete_stack(x, mean_only(3)), [(6, 3)]),
+    "complete_mean": (lambda x: T.relu_stack(x, mean_only(3)), [(6, 3)]),
     "complete_stack": (
-        lambda x, w, wn, b, w2, b2: T.complete_stack(x, [(w, wn, b), (w2, None, b2)]),
+        lambda x, w, wn, b, w2, b2: T.relu_stack(x, [(w, wn, b), (w2, None, b2)]),
         [(6, 3), (3, 4), (3, 4), (4,), (4, 2), (2,)]),
+    "gcn_stack": (
+        lambda x, wn, b, wn2, b2: T.relu_stack(x, [(None, wn, b), (None, wn2, b2)], _PROP),
+        [(5, 3), (3, 4), (4,), (4, 2), (2,)]),
     "segment_mean": (lambda x: T.segment_mean(x, _PLAN), [(7, 3)]),
     "pna_aggregate": (lambda x: T.pna_aggregate(x, _FULL_PLAN, _DST_PLAN), [(5, 3)]),
     "mse": (lambda a, b: T.mse(a, b), [(4, 3), (4, 3)]),
@@ -183,11 +189,11 @@ def test_pna_layer(rng):
 @pytest.mark.parametrize("conv", ["gcn", "graph"])
 def test_gcn_stack(conv, rng):
     m, e = _molecule_graph()
-    # complete-graph layers take no edge index
-    graph = (e,) if conv == "gcn" else ()
+    # complete-graph stacks take no edge index
+    graph = e if conv == "gcn" else None
     net = GcnStack([3, 16, 16, 16, 3], rng, conv=conv)
     x = T.tensor(rng.standard_normal((m.n, 3)))
-    off, on = _net_modes(lambda: net(x, *graph))
+    off, on = _net_modes(lambda: net(x, graph))
     assert same_bits(off, on)
 
 
