@@ -6,7 +6,12 @@
   learned per-step deblurring residual as restoration, seeded from blurred
   training embeddings rather than pure noise.
 * Flow matching: conditional straight-line interpolant, velocity-field
-  regression, generation by RK4 integration from a standard normal.
+  regression, generation by RK4 integration from a standard normal. The
+  velocity net's time features are band-limited (``time_max_freq``, 8 rad
+  per unit time), so the field is smooth in t, and 25 RK4 steps (100 field
+  evaluations) integrate it more accurately than 100 steps integrated a
+  net with features up to 1000 rad. The budget is only that small because
+  the bandwidth is.
 
 Every flow (``DdpmModel``, ``HeatModel``, ``FlowField``) offers the same
 small interface, and the harness sees nothing else:
@@ -338,9 +343,20 @@ def fm_target_velocity(x0: np.ndarray, x1: np.ndarray,
 
 @dataclass
 class FlowField:
+    """A velocity net, the interpolant's ``sigma_min`` and the RK4 budget.
+
+    ``ode_steps`` and the net's time bandwidth (``time_max_freq`` in
+    ``meta()``) go together. RK4's endpoint error falls steadily with the
+    step count only once a step is short against the period of the fastest
+    time feature. With features up to 8 rad per unit time it falls at
+    every budget from 10 steps on, and 25 steps land below the error that
+    features up to 1000 rad gave at 100 steps. A wider band needs more
+    steps.
+    """
+
     net: FlowFieldNet
     sigma_min: float = 1e-4
-    ode_steps: int = 100
+    ode_steps: int = 25
 
     @property
     def width(self) -> int:
@@ -360,7 +376,8 @@ class FlowField:
 
     def meta(self) -> dict:
         return {"flow": "flow_matching", "sigma_min": self.sigma_min,
-                "ode_steps": self.ode_steps}
+                "ode_steps": self.ode_steps,
+                "time_max_freq": self.net.time_enc.max_freq}
 
 
 def fm_loss(field: FlowField, x1: np.ndarray, rng: np.random.Generator) -> Tensor:
@@ -400,5 +417,7 @@ def build(kind: str, width: int, rng: np.random.Generator, clouds=(),
     if kind == "heat":
         return HeatModel(width, HeatSchedule(**constants), rng, clouds)
     if kind == "flow_matching":
-        return FlowField(FlowFieldNet(width, rng), **constants)
+        net_args = ({"time_max_freq": constants.pop("time_max_freq")}
+                    if "time_max_freq" in constants else {})
+        return FlowField(FlowFieldNet(width, rng, **net_args), **constants)
     raise UnknownFlow(f"no flow of kind {kind!r}")

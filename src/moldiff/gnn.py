@@ -317,9 +317,16 @@ def egnn_distance_features(cloud) -> Tensor:
 
 @dataclass(frozen=True)
 class TimeEncoding:
-    """Sinusoidal timestep features: ``pairs`` (sin, cos) pairs."""
+    """Sinusoidal timestep features: ``pairs`` (sin, cos) pairs.
+
+    ``max_freq`` is the bandwidth: the top frequency, in radians per unit
+    of t/total. A network fed these features can vary in t no faster than
+    its top feature, so a fixed-step solver needs steps well below
+    1/``max_freq`` in t to follow it.
+    """
 
     pairs: int = 4
+    max_freq: float = 1000.0
 
     @property
     def width(self) -> int:
@@ -327,9 +334,11 @@ class TimeEncoding:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """Frequencies spaced geometrically from 1 to 1000; treat as read-only."""
+        """Frequencies spaced geometrically from 1 to ``max_freq``; treat as
+        read-only."""
         k = self.pairs
-        return np.array([1000.0 ** (i / (k - 1)) if k > 1 else 1.0 for i in range(k)])
+        return np.array([self.max_freq ** (i / (k - 1)) if k > 1 else 1.0
+                         for i in range(k)])
 
 
 def time_encode(t: float, total: float, enc: TimeEncoding) -> np.ndarray:
@@ -382,12 +391,20 @@ class FlowFieldNet:
     """Velocity network: initial graph convolution over the complete graph,
     a tower of dense hidden layers with ReLU, and a linear output head.
     Sinusoidal time features are concatenated onto every node, and the
-    whole tower runs as one ``T.relu_stack`` node."""
+    whole tower runs as one ``T.relu_stack`` node.
+
+    The time features top out at ``time_max_freq`` radians per unit time
+    (1, 2, 4, 8 by default), so the field is smooth in t on [0, 1] and a
+    coarse RK4 grid resolves it. At 1000 rad, a half-step near a whole
+    number of the top feature's periods aliases it, and RK4's endpoint
+    error stops falling as steps are added.
+    """
 
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
-                 hidden_layers: int = 10, name: str = "flowfield"):
+                 hidden_layers: int = 10, name: str = "flowfield",
+                 time_max_freq: float = 8.0):
         self.width = width
-        self.time_enc = TimeEncoding(pairs=4)
+        self.time_enc = TimeEncoding(pairs=4, max_freq=time_max_freq)
         self.entry = GraphConvLayer(width + self.time_enc.width, hidden, rng,
                                     name=f"{name}.entry")
         self.hidden = [Dense(hidden, hidden, rng, name=f"{name}.h{i}")

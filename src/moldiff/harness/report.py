@@ -9,7 +9,7 @@ from xml.etree import ElementTree as ET
 from .metrics import MetricsReport
 
 CSV_COLUMNS = ["experiment", "latent_z", "validity", "uniqueness", "novelty",
-               "ae_seconds", "flow_seconds", "params", "count"]
+               "latent_mmd", "ae_seconds", "flow_seconds", "params", "count"]
 
 
 class OutputUnwritable(OSError):
@@ -24,7 +24,7 @@ def write_results_csv(path, reports: list[MetricsReport]) -> None:
             for r in reports:
                 writer.writerow([r.experiment, r.latent_z, repr(r.validity),
                                  repr(r.uniqueness), repr(r.novelty),
-                                 repr(r.ae_seconds), repr(r.flow_seconds),
+                                 repr(r.latent_mmd), repr(r.ae_seconds), repr(r.flow_seconds),
                                  r.params, r.count])
     except OSError as exc:
         raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
@@ -37,7 +37,10 @@ def read_results_csv(path) -> list[MetricsReport]:
             reports.append(MetricsReport(
                 experiment=row["experiment"], latent_z=int(row["latent_z"]),
                 validity=float(row["validity"]), uniqueness=float(row["uniqueness"]),
-                novelty=float(row["novelty"]), ae_seconds=float(row["ae_seconds"]),
+                novelty=float(row["novelty"]),
+                # a results.csv written before the column existed reads NaN
+                latent_mmd=float(row.get("latent_mmd", "nan")),
+                ae_seconds=float(row["ae_seconds"]),
                 flow_seconds=float(row["flow_seconds"]), params=int(row["params"]),
                 count=int(row["count"])))
     return reports

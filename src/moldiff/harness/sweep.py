@@ -9,10 +9,13 @@ import numpy as np
 from ..chem import Dataset
 from .config import ExperimentConfig
 from .data import resolve_dataset
-from .generate import generate_molecules
-from .metrics import MetricsReport, evaluate, mean_report
+from .generate import generate_molecules, sample_clouds
+from .metrics import MetricsReport, evaluate, latent_mmd, mean_report
 from .report import write_report
-from .train import TrainedPipeline, train_experiment
+from .train import TrainedPipeline, _encode_subset, train_experiment
+
+# sampled clouds per latent_mmd
+LATENT_SAMPLES = 200
 
 SWEEP_ROWS: tuple[tuple[str, int], ...] = (
     ("gnn_gaussian", 2),
@@ -33,10 +36,14 @@ def run_experiment(cfg: ExperimentConfig,
 
     The number of molecules per repetition is cfg.sample_count when given,
     otherwise drawn uniformly from cfg.sample_range; percentages are
-    averaged over cfg.repetitions draws.
+    averaged over cfg.repetitions draws. The report's ``latent_mmd``
+    compares LATENT_SAMPLES standardized clouds of the flow with the
+    standardized training clouds; they draw from a stream of their own, so
+    the molecules scored for V/U/N do not depend on it.
     """
     pipeline = train_experiment(cfg, dataset)
-    gen_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(5)[4])
+    streams = np.random.SeedSequence(cfg.seed).spawn(6)
+    gen_rng = np.random.default_rng(streams[4])
 
     reps = []
     for _ in range(cfg.repetitions):
@@ -55,6 +62,10 @@ def run_experiment(cfg: ExperimentConfig,
     report.ae_seconds = pipeline.ae_seconds
     report.flow_seconds = pipeline.flow_seconds
     report.params = pipeline.param_count
+    sampled = [cloud for _, cloud in sample_clouds(
+        pipeline, LATENT_SAMPLES, np.random.default_rng(streams[5]))]
+    report.latent_mmd = latent_mmd(
+        sampled, (pipeline.standardizer.apply(c) for c in _encode_subset(pipeline)))
     (cfg.run_dir / "metrics.json").write_text(
         json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return report, pipeline

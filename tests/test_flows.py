@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moldiff import flows
+from moldiff.diffcore.ode import ode_integrate
 from moldiff.flows import (
     DdpmSchedule,
     HeatSchedule,
@@ -87,6 +88,25 @@ class TestFlowMatching:
         fd = (fm_interpolate(x0, x1, t + h, s) - fm_interpolate(x0, x1, t - h, s)) / (2 * h)
         assert np.allclose(fd, fm_target_velocity(x0, x1, s), rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_budget_resolves_the_field(self, seed):
+        """RK4's endpoint error on the velocity net falls at every step
+        count up to 100 and is below 1e-4 at the default 25 steps. With
+        time features up to 1000 rad it does neither: half-steps near a
+        whole number of the top feature's periods alias it."""
+        field = flows.build("flow_matching", 4, np.random.default_rng(seed))
+        x0 = np.random.default_rng(seed + 100).standard_normal((9, 4))
+
+        def solve(steps):
+            return ode_integrate(field.net.velocity, x0, 0.0, 1.0, steps)
+
+        ref = solve(800)
+        err = {k: np.max(np.abs(solve(k) - ref)) / np.max(np.abs(ref))
+               for k in (10, 20, 25, 40, 50, 100)}
+        errs = list(err.values())
+        assert all(a > b for a, b in zip(errs, errs[1:])), err
+        assert err[field.ode_steps] < 1e-4
+
 
 class TestBuild:
     CONSTANTS = {
@@ -94,7 +114,7 @@ class TestBuild:
         "ddpm_egnn": {"steps": 9, "beta_start": 0.0002, "beta_end": 0.03},
         "heat": {"steps": 5, "sigma_min": 0.25, "sigma_max": 8.0,
                  "train_noise_std": 0.02, "eta": 0.005},
-        "flow_matching": {"sigma_min": 0.001, "ode_steps": 12},
+        "flow_matching": {"sigma_min": 0.001, "ode_steps": 12, "time_max_freq": 3.0},
     }
 
     @pytest.mark.parametrize("kind", sorted(CONSTANTS))

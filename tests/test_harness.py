@@ -1,6 +1,8 @@
 """Harness round trips: train -> checkpoint -> load -> generate, at tiny sizes."""
 
+import dataclasses
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from moldiff import codec, flows, harness
 from moldiff.chem import Dataset, canonical_key, parse_smiles, write_smiles
 from moldiff.diffcore import load_params, save_params
+from moldiff.harness.train import save_pipeline
 
 pytestmark = pytest.mark.slow
 
@@ -69,6 +72,29 @@ def test_one_sampler_call_per_molecule(exp, trained, monkeypatch):
     assert len(calls) == COUNT
 
 
+@pytest.mark.parametrize("exp", EXPERIMENTS)
+def test_sizes_drawn_as_per_molecule(exp, trained):
+    """One size distribution per call draws the molecules that rebuilding
+    it for every molecule drew."""
+    pipe = trained[exp]
+    rng = np.random.default_rng(9)
+    rows = {n: n if pipe.input_ae is None else n + n * (n - 1) // 2
+            for n in pipe.dataset.size_histogram}
+    histogram = {n: c for n, c in pipe.dataset.size_histogram.items()
+                 if pipe.flow.can_sample(rows[n])}
+    want = []
+    for _ in range(2 * COUNT):
+        n = harness.sample_atom_count(histogram, rng)
+        points = pipe.standardizer.invert(pipe.flow.sample(rows[n], rng))
+        if pipe.input_ae is not None:
+            candidate = codec.input_space_decode(pipe.input_ae, points, n)
+        else:
+            candidate = codec.decode(pipe.graph_ae, pipe.atom_ae, points)
+        want.append(write_smiles(codec.predict_edge_types(pipe.edge_type, candidate)[0]))
+    got = harness.generate_molecules(pipe, 2 * COUNT, np.random.default_rng(9))
+    assert [write_smiles(m) for m in got] == want
+
+
 def count_encodes(monkeypatch) -> list:
     calls = []
     original = codec.encode_t
@@ -113,6 +139,33 @@ def test_flow_meta_must_match_the_flow(change, trained, dataset):
         rewrite_flow_meta(cfg, **{k: meta.get(k) for k in change})
 
 
+def test_flow_matching_meta_without_time_bandwidth_is_refused(trained, dataset):
+    """A checkpoint written before the encoding was recorded does not load
+    as a different model."""
+    cfg = trained["flow_matching"].cfg
+    _, meta = load_params(cfg.run_dir / "flow.mdl1")
+    rewrite_flow_meta(cfg, time_max_freq=None)
+    try:
+        with pytest.raises(harness.CheckpointMismatch, match="time_max_freq"):
+            harness.load_pipeline(cfg, dataset)
+    finally:
+        rewrite_flow_meta(cfg, time_max_freq=meta["time_max_freq"])
+
+
+def test_stored_time_bandwidth_is_used(trained, dataset, tmp_path):
+    pipe = trained["flow_matching"]
+    flow = flows.build("flow_matching", pipe.flow_width, np.random.default_rng(0),
+                       time_max_freq=50.0)
+    wide = dataclasses.replace(pipe, flow=flow,
+                               cfg=dataclasses.replace(pipe.cfg, output_dir=str(tmp_path)))
+    save_pipeline(wide)
+    loaded = harness.load_pipeline(wide.cfg, dataset)
+    assert loaded.flow.meta()["time_max_freq"] == 50.0
+    assert smiles(loaded) == smiles(wide)
+    assert np.array_equal(loaded.flow.sample(9, np.random.default_rng(1)),
+                          wide.flow.sample(9, np.random.default_rng(1)))
+
+
 def test_egnn_trains_with_a_one_atom_molecule(tmp_path):
     mols = [parse_smiles(s) for s in ("C", "CO", "CCN", "C=O")]
     cfg = harness.ExperimentConfig(experiment="egnn_gaussian", epochs=1, seed=0,
@@ -127,6 +180,7 @@ def test_run_experiment_writes_its_report(dataset, tmp_path):
                                    sample_count=3, repetitions=2, output_dir=str(tmp_path))
     report, _ = harness.run_experiment(cfg, dataset)
     assert json.loads((cfg.run_dir / "metrics.json").read_text()) == report.to_dict()
+    assert math.isfinite(report.latent_mmd)
     assert report.count == 3 * 2  # counts accumulate over repetitions
     for pct in (report.validity, report.uniqueness, report.novelty):
         assert 0.0 <= pct <= 100.0
