@@ -7,10 +7,10 @@
   training embeddings rather than pure noise.
 * Flow matching: conditional straight-line interpolant, velocity-field
   regression, generation by RK4 integration from a standard normal. The
-  velocity net's time features are band-limited (``time_max_freq``, 8 rad
-  per unit time), so the field is smooth in t, and 25 RK4 steps (100 field
-  evaluations) integrate it more accurately than 100 steps integrated a
-  net with features up to 1000 rad. The budget is only that small because
+  velocity net's time features are band-limited (``gnn.TIME_MAX_FREQ``, 8
+  rad per unit time), so the field is smooth in t, and 25 RK4 steps (100
+  field evaluations) integrate it more accurately than 100 steps integrated
+  a net with features up to 1000 rad. The budget is only that small because
   the bandwidth is.
 
 Every flow (``DdpmModel``, ``HeatModel``, ``FlowField``) offers the same
@@ -37,11 +37,15 @@ import numpy as np
 from .diffcore import tensor as T
 from .diffcore.ode import ode_integrate
 from .diffcore.tensor import EmptyInput, ShapeMismatch, Tensor, dct_matrix
-from .gnn import EgnnNet, FlowFieldNet, GcnStack
+from .gnn import TIME_MAX_FREQ, EgnnNet, FlowFieldNet, GcnStack
 
 
 class StepOutOfRange(ValueError):
     pass
+
+
+class FixedConstant(ValueError):
+    """A constant ``meta()`` records that has one value only, given another."""
 
 
 class UnknownFlow(ValueError):
@@ -345,10 +349,10 @@ def fm_target_velocity(x0: np.ndarray, x1: np.ndarray,
 class FlowField:
     """A velocity net, the interpolant's ``sigma_min`` and the RK4 budget.
 
-    ``ode_steps`` and the net's time bandwidth (``time_max_freq`` in
-    ``meta()``) go together. RK4's endpoint error falls steadily with the
-    step count only once a step is short against the period of the fastest
-    time feature. With features up to 8 rad per unit time it falls at
+    ``ode_steps`` and the net's time bandwidth (``TIME_MAX_FREQ``, recorded
+    as ``time_max_freq`` in ``meta()``) go together. RK4's endpoint error
+    falls steadily with the step count only once a step is short against
+    the period of the fastest time feature. With features up to 8 rad per unit time it falls at
     every budget from 10 steps on, and 25 steps land below the error that
     features up to 1000 rad gave at 100 steps. A wider band needs more
     steps.
@@ -377,7 +381,7 @@ class FlowField:
     def meta(self) -> dict:
         return {"flow": "flow_matching", "sigma_min": self.sigma_min,
                 "ode_steps": self.ode_steps,
-                "time_max_freq": self.net.time_enc.max_freq}
+                "time_max_freq": TIME_MAX_FREQ}
 
 
 def fm_loss(field: FlowField, x1: np.ndarray, rng: np.random.Generator) -> Tensor:
@@ -407,6 +411,8 @@ def build(kind: str, width: int, rng: np.random.Generator, clouds=(),
 
     ``constants`` are schedule constants as ``meta()`` names them; the ones
     left out keep their defaults, and an unknown one raises TypeError.
+    Flow matching records ``time_max_freq`` but has no other value for it;
+    any other raises :class:`FixedConstant`.
     ``clouds`` iterates over the standardized training clouds, the seed
     prior of the heat flow; the other flows never read it.
     """
@@ -417,7 +423,10 @@ def build(kind: str, width: int, rng: np.random.Generator, clouds=(),
     if kind == "heat":
         return HeatModel(width, HeatSchedule(**constants), rng, clouds)
     if kind == "flow_matching":
-        net_args = ({"time_max_freq": constants.pop("time_max_freq")}
-                    if "time_max_freq" in constants else {})
-        return FlowField(FlowFieldNet(width, rng, **net_args), **constants)
+        # recorded so that a net trained with other time features is refused
+        freq = constants.pop("time_max_freq", TIME_MAX_FREQ)
+        if freq != TIME_MAX_FREQ:
+            raise FixedConstant(f"time_max_freq={freq}: the velocity net's time"
+                                f" features stop at {TIME_MAX_FREQ}")
+        return FlowField(FlowFieldNet(width, rng), **constants)
     raise UnknownFlow(f"no flow of kind {kind!r}")

@@ -315,18 +315,20 @@ def egnn_distance_features(cloud) -> Tensor:
 # time encodings
 
 
+# the top time-feature frequency, in radians per unit of t/total
+TIME_MAX_FREQ = 8.0
+
+
 @dataclass(frozen=True)
 class TimeEncoding:
     """Sinusoidal timestep features: ``pairs`` (sin, cos) pairs.
 
-    ``max_freq`` is the bandwidth: the top frequency, in radians per unit
-    of t/total. A network fed these features can vary in t no faster than
-    its top feature, so a fixed-step solver needs steps well below
-    1/``max_freq`` in t to follow it.
+    ``TIME_MAX_FREQ`` is the bandwidth. A network fed these features can
+    vary in t no faster than its top feature, so a fixed-step solver needs
+    steps well below 1/``TIME_MAX_FREQ`` in t to follow it.
     """
 
     pairs: int = 4
-    max_freq: float = 1000.0
 
     @property
     def width(self) -> int:
@@ -334,10 +336,10 @@ class TimeEncoding:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """Frequencies spaced geometrically from 1 to ``max_freq``; treat as
-        read-only."""
+        """Frequencies spaced geometrically from 1 to ``TIME_MAX_FREQ``;
+        treat as read-only."""
         k = self.pairs
-        return np.array([self.max_freq ** (i / (k - 1)) if k > 1 else 1.0
+        return np.array([TIME_MAX_FREQ ** (i / (k - 1)) if k > 1 else 1.0
                          for i in range(k)])
 
 
@@ -393,18 +395,16 @@ class FlowFieldNet:
     Sinusoidal time features are concatenated onto every node, and the
     whole tower runs as one ``T.relu_stack`` node.
 
-    The time features top out at ``time_max_freq`` radians per unit time
-    (1, 2, 4, 8 by default), so the field is smooth in t on [0, 1] and a
-    coarse RK4 grid resolves it. At 1000 rad, a half-step near a whole
-    number of the top feature's periods aliases it, and RK4's endpoint
-    error stops falling as steps are added.
+    The time features run at 1, 2, 4 and 8 radians per unit time, so the
+    field is smooth in t on [0, 1] and a coarse RK4 grid resolves it. At
+    1000 rad, a half-step near a whole number of the top feature's periods
+    aliases it, and RK4's endpoint error stops falling as steps are added.
     """
 
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
-                 hidden_layers: int = 10, name: str = "flowfield",
-                 time_max_freq: float = 8.0):
+                 hidden_layers: int = 10, name: str = "flowfield"):
         self.width = width
-        self.time_enc = TimeEncoding(pairs=4, max_freq=time_max_freq)
+        self.time_enc = TimeEncoding(pairs=4)
         self.entry = GraphConvLayer(width + self.time_enc.width, hidden, rng,
                                     name=f"{name}.entry")
         self.hidden = [Dense(hidden, hidden, rng, name=f"{name}.h{i}")

@@ -85,7 +85,6 @@ def mean_report(reports: list[MetricsReport]) -> MetricsReport:
         count=sum(r.count for r in reports),
         unparsed=sum(r.unparsed for r in reports),
         degenerate=all(r.degenerate for r in reports),
-        latent_mmd=first.latent_mmd,
     )
 
 

@@ -12,7 +12,7 @@ from .data import resolve_dataset
 from .generate import generate_molecules, sample_clouds
 from .metrics import MetricsReport, evaluate, latent_mmd, mean_report
 from .report import write_report
-from .train import TrainedPipeline, _encode_subset, train_experiment
+from .train import TrainedPipeline, standardized_clouds, train_experiment
 
 # sampled clouds per latent_mmd
 LATENT_SAMPLES = 200
@@ -64,8 +64,7 @@ def run_experiment(cfg: ExperimentConfig,
     report.params = pipeline.param_count
     sampled = [cloud for _, cloud in sample_clouds(
         pipeline, LATENT_SAMPLES, np.random.default_rng(streams[5]))]
-    report.latent_mmd = latent_mmd(
-        sampled, (pipeline.standardizer.apply(c) for c in _encode_subset(pipeline)))
+    report.latent_mmd = latent_mmd(sampled, standardized_clouds(pipeline))
     (cfg.run_dir / "metrics.json").write_text(
         json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return report, pipeline

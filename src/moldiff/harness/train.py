@@ -160,6 +160,12 @@ def _encode_subset(pipe: TrainedPipeline) -> Iterator[np.ndarray]:
     return (codec.encode_t(pipe.graph_ae, pipe.atom_ae, m).data for m in pipe.subset)
 
 
+def standardized_clouds(pipe: TrainedPipeline) -> Iterator[np.ndarray]:
+    """The flow's training clouds, as the standardizer maps them, each
+    encoded when the iterator reaches it."""
+    return (pipe.standardizer.apply(c) for c in _encode_subset(pipe))
+
+
 def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> TrainedPipeline:
     """Run both training phases and write checkpoints under cfg.run_dir.
 
@@ -263,8 +269,8 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     """Rebuild a pipeline from the checkpoints in cfg.run_dir.
 
     The flow is rebuilt with the schedule constants stored in ``flow.mdl1``;
-    a constant missing there, or one the flow does not have, raises
-    :class:`CheckpointMismatch`.
+    a constant missing there, or one the flow does not have (as a name or,
+    for a fixed constant, as a value), raises :class:`CheckpointMismatch`.
     """
     if dataset is None:
         dataset = resolve_dataset(cfg)
@@ -288,12 +294,12 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     pipe.standardizer = Standardizer(mean=flow_stored["standardizer.mean"],
                                      std=flow_stored["standardizer.std"])
     # lazy: only a flow that reads them (heat) pays for encoding the subset
-    clouds = (pipe.standardizer.apply(c) for c in _encode_subset(pipe))
+    clouds = standardized_clouds(pipe)
     constants = {k: v for k, v in flow_meta.items()
                  if k not in ("flow", "experiment", "latent_z")}
     try:
         pipe.flow = flows.build(kind, pipe.flow_width, rng, clouds, **constants)
-    except TypeError as exc:  # a stored constant this flow does not have
+    except (TypeError, flows.FixedConstant) as exc:  # a constant this flow does not have
         raise CheckpointMismatch(f"{flow_path}: {exc}") from None
     missing = sorted(pipe.flow.meta().keys() - flow_meta.keys())
     if missing:

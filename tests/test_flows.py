@@ -114,7 +114,7 @@ class TestBuild:
         "ddpm_egnn": {"steps": 9, "beta_start": 0.0002, "beta_end": 0.03},
         "heat": {"steps": 5, "sigma_min": 0.25, "sigma_max": 8.0,
                  "train_noise_std": 0.02, "eta": 0.005},
-        "flow_matching": {"sigma_min": 0.001, "ode_steps": 12, "time_max_freq": 3.0},
+        "flow_matching": {"sigma_min": 0.001, "ode_steps": 12, "time_max_freq": 8.0},
     }
 
     @pytest.mark.parametrize("kind", sorted(CONSTANTS))
@@ -134,3 +134,5 @@ class TestBuild:
             flows.build("score_sde", 2, rng)
         with pytest.raises(TypeError):
             flows.build("heat", 1, rng, kl_mean=20.0)
+        with pytest.raises(flows.FixedConstant, match="time_max_freq"):
+            flows.build("flow_matching", 2, rng, time_max_freq=1000.0)
