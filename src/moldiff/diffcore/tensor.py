@@ -18,12 +18,19 @@ Two ops record a whole network piece as one node with one hand-written
 backward. ``relu_stack`` runs every ReLU stack of the package: the MLPs,
 the GCN stacks over a constant propagation matrix, and the complete-graph
 networks (the restorers and the velocity network); see the ReLU-stack
-section. ``pna_aggregate`` runs a PNA aggregation on small dense operators
-per graph (``SegmentPlan``); see the segment aggregation section.
+section. Its value has the same bits taped, untaped and inside
+``frozen_params()``, the block in which samplers keep each complete-graph
+layer's folded weights. Its MLPs and GCN stacks also have, value and
+gradients, the bits of the same stack built from separate nodes; its
+complete-graph layers fold the neighbour mean into the weights and match
+that stack to rounding. ``pna_aggregate`` runs a PNA aggregation on small
+dense operators per graph (``SegmentPlan``); see the segment aggregation
+section.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -100,6 +107,8 @@ class Tape:
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise RuntimeError("a tape is already recording")
+        if _FOLDS is not None:
+            raise RuntimeError("a tape inside frozen_params: its parameters may not change")
         _ACTIVE_TAPE = self
         return self
 
@@ -382,16 +391,65 @@ def sum_all(x: Tensor) -> Tensor:
 # two affines, ReLU) would spend much of its time on that overhead.
 #
 # Without a propagation matrix the neighbour map is the complete-graph
-# mean: the column sum less the row itself, over n - 1, in O(n w) where
-# gathering the n(n - 1) messages would be O(n^2 w). The map is symmetric,
-# so the backward pass applies the same closed form to g.
+# mean, N(h) = (colsum(h) - h) / (n - 1). A layer h @ W + N(h) @ Wn + b is
+# then h @ Weff + (colsum(h) @ Wq + b), with Wq = Wn / (n - 1) and
+# Weff = W - Wq (-Wq without W): one (n, w) product and one row product,
+# where the mean would take two full products and three passes over h.
+# The backward pass carries g to h by the same identity,
+# dh = g Weff^T + colsum(g) Wq^T. dWn is N(h)^T g, with N(h) rebuilt from
+# the column sum the forward pass kept: at n <= 45 rows that is cheaper
+# than the equal (outer(colsum h, colsum g) - h^T g) / (n - 1), whose three
+# passes run over the (w, w') weight shape. The fold moves values by
+# rounding only; against a long-double reference it adds no cancellation.
+# One row has no neighbours, and its layer is h @ W + b.
+#
+# Folding costs two passes over the weights per call. Inside
+# ``frozen_params()`` each (W, Wn, n) is folded once and kept until the
+# block ends, so a sampler that runs one network 50 to 100 times on a
+# molecule folds it once.
 
 
-def _complete_mean(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n == 1:
-        return np.zeros_like(a)
-    return (np.add.reduce(a, axis=0) - a) / (n - 1)
+_FOLDS: dict | None = None
+
+
+@contextmanager
+def frozen_params():
+    """A block in which no parameter changes, for sampling loops.
+
+    ``relu_stack`` keeps each complete-graph layer's folded weights per
+    (W array, Wn array, row count) until the block ends, also on an
+    exception; the values are the same bits as outside it. Entering the
+    block while a tape records raises RuntimeError, and so does opening a
+    tape inside it. A parameter changed in place inside the block is not
+    seen there; one rebound or changed between two blocks is. A block
+    inside a block shares the outer block's folds.
+    """
+    global _FOLDS
+    if _ACTIVE_TAPE is not None:
+        raise RuntimeError("frozen_params while a tape is recording")
+    if _FOLDS is not None:
+        yield
+        return
+    _FOLDS = {}
+    try:
+        yield
+    finally:
+        _FOLDS = None
+
+
+def _fold(wd: np.ndarray | None, wn: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Weff, Wq) of a complete-graph layer on n > 1 rows."""
+    folds = _FOLDS
+    key = (id(wd), id(wn), n)
+    if folds is not None:
+        hit = folds.get(key)
+        if hit is not None:
+            return hit[2], hit[3]
+    wq = wn * (1.0 / (n - 1))
+    weff = -wq if wd is None else wd - wq
+    if folds is not None:
+        folds[key] = (wd, wn, weff, wq)  # holding the arrays keeps their ids unused
+    return weff, wq
 
 
 def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
@@ -401,22 +459,24 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     without the term of a weight that is None (one may be, not both).
     ``N(h)`` is ``prop @ h`` for a constant (n, n) ``prop``, or with
     ``prop`` None each row's mean over the other rows (zeros for one row).
-    ReLU runs between layers, not after the last. The value and every
-    gradient have the same bits as the same stack built from ``matmul``,
-    ``affine`` and ``relu`` nodes; a ReLU's gradient is 0 at inputs <= 0
-    and NaN stays NaN.
+    ReLU runs between layers, not after the last; a ReLU's gradient is 0 at
+    inputs <= 0 and NaN stays NaN.
+
+    The value has the same bits taped, untaped and inside
+    ``frozen_params``. Dense stacks (no Wn), ``prop`` stacks and one-row
+    stacks have, in the value and every gradient, the bits of the same
+    stack built from ``matmul``, ``affine`` and ``relu`` nodes. A
+    complete-graph layer on more rows runs folded (see the section
+    comment) and matches that stack to rounding.
     """
     xd = x.data
     if xd.ndim != 2:
         raise ShapeMismatch(f"relu_stack expects a 2-D x, got shape {xd.shape}")
     if not layers:
         raise EmptyInput("relu_stack needs at least one layer")
-    if prop is None:
-        nbr = nbr_t = _complete_mean
-    else:
-        if np.shape(prop) != (len(xd), len(xd)):
-            raise ShapeMismatch(f"relu_stack: prop {np.shape(prop)} for {len(xd)} rows")
-        nbr, nbr_t = (lambda a: prop @ a), (lambda a: prop.T @ a)
+    n = len(xd)
+    if prop is not None and np.shape(prop) != (n, n):
+        raise ShapeMismatch(f"relu_stack: prop {np.shape(prop)} for {n} rows")
     arrays, inputs = [], []
     h = xd
     last = len(layers) - 1
@@ -428,11 +488,24 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
             shapes = [None if a is None else a.shape for a in (wd, wn)]
             raise ShapeMismatch(f"relu_stack layer {i} on {h.shape}: W, Wn {shapes}, b {bd.shape}")
         inputs.append(h)
-        m = None if wn is None else nbr(h)
-        act = h @ wd + bd if m is None else m @ wn + bd if wd is None else h @ wd + (m @ wn + bd)
+        # ws carries g back to h; m is a prop stack's N(h); fold is (Wq, colsum h)
+        ws, m, fold = wd, None, None
+        if wn is None:
+            act = h @ wd + bd
+        elif prop is not None:
+            m = prop @ h
+            act = m @ wn + bd if wd is None else h @ wd + (m @ wn + bd)
+        elif n == 1:
+            if wd is None:
+                ws = np.zeros(wn.shape)
+            act = h @ ws + bd
+        else:
+            ws, wq = _fold(wd, wn, n)
+            fold = wq, np.add.reduce(h, axis=0)
+            act = h @ ws + (fold[1] @ wq + bd)
         if i < last:
             np.maximum(act, 0.0, out=act)
-        arrays.append((wd, wn, m, bd.shape))
+        arrays.append((wd is not None, ws, wn, m, fold, bd.shape))
         h = act
     out = Tensor(h)
     if _ACTIVE_TAPE is None:  # sampling: skip gathering the parameters
@@ -450,18 +523,24 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
         grads = [None] * (2 + len(params))
         g = g_out
         for i in range(last, -1, -1):
-            wd, wn, m, b_shape = arrays[i]
+            has_w, ws, wn, m, fold, b_shape = arrays[i]
             if i < last:  # the ReLU after layer i; its output is layer i + 1's input
                 g = g * (inputs[i + 1] > 0.0)
-            if wd is not None:
+            if has_w:
                 grads[1 + 3 * i] = inputs[i].T @ g
-            if wn is not None:
+            if m is not None:
                 grads[2 + 3 * i] = m.T @ g
-            grads[3 + 3 * i] = _unbroadcast(g, b_shape)
+            elif fold is not None:  # N(h) from the column sum the forward kept
+                grads[2 + 3 * i] = ((fold[1] - inputs[i]) / (n - 1)).T @ g
+            elif wn is not None:  # one row: Wn multiplies zeros
+                grads[2 + 3 * i] = np.zeros(wn.shape)
+            gs = grads[3 + 3 * i] = _unbroadcast(g, b_shape)
             if i == 0 and not x_attached:
                 break
-            gx = None if wd is None else g @ wd.T
-            gn = None if wn is None else nbr_t(g @ wn.T)
+            gx = None if ws is None else g @ ws.T
+            if fold is not None:
+                gx += gs @ fold[0].T
+            gn = None if m is None else prop.T @ (g @ wn.T)
             if i == 0:
                 grads[0], grads[-1] = gx, gn
             else:
@@ -469,11 +548,11 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
         cache[0], cache[1] = g_out, grads
         return grads
 
-    # x's gradient is two contributions, its self path and then its
-    # neighbour path, so it sums with x's other uses in the order of a
-    # stack of separate nodes
-    w0, wn0, _ = layers[0]
-    inputs_of_grads = [None if w0 is None else x, *params, None if wn0 is None else x]
+    # on a prop stack x's gradient is two contributions, its self path and
+    # then its neighbour path, so it sums with x's other uses in the order
+    # of a stack of separate nodes
+    ws0, m0 = arrays[0][1], arrays[0][3]
+    inputs_of_grads = [None if ws0 is None else x, *params, None if m0 is None else x]
     _record(out, [(t, lambda g, k=k: node_grads(g)[k])
                   for k, t in enumerate(inputs_of_grads) if t is not None])
     return out

@@ -25,7 +25,10 @@ small interface, and the harness sees nothing else:
   takes back.
 
 Every sampler takes an explicit numpy Generator, so runs are reproducible
-bit for bit from a seed.
+bit for bit from a seed. Each runs its loop inside ``T.frozen_params()``,
+so the complete-graph layers of its network fold their weights once per
+sampled cloud rather than once per step; the samples are the same bits as
+without the block.
 """
 
 from __future__ import annotations
@@ -68,6 +71,14 @@ class DdpmSchedule:
     ``beta[t-1]`` is the noise variance at step t (1-based); ``alpha_bar``
     is the running product of (1 - beta); the posterior variance at t = 1
     is 0 by the alpha_bar[0] := 1 convention.
+
+    The defaults do not reach the prior that sampling starts from. They end
+    at ``alpha_bar[-1]`` = 0.603, so a training input at t = 50 still keeps
+    78% of its signal amplitude (sqrt 0.603) under 63% noise, while
+    ``ddpm_generate`` starts from pure N(0, I), so the restorer's first
+    sampling steps see inputs unlike any it was trained on. Whether that
+    costs sample quality is open; changing a default would change every
+    DDPM output.
     """
 
     steps: int = 50
@@ -207,10 +218,11 @@ def ddpm_generate(model: DdpmModel, n: int, rng: np.random.Generator) -> np.ndar
     """Start from a standard normal cloud and walk the posterior chain down."""
     sched = model.sched
     x = rng.standard_normal((n, model.width))
-    for t in range(sched.steps, 0, -1):
-        z = model.restorer.predict_noise(T.tensor(x), t, sched.steps).data
-        noise = rng.standard_normal(x.shape) if t > 1 else None
-        x = ddpm_posterior_step(sched, x, z, t, noise)
+    with T.frozen_params():
+        for t in range(sched.steps, 0, -1):
+            z = model.restorer.predict_noise(T.tensor(x), t, sched.steps).data
+            noise = rng.standard_normal(x.shape) if t > 1 else None
+            x = ddpm_posterior_step(sched, x, z, t, noise)
     return x
 
 
@@ -317,10 +329,11 @@ def heat_generate(model: HeatModel, seed_cloud: np.ndarray,
     sched = model.sched
     n, w = seed_cloud.shape
     u = heat_blur(np.exp(seed_cloud.ravel()), sched.sigma(sched.steps))
-    for _ in range(sched.steps):
-        u_t = T.tensor(u.reshape(n, w))
-        u_mean = u + model.delta(u_t).data.ravel()
-        u = u_mean + sched.eta * rng.standard_normal(u.shape)
+    with T.frozen_params():
+        for _ in range(sched.steps):
+            u_t = T.tensor(u.reshape(n, w))
+            u_mean = u + model.delta(u_t).data.ravel()
+            u = u_mean + sched.eta * rng.standard_normal(u.shape)
     # deblurred values should be positive; floor guards the inverse transform
     return np.log(np.maximum(u, 1e-12)).reshape(n, w)
 
@@ -398,7 +411,8 @@ def fm_loss(field: FlowField, x1: np.ndarray, rng: np.random.Generator) -> Tenso
 def fm_generate(field: FlowField, n: int, rng: np.random.Generator) -> np.ndarray:
     """Integrate the learned velocity field from noise at t=0 to t=1."""
     x0 = rng.standard_normal((n, field.width))
-    return ode_integrate(field.net.velocity, x0, 0.0, 1.0, field.ode_steps)
+    with T.frozen_params():
+        return ode_integrate(field.net.velocity, x0, 0.0, 1.0, field.ode_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -188,10 +188,14 @@ class GraphConvLayer:
     they use this layer.
 
     On the complete graph without self-loops the neighbor mean of row i is
-    (sum_j x_j - x_i) / (n - 1), and 0 when n = 1, so the layer computes it
-    in O(n w) instead of passing n(n - 1) messages. The graph is x's rows,
-    so the layer is called on x alone. A call is a one-layer ``T.relu_stack``;
-    the stacks below pass their layers' ``spec`` to one such call instead.
+    (sum_j x_j - x_i) / (n - 1), and 0 when n = 1. ``T.relu_stack`` folds
+    it into the weights, x @ (W_self - W_nbr / (n - 1)) plus the column sum
+    times W_nbr / (n - 1), so a layer costs one (n, w) product and one row
+    product instead of n(n - 1) messages. Inside ``T.frozen_params()``, as
+    in the samplers, the folded weights are made once per row count. The
+    graph is x's rows, so the layer is called on x alone. A call is a
+    one-layer ``T.relu_stack``; the stacks below pass their layers'
+    ``spec`` to one such call instead.
     """
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,

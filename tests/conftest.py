@@ -41,25 +41,48 @@ def fd_gradcheck(build, params, h: float = 1e-6, floor: float = 1e-6) -> float:
     return worst
 
 
+def assert_close(got: np.ndarray, want: np.ndarray, rtol: float = 1e-12) -> None:
+    """got is want to within rtol of want's largest finite magnitude, with
+    NaN exactly where want has NaN."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    err = np.max(np.abs(got[~nan] - want[~nan]), initial=0.0)
+    assert err <= rtol * np.max(np.abs(want[~nan]), initial=0.0)
+
+
 def mean_only(width: int) -> list:
     """A one-layer ``relu_stack`` whose output is the neighbour mean:
     no self path, the identity on the neighbour path, no bias."""
     return [(None, T.tensor(np.eye(width)), T.tensor(np.zeros(width)))]
 
 
+def _complete_mean(a: np.ndarray) -> np.ndarray:
+    """Each row's mean over the other rows, zeros for one row: the column
+    sum less the row, over n - 1. The map is symmetric, so it is also its
+    own backward."""
+    n = a.shape[0]
+    if n == 1:
+        return np.zeros_like(a)
+    return (np.add.reduce(a, axis=0) - a) / (n - 1)
+
+
 def _complete_mean_node(x):
     """The closed-form neighbour mean as a tape node of its own."""
-    out = T.Tensor(T._complete_mean(x.data))
+    out = T.Tensor(_complete_mean(x.data))
     if T._recording(x):
-        T._record(out, ((x, T._complete_mean),))
+        T._record(out, ((x, _complete_mean),))
     return out
 
 
 def per_layer_stack(x, layers, prop=None):
     """``T.relu_stack(x, layers, prop)`` from separate nodes: per layer, a
     neighbour node (the complete-graph mean, or ``T.matmul`` by ``prop``)
-    when it has ``Wn``, one or two ``affine`` nodes and a ``relu``. Same
-    arithmetic, so the same bits."""
+    when it has ``Wn``, one or two ``affine`` nodes and a ``relu``. The
+    reference computes the mean itself and does not fold it into the
+    weights. Same arithmetic as ``relu_stack`` on dense and ``prop`` stacks
+    and on one row, so the same bits there; on complete-graph layers over
+    more rows the two agree to rounding."""
     for i, (w, wn, b) in enumerate(layers):
         if wn is None:
             x = T.affine(x, w, b)

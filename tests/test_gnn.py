@@ -29,7 +29,7 @@ from moldiff.gnn import (
     time_encode,
 )
 
-from conftest import per_layer_stack
+from conftest import assert_close, per_layer_stack
 
 
 def random_orthogonal(rng, d):
@@ -507,8 +507,9 @@ class TestNets:
 
     @pytest.mark.parametrize("net", ["mlp", "gcn", "graph"])
     def test_stack_same_bits_as_per_layer_nodes(self, net, rng):
-        """Each stack is one node with the bits of per-layer nodes, in its
-        value and in the gradients of x and of every parameter."""
+        """Each stack is one node. Its value and the gradients of x and of
+        every parameter have the bits of per-layer nodes, or, where
+        complete-graph layers fold, match them to rounding."""
         e = pair_node_edges(4)
         if net == "mlp":
             stack, args, prop = Mlp([3, 8, 8, 3], rng), (), None
@@ -524,11 +525,16 @@ class TestNets:
             with T.Tape() as tape:
                 out = fn(x)
                 grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
-            return len(tape), [out.data.tobytes()] + [grads[p].tobytes() for p in params]
+            return len(tape), [out.data] + [grads[p] for p in params]
 
         nodes, got = run(lambda x: stack(x, *args))
         _, want = run(lambda x: per_layer_stack(x, [lay.spec for lay in stack.layers], prop))
-        assert nodes == 3 and got == want
+        assert nodes == 3
+        if net == "graph":
+            for a, b in zip(got, want):
+                assert_close(a, b)
+        else:
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     @staticmethod
     def input_gradient(run, x, weights):
@@ -536,11 +542,20 @@ class TestNets:
         with T.Tape() as tape:
             out = run(x)
             grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
-        return out.data.tobytes(), grads[x].tobytes()
+        return out.data, grads[x]
+
+    @staticmethod
+    def assert_matches(got, want, n):
+        """The same bits on one row; with more rows the entry layer folds
+        and matches to rounding."""
+        for a, b in zip(got, want):
+            if n == 1:
+                assert a.tobytes() == b.tobytes()
+            assert_close(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 45])
     def test_flow_field_trainable_input_gradient(self, n, rng):
-        """One stack node gives the bits of per-layer nodes."""
+        """One stack node against per-layer nodes."""
         net = FlowFieldNet(3, rng, hidden=8, hidden_layers=2)
         x = T.param(rng.standard_normal((n, 3)))
         weights = T.tensor(rng.standard_normal((n, 3)))
@@ -551,13 +566,14 @@ class TestNets:
             layers = [net.entry, *net.hidden, net.out]
             return per_layer_stack(feat, [layer.spec for layer in layers])
 
-        assert (self.input_gradient(lambda x: net(x, 0.3), x, weights)
-                == self.input_gradient(layer_by_layer, x, weights))
+        self.assert_matches(self.input_gradient(lambda x: net(x, 0.3), x, weights),
+                            self.input_gradient(layer_by_layer, x, weights), n)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 45])
     def test_predict_noise_trainable_input_gradient(self, n, rng):
         """x reaches the loss through the stack and through the residual;
-        both sum in the order of per-layer nodes."""
+        both sum in the order of per-layer nodes, to the same bits on one
+        row and to rounding on more."""
         restorer = GnnRestorer(2, rng)
         x = T.param(rng.standard_normal((n, 2)))
         weights = T.tensor(rng.standard_normal((n, 2)))
@@ -567,8 +583,9 @@ class TestNets:
             h = per_layer_stack(s, [layer.spec for layer in restorer.net.layers])
             return T.narrow(T.sub(h, s), 1, 0, 2)
 
-        assert (self.input_gradient(lambda x: restorer.predict_noise(x, 17, 50), x, weights)
-                == self.input_gradient(layer_by_layer, x, weights))
+        self.assert_matches(
+            self.input_gradient(lambda x: restorer.predict_noise(x, 17, 50), x, weights),
+            self.input_gradient(layer_by_layer, x, weights), n)
 
     @staticmethod
     def unit_weight_egnn(rng, layers):

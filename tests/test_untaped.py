@@ -8,6 +8,8 @@ same bits, or trained models would sample differently from how they were
 scored during training.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,8 @@ def test_input_space_decode_records_nothing(record_calls):
 
 def _op_modes(fn, *arrays):
     """fn's value on constants off tape, on constants under a tape (which
-    must record nothing), and on trainable inputs under a tape."""
+    must record nothing), on trainable inputs under a tape, and off tape
+    inside ``frozen_params``."""
     off = fn(*[T.tensor(a) for a in arrays]).data
     with Tape() as tape:
         const = fn(*[T.tensor(a) for a in arrays]).data
@@ -107,7 +110,9 @@ def _op_modes(fn, *arrays):
     with Tape() as tape:
         on = fn(*[T.param(a) for a in arrays]).data
     assert len(tape) == 1
-    return off, const, on
+    with T.frozen_params():
+        frozen = fn(*[T.param(a) for a in arrays]).data
+    return off, const, on, frozen
 
 
 _SEG = np.array([0, 2, 2, 1, 0, 2, 4])  # segment 3 is empty
@@ -157,9 +162,10 @@ def test_op_same_bits_in_every_mode(name, rng):
     arrays = [rng.standard_normal(s) for s in shapes]
     if name == "sqrt":
         arrays = [np.abs(a) for a in arrays]
-    off, const, on = _op_modes(fn, *arrays)
+    off, const, on, frozen = _op_modes(fn, *arrays)
     assert same_bits(off, const)
     assert same_bits(off, on)
+    assert same_bits(off, frozen)
 
 
 def _net_modes(run):
@@ -233,6 +239,93 @@ def test_input_space_autoencoder(rng):
     g = codec.build_edges_as_nodes(parse_smiles("CC(=O)N"))
     off, on = _net_modes(lambda: ae.decode_t(ae.encode_t(g), g.edges))
     assert same_bits(off, on)
+
+
+# ---------------------------------------------------------------------------
+# frozen parameters: folds kept for one block
+
+
+@pytest.mark.parametrize("experiment", sorted(FLOW_KINDS))
+def test_sampler_same_bits_as_outside_the_block(experiment, monkeypatch):
+    flow = _flow(experiment, 9)
+    frozen = flow.sample(9, np.random.default_rng(1))
+    monkeypatch.setattr(T, "frozen_params", contextlib.nullcontext)
+    assert same_bits(flow.sample(9, np.random.default_rng(1)), frozen)
+
+
+@pytest.mark.parametrize("experiment, folds", [("gnn_gaussian", 7), ("heat_1d", 3),
+                                               ("flow_matching", 1), ("egnn_gaussian", 0)])
+def test_sampler_folds_each_layer_once(experiment, folds, monkeypatch):
+    """A sample runs in one block and ends it holding one fold per
+    complete-graph layer, however many steps it took."""
+    flow = _flow(experiment, 9)
+    held = []
+    block = T.frozen_params
+
+    @contextlib.contextmanager
+    def watched():
+        with block():
+            yield
+            held.append(len(T._FOLDS))
+
+    monkeypatch.setattr(T, "frozen_params", watched)
+    flow.sample(9, np.random.default_rng(1))
+    assert held == [folds]
+    assert T._FOLDS is None
+
+
+def test_no_tape_inside_the_block_nor_block_inside_a_tape():
+    with T.frozen_params():
+        with pytest.raises(RuntimeError):
+            with Tape():
+                pass
+    with Tape():
+        with pytest.raises(RuntimeError):
+            with T.frozen_params():
+                pass
+    with Tape() as tape:  # neither refusal left anything behind
+        T.mul(T.param(np.ones(2)), 2.0)
+    assert len(tape) == 1
+
+
+def test_folds_dropped_on_an_exception(rng):
+    net = GcnStack([3, 8, 3], rng, conv="graph")
+    x = T.tensor(rng.standard_normal((5, 3)))
+    with pytest.raises(KeyError):
+        with T.frozen_params():
+            net(x)
+            assert len(T._FOLDS) == 2
+            raise KeyError("inside the block")
+    assert T._FOLDS is None
+
+
+def test_one_block_folds_per_row_count(rng):
+    net = GcnStack([3, 8, 3], rng, conv="graph")
+    xs = [T.tensor(rng.standard_normal((n, 3))) for n in (5, 7, 1, 5)]
+    with T.frozen_params():
+        inside = [net(x).data for x in xs[:2]]
+        with T.frozen_params():  # a block inside a block shares its folds
+            inside += [net(x).data for x in xs[2:]]
+        assert len(T._FOLDS) == 2 * 2  # two layers at 5 and at 7 rows; one row never folds
+    for x, got in zip(xs, inside):
+        assert same_bits(got, net(x).data)
+
+
+@pytest.mark.parametrize("change", ["in_place", "rebound"])
+def test_parameter_changed_between_blocks_is_seen(change, rng):
+    net = GcnStack([3, 8, 3], rng, conv="graph")
+    x = T.tensor(rng.standard_normal((5, 3)))
+    with T.frozen_params():
+        before = net(x).data
+    layer = net.layers[1]
+    if change == "in_place":
+        layer.W_nbr.data *= 2.0
+    else:
+        layer.W_nbr.data = 2.0 * layer.W_nbr.data
+    with T.frozen_params():
+        after = net(x).data
+    assert same_bits(after, net(x).data)
+    assert not np.array_equal(after, before)
 
 
 # ---------------------------------------------------------------------------
