@@ -1,7 +1,10 @@
 """Three degradation/restoration processes over latent point clouds.
 
 * Gaussian denoising: linear variance schedule, closed-form forward
-  marginal, learned noise prediction, posterior-mean sampling.
+  marginal, learned noise prediction, sampling by the generalized-DDIM
+  reverse step at eta = 1 on a stride through the trained steps
+  (``DDPM_SAMPLE_STEPS``, 10 restorer calls for 50 trained steps). At
+  stride 1 that step is the ancestral posterior step.
 * Heat dissipation: spectral blur (DCT attenuation) as degradation, a
   learned per-step deblurring residual as restoration, seeded from blurred
   training embeddings rather than pure noise.
@@ -69,16 +72,17 @@ class DdpmSchedule:
     """Linear beta schedule with its derived quantities.
 
     ``beta[t-1]`` is the noise variance at step t (1-based); ``alpha_bar``
-    is the running product of (1 - beta); the posterior variance at t = 1
-    is 0 by the alpha_bar[0] := 1 convention.
+    is the running product of (1 - beta). Sampling reads only
+    ``alpha_bar``, through :func:`ddim_coefficients`, at the steps of
+    :func:`ddim_grid`; training reads every step.
 
     The defaults do not reach the prior that sampling starts from. They end
     at ``alpha_bar[-1]`` = 0.603, so a training input at t = 50 still keeps
     78% of its signal amplitude (sqrt 0.603) under 63% noise, while
-    ``ddpm_generate`` starts from pure N(0, I), so the restorer's first
-    sampling steps see inputs unlike any it was trained on. Whether that
-    costs sample quality is open; changing a default would change every
-    DDPM output.
+    ``ddpm_generate`` starts its first stride at t = 50 from pure N(0, I),
+    so the restorer's first call sees an input unlike any it was trained
+    on. Whether that costs sample quality is open; changing a default would
+    change every DDPM output.
     """
 
     steps: int = 50
@@ -87,14 +91,11 @@ class DdpmSchedule:
     beta: np.ndarray = field(init=False)
     alpha: np.ndarray = field(init=False)
     alpha_bar: np.ndarray = field(init=False)
-    sigma2: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.beta = np.linspace(self.beta_start, self.beta_end, self.steps)
         self.alpha = 1.0 - self.beta
         self.alpha_bar = np.cumprod(self.alpha)
-        prev = np.concatenate([[1.0], self.alpha_bar[:-1]])
-        self.sigma2 = self.beta * (1.0 - prev) / (1.0 - self.alpha_bar)
 
     def check_step(self, t: int) -> None:
         if not (1 <= t <= self.steps):
@@ -109,18 +110,45 @@ def ddpm_degrade(sched: DdpmSchedule, x0: np.ndarray, t: int,
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def ddpm_posterior_step(sched: DdpmSchedule, x_t: np.ndarray, z_t: np.ndarray,
-                        t: int, noise: np.ndarray | None) -> np.ndarray:
-    """One reverse step: posterior mean from predicted noise, plus scaled
-    Gaussian noise except at the final step."""
-    sched.check_step(t)
-    beta = sched.beta[t - 1]
-    alpha = sched.alpha[t - 1]
-    ab = sched.alpha_bar[t - 1]
-    mu = np.sqrt(1.0 / alpha) * (x_t - beta * z_t / np.sqrt(1.0 - ab))
-    if t == 1 or noise is None:
-        return mu
-    return mu + np.sqrt(sched.sigma2[t - 1]) * noise
+# restorer calls per sampled cloud, on a stride through the trained steps
+DDPM_SAMPLE_STEPS = 10
+
+
+def ddim_grid(total: int, steps: int) -> np.ndarray:
+    """The steps a sampler visits, ``total`` down to 0 in ``min(steps,
+    total)`` strides as even as integers allow: 50, 45, ..., 5, 0 for 10
+    of 50. Step 0 is the clean cloud."""
+    if steps < 1:
+        raise StepOutOfRange(f"a sampler takes at least one step, not {steps}")
+    k = min(steps, total)
+    return total - (np.arange(k + 1) * total) // k
+
+
+def ddim_coefficients(sched: DdpmSchedule, t: np.ndarray,
+                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights of the generalized-DDIM reverse step from t to s < t at
+    eta = 1 (Song et al. arXiv:2010.02502), elementwise over the pairs.
+
+    The step predicts the clean cloud x0 = (x_t - sqrt(1 - abar_t) eps) /
+    sqrt(abar_t) and moves to x_s = sqrt(abar_s) x0 + sqrt(1 - abar_s -
+    sigma^2) eps + sigma z, with sigma^2 = (1 - abar_s) (1 - r) / (1 -
+    abar_t) and r = abar_t / abar_s. So x_s = keep x_t + mix eps + sigma z,
+    with keep = 1 / sqrt(r) and mix = -(1 - r) / sqrt(r (1 - abar_t)).
+
+    At s = t - 1, r is alpha_t and sigma^2 is the posterior variance
+    beta_t (1 - abar_s) / (1 - abar_t): the step is the ancestral posterior
+    step. With abar_0 := 1, sigma is 0 on the step to s = 0.
+    """
+    t, s = np.asarray(t), np.asarray(s)
+    if np.any((s < 0) | (s >= t) | (t > sched.steps)):
+        raise StepOutOfRange(f"steps {t} to {s} outside 0 <= s < t <= {sched.steps}")
+    abar = np.concatenate([[1.0], sched.alpha_bar])
+    ab_t, ab_s = abar[t], abar[s]
+    r = ab_t / ab_s
+    keep = 1.0 / np.sqrt(r)
+    mix = -(1.0 - r) / np.sqrt(r * (1.0 - ab_t))
+    sigma = np.sqrt((1.0 - ab_s) * (1.0 - r) / (1.0 - ab_t))
+    return keep, mix, sigma
 
 
 class GnnRestorer:
@@ -214,15 +242,24 @@ def ddpm_loss(model: DdpmModel, x0: np.ndarray,
     return T.mse(z_pred, T.tensor(eps))
 
 
-def ddpm_generate(model: DdpmModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Start from a standard normal cloud and walk the posterior chain down."""
+def ddpm_generate(model: DdpmModel, n: int, rng: np.random.Generator,
+                  steps: int = DDPM_SAMPLE_STEPS) -> np.ndarray:
+    """Start from a standard normal cloud at the last trained step and walk
+    down the ``ddim_grid`` with the eta = 1 reverse step: one restorer call
+    per step. Every Gaussian draw is taken up front, in the order a
+    step-by-step loop takes them: the start cloud, then one per step
+    except the last, which adds no noise."""
     sched = model.sched
-    x = rng.standard_normal((n, model.width))
+    grid = ddim_grid(sched.steps, steps)
+    keep, mix, sigma = ddim_coefficients(sched, grid[:-1], grid[1:])
+    draws = rng.standard_normal((len(grid) - 1, n, model.width))
+    x = draws[0]
     with T.frozen_params():
-        for t in range(sched.steps, 0, -1):
-            z = model.restorer.predict_noise(T.tensor(x), t, sched.steps).data
-            noise = rng.standard_normal(x.shape) if t > 1 else None
-            x = ddpm_posterior_step(sched, x, z, t, noise)
+        for i, t in enumerate(grid[:-1]):
+            eps = model.restorer.predict_noise(T.tensor(x), int(t), sched.steps).data
+            x = keep[i] * x + mix[i] * eps
+            if i + 1 < len(draws):
+                x = x + sigma[i] * draws[i + 1]
     return x
 
 
@@ -325,15 +362,18 @@ def heat_loss(model: HeatModel, x0: np.ndarray, rng: np.random.Generator) -> Ten
 def heat_generate(model: HeatModel, seed_cloud: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Exponentiate the seed embedding, blur it to the deepest level, then
-    iteratively deblur with eta-scaled noise; the log undoes the transform."""
+    iteratively deblur with eta-scaled noise; the log undoes the transform.
+    The noise of every step is one draw, the same numbers that a draw per
+    step takes."""
     sched = model.sched
     n, w = seed_cloud.shape
     u = heat_blur(np.exp(seed_cloud.ravel()), sched.sigma(sched.steps))
+    noise = rng.standard_normal((sched.steps, n * w))
     with T.frozen_params():
-        for _ in range(sched.steps):
+        for z in noise:
             u_t = T.tensor(u.reshape(n, w))
             u_mean = u + model.delta(u_t).data.ravel()
-            u = u_mean + sched.eta * rng.standard_normal(u.shape)
+            u = u_mean + sched.eta * z
     # deblurred values should be positive; floor guards the inverse transform
     return np.log(np.maximum(u, 1e-12)).reshape(n, w)
 

@@ -94,6 +94,24 @@ def per_layer_stack(x, layers, prop=None):
     return x
 
 
+def ancestral_generate(model, n: int, rng: np.random.Generator) -> np.ndarray:
+    """DDPM sampling by the ancestral chain over every trained step: the
+    posterior mean from the predicted noise, plus the posterior standard
+    deviation times a fresh draw on every step but the last. The strided
+    sampler at stride 1 matches it to rounding."""
+    sched = model.sched
+    prev = np.concatenate([[1.0], sched.alpha_bar[:-1]])
+    sigma2 = sched.beta * (1.0 - prev) / (1.0 - sched.alpha_bar)
+    x = rng.standard_normal((n, model.width))
+    for t in range(sched.steps, 0, -1):
+        z = model.restorer.predict_noise(T.tensor(x), t, sched.steps).data
+        beta, alpha, ab = sched.beta[t - 1], sched.alpha[t - 1], sched.alpha_bar[t - 1]
+        x = np.sqrt(1.0 / alpha) * (x - beta * z / np.sqrt(1.0 - ab))
+        if t > 1:
+            x = x + np.sqrt(sigma2[t - 1]) * rng.standard_normal(x.shape)
+    return x
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """Session-wide synthetic molecule dataset."""

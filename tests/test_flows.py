@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from moldiff import flows
+from moldiff.diffcore import tensor as T
 from moldiff.diffcore.ode import ode_integrate
 from moldiff.flows import (
     DdpmSchedule,
     HeatSchedule,
     StepOutOfRange,
     UnknownFlow,
+    ddim_coefficients,
+    ddim_grid,
     ddpm_degrade,
+    ddpm_generate,
     ddpm_loss,
-    ddpm_posterior_step,
     fm_interpolate,
     fm_target_velocity,
     heat_blur,
 )
+
+from conftest import ancestral_generate, assert_close
 
 
 class TestDdpm:
@@ -29,13 +34,24 @@ class TestDdpm:
 
     def test_first_step_adds_no_noise(self, rng):
         sched = DdpmSchedule()
-        assert sched.sigma2[0] == 0.0
+        keep, mix, sigma = ddim_coefficients(sched, 1, 0)
+        assert sigma == 0.0
         x, z = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
-        noisy = ddpm_posterior_step(sched, x, z, 1, rng.standard_normal((4, 2)))
         beta, ab = sched.beta[0], sched.alpha_bar[0]
         mean = (x - beta * z / np.sqrt(1.0 - ab)) / np.sqrt(1.0 - beta)
-        assert np.array_equal(noisy, ddpm_posterior_step(sched, x, z, 1, None))
-        assert np.allclose(noisy, mean, rtol=0, atol=1e-12)
+        assert np.allclose(keep * x + mix * z, mean, rtol=0, atol=1e-12)
+
+    def test_unit_stride_is_the_posterior_step(self):
+        """At s = t - 1 the weights are the ancestral step's: the posterior
+        mean's and the posterior variance."""
+        sched = DdpmSchedule()
+        t = np.arange(sched.steps, 0, -1)
+        keep, mix, sigma = ddim_coefficients(sched, t, t - 1)
+        beta, ab = sched.beta[t - 1], sched.alpha_bar[t - 1]
+        prev = np.concatenate([[1.0], sched.alpha_bar])[t - 1]
+        assert_close(keep, 1.0 / np.sqrt(1.0 - beta))
+        assert_close(mix, -beta / np.sqrt((1.0 - beta) * (1.0 - ab)))
+        assert_close(sigma ** 2, beta * (1.0 - prev) / (1.0 - ab))
 
     @pytest.mark.parametrize("t", [0, 51])
     def test_step_out_of_range(self, t, rng):
@@ -44,7 +60,63 @@ class TestDdpm:
         with pytest.raises(StepOutOfRange):
             ddpm_degrade(sched, x, t, x)
         with pytest.raises(StepOutOfRange):
-            ddpm_posterior_step(sched, x, x, t, None)
+            ddim_coefficients(sched, t, 0)
+
+    @pytest.mark.parametrize("t, s", [(5, 5), (5, 7), (5, -1)])
+    def test_step_must_go_down(self, t, s):
+        with pytest.raises(StepOutOfRange):
+            ddim_coefficients(DdpmSchedule(), t, s)
+
+    @pytest.mark.parametrize("total, steps, grid", [
+        (50, 10, [50, 45, 40, 35, 30, 25, 20, 15, 10, 5, 0]),
+        (50, 1, [50, 0]),
+        (7, 3, [7, 5, 3, 0]),
+        (7, 10, [7, 6, 5, 4, 3, 2, 1, 0]),
+    ])
+    def test_grid(self, total, steps, grid):
+        assert ddim_grid(total, steps).tolist() == grid
+        with pytest.raises(StepOutOfRange):
+            ddim_grid(total, 0)
+
+    @pytest.mark.parametrize("total, steps", [(50, None), (50, 1), (50, 25), (50, 50),
+                                              (7, None), (7, 7)])
+    def test_one_restorer_call_per_step(self, total, steps, monkeypatch):
+        """The restorer runs min(budget, trained steps) times, at the grid's
+        steps; a schedule shorter than the budget samples every step."""
+        model = flows.build("ddpm_gnn", 2, np.random.default_rng(0), steps=total)
+        seen = []
+        predict = flows.GnnRestorer.predict_noise
+
+        def counting(restorer, x_t, t, total_):
+            seen.append(t)
+            return predict(restorer, x_t, t, total_)
+
+        monkeypatch.setattr(flows.GnnRestorer, "predict_noise", counting)
+        budget = flows.DDPM_SAMPLE_STEPS if steps is None else steps
+        kw = {} if steps is None else {"steps": steps}
+        out = ddpm_generate(model, 5, np.random.default_rng(1), **kw)
+        assert np.all(np.isfinite(out))
+        assert len(seen) == min(budget, total)
+        assert seen == ddim_grid(total, budget)[:-1].tolist()
+
+    @pytest.mark.parametrize("steps", [1, 2, 10])
+    def test_draws_only_for_the_start_and_non_final_steps(self, steps):
+        """A sample takes one (n, w) draw for its start cloud and one for
+        each step but the last, so a seed reproduces its samples."""
+        model = flows.build("ddpm_gnn", 3, np.random.default_rng(0))
+        used = np.random.default_rng(4)
+        first = ddpm_generate(model, 6, used, steps=steps)
+        ref = np.random.default_rng(4)
+        ref.standard_normal((steps, 6, 3))
+        assert used.integers(1 << 30) == ref.integers(1 << 30)
+        assert np.array_equal(ddpm_generate(model, 6, np.random.default_rng(4), steps=steps),
+                              first)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_fifty_steps_are_the_ancestral_chain(self, n):
+        model = flows.build("ddpm_gnn", 2, np.random.default_rng(n))
+        got = ddpm_generate(model, n, np.random.default_rng(7), steps=50)
+        assert_close(got, ancestral_generate(model, n, np.random.default_rng(7)))
 
     def test_egnn_loss_skips_a_single_point(self, rng):
         model = flows.build("ddpm_egnn", 4, rng)
@@ -66,6 +138,17 @@ class TestHeat:
     def test_sigma_out_of_range(self):
         with pytest.raises(StepOutOfRange):
             HeatSchedule(steps=10).sigma(11)
+
+    def test_noise_in_one_draw_is_a_draw_per_step(self, rng):
+        clouds = [rng.standard_normal((4, 1))]
+        model = flows.build("heat", 1, rng, clouds, steps=6)
+        got = flows.heat_generate(model, clouds[0], np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        u = heat_blur(np.exp(clouds[0].ravel()), model.sched.sigma(6))
+        for _ in range(6):
+            u = u + model.delta(T.tensor(u.reshape(4, 1))).data.ravel()
+            u = u + model.sched.eta * draws.standard_normal(u.shape)
+        assert np.array_equal(got, np.log(np.maximum(u, 1e-12)).reshape(4, 1))
 
     def test_samples_only_seed_row_counts(self, rng):
         clouds = [rng.standard_normal((3, 1)), rng.standard_normal((5, 1))]

@@ -11,6 +11,8 @@ from moldiff import codec, flows, harness
 from moldiff.chem import Dataset, canonical_key, parse_smiles, write_smiles
 from moldiff.diffcore import load_params, save_params
 
+from conftest import ancestral_generate
+
 pytestmark = pytest.mark.slow
 
 EXPERIMENTS = ("gnn_gaussian", "input_space_gaussian", "heat_1d", "flow_matching")
@@ -68,6 +70,15 @@ def test_one_sampler_call_per_molecule(exp, trained, monkeypatch):
     monkeypatch.setattr(flows, name, lambda *a: calls.append(1) or original(*a))
     smiles(trained[exp])
     assert len(calls) == COUNT
+
+
+@pytest.mark.parametrize("exp", ["gnn_gaussian", "input_space_gaussian"])
+def test_fifty_ddpm_steps_give_the_ancestral_smiles(exp, trained, monkeypatch):
+    strided = flows.ddpm_generate
+    monkeypatch.setattr(flows, "ddpm_generate", lambda *a: strided(*a, steps=50))
+    got = smiles(trained[exp])
+    monkeypatch.setattr(flows, "ddpm_generate", ancestral_generate)
+    assert got == smiles(trained[exp])
 
 
 @pytest.mark.parametrize("exp", EXPERIMENTS)
