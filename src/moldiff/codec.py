@@ -392,5 +392,5 @@ def input_space_decode(ae: InputSpaceAutoencoder, latent: np.ndarray,
     n = n_original
     out = ae.decode_t(T.tensor(latent), pair_node_edges(n)).data
     atoms = tuple(ELEMENTS[k] for k in out[:n, :4].argmax(axis=1))
-    presence = 1.0 / (1.0 + np.exp(-out[n:, 4]))
+    presence = T.sigmoid(T.tensor(out[n:, 4])).data
     return UntypedGraph(atoms, _threshold_edges(presence, n, tau))

@@ -274,7 +274,10 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    """1 / (1 + exp(-x)). Below x of about -709 the exp overflows to inf and
+    the value is its limit, 0.0, with no warning; the gradient there is 0."""
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
     out = Tensor(s)
     if _recording(x):
         _record(out, ((x, lambda g: g * s * (1.0 - s)),))

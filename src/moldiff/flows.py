@@ -7,7 +7,11 @@
   stride 1 that step is the ancestral posterior step.
 * Heat dissipation: spectral blur (DCT attenuation) as degradation, a
   learned per-step deblurring residual as restoration, seeded from blurred
-  training embeddings rather than pure noise.
+  training embeddings rather than pure noise. The blur range 0.5 to 20 is
+  covered in 5 geometric levels (``HeatSchedule.steps``), 5 net calls per
+  sample; the time-free net is trained on adjacent levels, so training
+  shares the count. A level sweep set it: at 50 levels nearly every sample
+  had an entry on the log floor of ``heat_generate``.
 * Flow matching: conditional straight-line interpolant, velocity-field
   regression, generation by RK4 integration from a standard normal. The
   velocity net's time features are band-limited (``gnn.TIME_MAX_FREQ``, 8
@@ -269,9 +273,23 @@ def ddpm_generate(model: DdpmModel, n: int, rng: np.random.Generator,
 
 @dataclass
 class HeatSchedule:
-    """Blur levels and stochasticity constants for the heat process."""
+    """Blur levels and stochasticity constants for the heat process.
 
-    steps: int = 50
+    ``sigmas`` runs geometrically from ``sigma_min`` to ``sigma_max`` in
+    ``steps`` levels. The net learns one level's deblurring step and
+    sampling takes every level, so ``steps`` is both the training grid and
+    the sampling budget, and a checkpoint keeps the count it was trained
+    with. The default of 5 comes from a sweep over 50, 25, 10, 5 and 3
+    levels (``heat_1d``, 16 training seeds, two generator seeds of 300
+    molecules each). Against 50 levels, 5 levels read a lower
+    ``latent_mmd`` at 16 of 16 seeds and a higher median validity and
+    uniqueness, and put an entry on the log floor of :func:`heat_generate`
+    in 10% of clouds, not 94%. Novelty falls from its 100% ceiling to a
+    median 88%, inside the 50-level seed range, as more of the molecules
+    are valid. At 3 levels uniqueness is lower than at 5 at 10 of 16 seeds.
+    """
+
+    steps: int = 5
     sigma_min: float = 0.5
     sigma_max: float = 20.0
     train_noise_std: float = 0.01
@@ -364,7 +382,16 @@ def heat_generate(model: HeatModel, seed_cloud: np.ndarray,
     """Exponentiate the seed embedding, blur it to the deepest level, then
     iteratively deblur with eta-scaled noise; the log undoes the transform.
     The noise of every step is one draw, the same numbers that a draw per
-    step takes."""
+    step takes.
+
+    A deblurred entry at or below 1e-12, which the exponentiated process
+    should never reach, comes out as exactly log(1e-12) (about -27.6)
+    rather than NaN. The floor hides that the net has left the positive
+    range: in the level sweep of :class:`HeatSchedule` it fired in 94% of
+    clouds at 50 levels (4531 of 4800) and in 10% at 5 levels (477 of 4800,
+    204 of them from one training seed). Such an entry lies about 28
+    standard deviations below the mean of the standardized training clouds.
+    """
     sched = model.sched
     n, w = seed_cloud.shape
     u = heat_blur(np.exp(seed_cloud.ravel()), sched.sigma(sched.steps))
@@ -374,7 +401,6 @@ def heat_generate(model: HeatModel, seed_cloud: np.ndarray,
             u_t = T.tensor(u.reshape(n, w))
             u_mean = u + model.delta(u_t).data.ravel()
             u = u_mean + sched.eta * z
-    # deblurred values should be positive; floor guards the inverse transform
     return np.log(np.maximum(u, 1e-12)).reshape(n, w)
 
 

@@ -134,6 +134,12 @@ class TestNonFiniteCloud:
         with pytest.raises(codec.NonFiniteCloud):
             codec.input_space_decode(ae, latent, 3)
 
+    def test_input_space_decode_saturated_presence(self, rng):
+        ae = codec.InputSpaceAutoencoder(2, rng, hidden=8)
+        # every pair's presence logit far below the exp overflow at -709
+        dict(ae.dec.named_params())["inputae.dec.3.b"].data[4] = -1e4
+        assert codec.input_space_decode(ae, rng.standard_normal((6, 2)), 3).edges == []
+
 
 class TestReconstructionLoss:
     def test_perfect_predictions_zero(self, rng):

@@ -1,5 +1,6 @@
 """Tape engine, optimizer, DCT basis, integrator, checkpoints."""
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -183,6 +184,24 @@ class TestGradCheckPrimitives:
         a = param(rng.standard_normal((6,)))
         tgt = rng.standard_normal((6,))
         assert fd_gradcheck(lambda: T.mse(a, T.tensor(tgt)), [a]) < 1e-4
+
+
+class TestSigmoid:
+    def test_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.sigmoid(T.tensor(np.array([-1000.0, 1000.0]))).data
+        assert out.tolist() == [0.0, 1.0]
+
+    def test_same_bits_as_the_plain_formula(self):
+        x = np.linspace(-700.0, 700.0, 14001)
+        assert np.array_equal(T.sigmoid(T.tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
+
+    def test_no_gradient_where_saturated(self):
+        x = param(np.array([-1000.0]))
+        with Tape() as tape:
+            loss = T.mse(T.sigmoid(x), T.tensor(np.array([1.0])))
+        assert backward(tape, loss)[x].tolist() == [0.0]
 
 
 class TestAffine:

@@ -139,6 +139,38 @@ class TestHeat:
         with pytest.raises(StepOutOfRange):
             HeatSchedule(steps=10).sigma(11)
 
+    def test_default_levels_span_the_blur_range(self):
+        sched = HeatSchedule()
+        assert sched.steps == 5
+        assert sched.sigmas.shape == (sched.steps,)
+        assert sched.sigmas[0] == pytest.approx(sched.sigma_min, rel=1e-12)
+        assert sched.sigmas[-1] == pytest.approx(sched.sigma_max, rel=1e-12)
+        assert np.all(np.diff(sched.sigmas) > 0)
+
+    @pytest.mark.parametrize("steps", [None, 3, 50])
+    def test_one_delta_call_per_level(self, steps, rng, monkeypatch):
+        clouds = [rng.standard_normal((4, 1))]
+        constants = {} if steps is None else {"steps": steps}
+        model = flows.build("heat", 1, rng, clouds, **constants)
+        calls = []
+        original = flows.HeatModel.delta
+        monkeypatch.setattr(flows.HeatModel, "delta",
+                            lambda self, x: calls.append(1) or original(self, x))
+        for _ in range(2):
+            model.sample(4, rng)
+        assert len(calls) == 2 * model.sched.steps
+
+    def test_values_below_zero_land_on_the_floor(self, rng):
+        clouds = [rng.standard_normal((4, 1))]
+        model = flows.build("heat", 1, rng, clouds, steps=3)
+        # a net that sends row 0 to -1 and leaves the others alone
+        model.delta = lambda x: T.tensor(np.where(np.arange(4)[:, None] == 0,
+                                                  -1.0 - x.data, 0.0))
+        got = flows.heat_generate(model, clouds[0], np.random.default_rng(3))
+        assert got[0, 0] == np.log(1e-12)
+        assert np.all(np.isfinite(got))
+        assert np.all(got[1:] > np.log(1e-12))
+
     def test_noise_in_one_draw_is_a_draw_per_step(self, rng):
         clouds = [rng.standard_normal((4, 1))]
         model = flows.build("heat", 1, rng, clouds, steps=6)

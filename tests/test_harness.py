@@ -136,6 +136,25 @@ def test_stored_schedule_constants_are_used(trained, dataset):
         rewrite_flow_meta(cfg, steps=50)
 
 
+def test_heat_checkpoint_keeps_its_stored_levels(trained, dataset, monkeypatch):
+    """A heat checkpoint written with 50 levels, the old default, loads and
+    samples its 50 levels, not today's default."""
+    cfg = trained["heat_1d"].cfg
+    _, meta = load_params(cfg.run_dir / "flow.mdl1")
+    rewrite_flow_meta(cfg, steps=50)
+    try:
+        loaded = harness.load_pipeline(cfg, dataset)
+    finally:
+        rewrite_flow_meta(cfg, steps=meta["steps"])
+    assert loaded.flow.sched.steps == 50
+    calls = []
+    original = flows.HeatModel.delta
+    monkeypatch.setattr(flows.HeatModel, "delta",
+                        lambda self, x: calls.append(1) or original(self, x))
+    smiles(loaded)
+    assert len(calls) == 50 * COUNT
+
+
 @pytest.mark.parametrize("change", [{"eta": None}, {"kl_mean": 20.0}])
 def test_flow_meta_must_match_the_flow(change, trained, dataset):
     cfg = trained["heat_1d"].cfg
