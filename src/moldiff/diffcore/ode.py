@@ -12,7 +12,7 @@ class NonFiniteField(ValueError):
 
 
 def ode_integrate(field: Callable[[float, np.ndarray], np.ndarray],
-                  x0: np.ndarray, t0: float, t1: float, steps: int = 100) -> np.ndarray:
+                  x0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
     """Integrate dx/dt = field(t, x) from t0 to t1 with classical RK4.
 
     Uniform step (t1 - t0) / steps; t1 < t0 integrates backward.

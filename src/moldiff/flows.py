@@ -13,12 +13,14 @@
   shares the count. A level sweep set it: at 50 levels nearly every sample
   had an entry on the log floor of ``heat_generate``.
 * Flow matching: conditional straight-line interpolant, velocity-field
-  regression, generation by RK4 integration from a standard normal. The
-  velocity net's time features are band-limited (``gnn.TIME_MAX_FREQ``, 8
-  rad per unit time), so the field is smooth in t, and 25 RK4 steps (100
-  field evaluations) integrate it more accurately than 100 steps integrated
-  a net with features up to 1000 rad. The budget is only that small because
-  the bandwidth is.
+  regression, generation by RK4 integration from a standard normal. In
+  training, the noise rows are paired with the data rows by an optimal
+  assignment (:func:`pair_noise`), which shortens the paths the net learns
+  and straightens the field. The velocity net's time features are
+  band-limited (``gnn.TIME_MAX_FREQ``, 8 rad per unit time), so the field
+  is smooth in t. Both keep the budget small: 10 RK4 steps (40 field
+  evaluations, ``FlowField.ode_steps``) decode the molecules a 1600-step
+  solve decodes, as the ``FlowField`` docstring sets out.
 
 Every flow (``DdpmModel``, ``HeatModel``, ``FlowField``) offers the same
 small interface, and the harness sees nothing else:
@@ -424,22 +426,117 @@ def fm_target_velocity(x0: np.ndarray, x1: np.ndarray,
     return x1 - (1.0 - sigma_min) * x0
 
 
+def optimal_assignment(cost: np.ndarray) -> np.ndarray:
+    """The column assigned to each row of a square cost matrix, at the least
+    total cost: ``cost[i, out[i]]`` summed over i is minimal.
+
+    The Hungarian method in the O(n^3) Jonker-Volgenant form. Column
+    reduction first gives each column to its cheapest row while that row is
+    free. Every row left over then takes a free column along a shortest
+    augmenting path over the reduced costs, Dijkstra-style as Crouse (2016)
+    writes it. Plain Python floats, since the clouds it pairs have at most a
+    few dozen rows. Ties go by the fixed scan order, so the result is
+    deterministic.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    n = cost.shape[0]
+    if cost.shape != (n, n):
+        raise ShapeMismatch(f"assignment needs a square cost matrix, not {cost.shape}")
+    a = cost.tolist()
+    # potentials with a[i][j] - u[i] - v[j] >= 0, and == 0 on assigned pairs
+    u, v = [0.0] * n, cost.min(axis=0).tolist()
+    col_of, row_of = [-1] * n, [-1] * n
+    for j, i in enumerate(cost.argmin(axis=0).tolist()):
+        if col_of[i] < 0:
+            col_of[i], row_of[j] = j, i
+    inf = float("inf")
+    via = [0] * n  # the row a shortest path reaches column j from
+    for start in range(n):
+        if col_of[start] >= 0:
+            continue
+        dist = [inf] * n
+        todo, rows, cols = list(range(n)), [], []
+        i, low, sink = start, 0.0, -1
+        while sink < 0:
+            rows.append(i)
+            row, base = a[i], low - u[i]
+            best, k_best = inf, -1
+            for k, j in enumerate(todo):
+                d = base + row[j] - v[j]
+                if d < dist[j]:
+                    dist[j], via[j] = d, i
+                if dist[j] < best or (dist[j] == best and row_of[j] < 0):
+                    best, k_best = dist[j], k
+            low, j = best, todo[k_best]
+            todo[k_best] = todo[-1]
+            todo.pop()
+            cols.append(j)
+            if row_of[j] < 0:
+                sink = j
+            else:
+                i = row_of[j]
+        u[start] += low
+        for i in rows[1:]:
+            u[i] += low - dist[col_of[i]]
+        for j in cols:
+            v[j] -= low - dist[j]
+        # each row on the path takes the column it was reached through
+        j = sink
+        while True:
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return np.array(col_of, dtype=np.intp)
+
+
+def pair_noise(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """The rows of the noise cloud ``x0`` reordered so that row i pairs with
+    data row i of ``x1`` at the least total squared distance.
+
+    A cloud is a set of rows, so any row order of the noise is as likely as
+    the drawn one; pairing picks the order whose straight paths are the
+    shortest (equivariant flow matching, Klein et al. arXiv:2306.15030).
+    Clouds of different row counts give a cost matrix that is not square.
+    """
+    cost = ((x1[:, None, :] - x0[None, :, :]) ** 2).sum(axis=2)
+    return x0[optimal_assignment(cost)]
+
+
 @dataclass
 class FlowField:
     """A velocity net, the interpolant's ``sigma_min`` and the RK4 budget.
 
-    ``ode_steps`` and the net's time bandwidth (``TIME_MAX_FREQ``, recorded
-    as ``time_max_freq`` in ``meta()``) go together. RK4's endpoint error
-    falls steadily with the step count only once a step is short against
-    the period of the fastest time feature. With features up to 8 rad per unit time it falls at
-    every budget from 10 steps on, and 25 steps land below the error that
-    features up to 1000 rad gave at 100 steps. A wider band needs more
-    steps.
+    ``ode_steps`` goes with the net's time bandwidth (``TIME_MAX_FREQ``,
+    recorded as ``time_max_freq`` in ``meta()``) and with the noise pairing
+    of :func:`fm_loss`. RK4's endpoint error falls steadily with the step
+    count only once a step is short against the period of the fastest time
+    feature, as it is at 8 rad per unit time; a wider band needs more
+    steps. Paired training noise straightens the field, so fewer steps
+    reach the same molecules.
+
+    The budget is the fewest steps at which at least 99% of 200 sampled
+    molecules equal (same atoms, same typed bonds) their decode from a
+    1600-step solve, at training seeds 0 and 3 (``flow_matching``, z=2, 20
+    epochs, subset 400 of ``synthetic_dataset(1000, seed=0)``). Share of
+    molecules equal to the 1600-step decode, seed 0 / seed 3:
+
+    ===========  ============  =============  =============  =============
+    RK4 steps    25            15             10             8
+    ===========  ============  =============  =============  =============
+    unpaired     0.980/0.995   0.970/0.965    0.940/0.975    0.940/0.930
+    paired       1.000/1.000   0.995/1.000    0.990/0.995    0.965/0.980
+    ===========  ============  =============  =============  =============
+
+    At 9 steps the paired net reads 0.990/0.985. A checkpoint keeps the
+    ``ode_steps`` it was written with, so a net trained before the pairing
+    still samples its 25 steps.
     """
 
     net: FlowFieldNet
     sigma_min: float = 1e-4
-    ode_steps: int = 25
+    ode_steps: int = 10
 
     @property
     def width(self) -> int:
@@ -465,9 +562,17 @@ class FlowField:
 
 def fm_loss(field: FlowField, x1: np.ndarray, rng: np.random.Generator) -> Tensor:
     """Squared deviation between predicted and conditional velocity at a
-    uniformly random time, with a fresh standard-normal source sample."""
+    uniformly random time, with a fresh standard-normal source sample whose
+    rows are paired with the data rows by :func:`pair_noise`.
+
+    The draws are those of unpaired training (the noise, then the time);
+    the pairing draws nothing and adds no tape node. Paired targets vary
+    less between draws, so the loss the net can reach is lower: the last
+    epoch of the budget setting of :class:`FlowField` reads about 0.66
+    paired, 1.36 unpaired."""
     x0 = rng.standard_normal(x1.shape)
     t = float(rng.uniform())
+    x0 = pair_noise(x0, x1)
     psi = fm_interpolate(x0, x1, t, field.sigma_min)
     target = fm_target_velocity(x0, x1, field.sigma_min)
     v = field.net(T.tensor(psi), t)

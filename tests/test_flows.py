@@ -1,11 +1,14 @@
 """Flows: closed-form schedule and interpolant checks, the shared interface."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from moldiff import flows
 from moldiff.diffcore import tensor as T
 from moldiff.diffcore.ode import ode_integrate
+from moldiff.diffcore.tensor import ShapeMismatch
 from moldiff.flows import (
     DdpmSchedule,
     HeatSchedule,
@@ -20,6 +23,7 @@ from moldiff.flows import (
     fm_target_velocity,
     heat_blur,
 )
+from moldiff.gnn import FlowFieldNet
 
 from conftest import ancestral_generate, assert_close
 
@@ -190,6 +194,52 @@ class TestHeat:
         assert model.sample(5, rng).shape == (5, 1)
 
 
+def brute_force_cost(cost: np.ndarray) -> float:
+    n = cost.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    return cost[np.arange(n), perms].sum(axis=1).min()
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_least_total_cost(self, n, rng):
+        """Against every permutation, on Gaussian costs, on small integer
+        costs (many exact ties) and on the squared distances of clouds whose
+        data rows repeat, as two atoms of one WL colour encode to one row."""
+        costs = [rng.standard_normal((n, n)) for _ in range(20)]
+        costs += [rng.integers(0, 3, (n, n)).astype(float) for _ in range(20)]
+        for _ in range(10):
+            x1 = rng.standard_normal((n, 3))
+            x1[n // 2:] = x1[0]
+            costs.append(((x1[:, None] - rng.standard_normal((1, n, 3))) ** 2).sum(axis=2))
+        for cost in costs:
+            got = flows.optimal_assignment(cost)
+            assert sorted(got.tolist()) == list(range(n))
+            assert cost[np.arange(n), got].sum() == pytest.approx(brute_force_cost(cost),
+                                                                  rel=1e-12, abs=1e-12)
+
+    def test_deterministic(self, rng):
+        cost = rng.integers(0, 2, (7, 7)).astype(float)
+        first = flows.optimal_assignment(cost)
+        for _ in range(3):
+            assert np.array_equal(flows.optimal_assignment(cost.copy()), first)
+
+    def test_pairing_permutes_the_noise_rows(self, rng):
+        """The paired noise is the drawn rows in the order of least total
+        squared distance to the data rows."""
+        x0, x1 = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+        paired = flows.pair_noise(x0, x1)
+        assert sorted(map(tuple, paired)) == sorted(map(tuple, x0))
+        best = min(((x0[list(p)] - x1) ** 2).sum() for p in itertools.permutations(range(6)))
+        assert ((paired - x1) ** 2).sum() == pytest.approx(best, rel=1e-12)
+
+    def test_shapes_are_checked(self, rng):
+        with pytest.raises(ShapeMismatch):
+            flows.optimal_assignment(np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatch):
+            flows.pair_noise(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
 class TestFlowMatching:
     def test_interpolant_endpoints(self, rng):
         x0, x1 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
@@ -203,12 +253,44 @@ class TestFlowMatching:
         fd = (fm_interpolate(x0, x1, t + h, s) - fm_interpolate(x0, x1, t - h, s)) / (2 * h)
         assert np.allclose(fd, fm_target_velocity(x0, x1, s), rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("rows", [1, 4, 9])
+    def test_loss_draws_as_unpaired_training(self, rows, rng):
+        """The pairing draws nothing: the stream moves as one noise draw and
+        one time draw move it, and the loss is that of the paired noise."""
+        field = flows.build("flow_matching", 2, rng)
+        x1 = rng.standard_normal((rows, 2))
+        got = flows.fm_loss(field, x1, np.random.default_rng(5))
+        draws = np.random.default_rng(5)
+        x0, t = draws.standard_normal(x1.shape), float(draws.uniform())
+        x0 = flows.pair_noise(x0, x1)
+        want = T.mse(field.net(T.tensor(fm_interpolate(x0, x1, t, field.sigma_min)), t),
+                     T.tensor(fm_target_velocity(x0, x1, field.sigma_min)))
+        assert np.isfinite(got.data) and got.data == want.data
+        after = np.random.default_rng(5)
+        after.standard_normal(x1.shape)
+        after.uniform()
+        assert draws.bit_generator.state == after.bit_generator.state
+
+    @pytest.mark.parametrize("steps", [None, 3, 25])
+    def test_four_velocity_calls_per_step(self, steps, rng, monkeypatch):
+        constants = {} if steps is None else {"ode_steps": steps}
+        field = flows.build("flow_matching", 2, rng, **constants)
+        assert field.ode_steps == (10 if steps is None else steps)
+        calls = []
+        original = FlowFieldNet.velocity
+        monkeypatch.setattr(FlowFieldNet, "velocity",
+                            lambda self, t, x: calls.append(t) or original(self, t, x))
+        assert np.all(np.isfinite(field.sample(5, rng)))
+        assert len(calls) == 4 * field.ode_steps
+        assert calls[-1] == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_default_budget_resolves_the_field(self, seed):
-        """RK4's endpoint error on the velocity net falls at every step
-        count up to 100 and is below 1e-4 at the default 25 steps. With
-        time features up to 1000 rad it does neither: half-steps near a
-        whole number of the top feature's periods alias it."""
+        """RK4's endpoint error on an untrained velocity net falls at every
+        step count up to 100 and is below 1e-4 at the default budget of 10
+        steps (6.2e-5 at seed 0, 7.4e-5 at seed 1). With time features up
+        to 1000 rad it does neither: half-steps near a whole number of the
+        top feature's periods alias it."""
         field = flows.build("flow_matching", 4, np.random.default_rng(seed))
         x0 = np.random.default_rng(seed + 100).standard_normal((9, 4))
 

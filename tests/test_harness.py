@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from moldiff import codec, flows, harness
+from moldiff import codec, flows, gnn, harness
 from moldiff.chem import Dataset, canonical_key, parse_smiles, write_smiles
 from moldiff.diffcore import load_params, save_params
 
@@ -153,6 +153,26 @@ def test_heat_checkpoint_keeps_its_stored_levels(trained, dataset, monkeypatch):
                         lambda self, x: calls.append(1) or original(self, x))
     smiles(loaded)
     assert len(calls) == 50 * COUNT
+
+
+def test_flow_matching_checkpoint_keeps_its_stored_steps(trained, dataset, monkeypatch):
+    """A flow-matching checkpoint written with 25 RK4 steps, the budget of
+    unpaired training, loads and samples 25 steps (100 velocity calls per
+    molecule), not today's default."""
+    cfg = trained["flow_matching"].cfg
+    _, meta = load_params(cfg.run_dir / "flow.mdl1")
+    rewrite_flow_meta(cfg, ode_steps=25)
+    try:
+        loaded = harness.load_pipeline(cfg, dataset)
+    finally:
+        rewrite_flow_meta(cfg, ode_steps=meta["ode_steps"])
+    assert loaded.flow.ode_steps == 25
+    calls = []
+    original = gnn.FlowFieldNet.velocity
+    monkeypatch.setattr(gnn.FlowFieldNet, "velocity",
+                        lambda self, t, x: calls.append(1) or original(self, t, x))
+    smiles(loaded)
+    assert len(calls) == 100 * COUNT
 
 
 @pytest.mark.parametrize("change", [{"eta": None}, {"kl_mean": 20.0}])
