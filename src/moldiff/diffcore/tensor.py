@@ -26,6 +26,17 @@ complete-graph layers fold the neighbour mean into the weights and match
 that stack to rounding. ``pna_aggregate`` runs a PNA aggregation on small
 dense operators per graph (``SegmentPlan``); see the segment aggregation
 section.
+
+Off the tape, the ops a decoder runs also take a leading batch axis: they
+address rows as axis -2 and features as axis -1, so an op on a (B, n, w)
+stack of same-size clouds gives each entry the bits it gives that cloud
+alone. These are ``gather_rows``, ``concat`` and ``narrow`` (along -2 or
+-1), ``affine``, ``softmax``, ``row_sum``, ``pna_aggregate`` and
+``relu_stack``, besides the elementwise ops; their products broadcast a
+2-D operand over the batch, which runs the same 2-D product per entry. The
+backward passes of ``affine``, ``pna_aggregate`` and ``relu_stack`` take
+2-D inputs only, so a batched input to one of them on a recording tape
+raises ``ShapeMismatch``.
 """
 
 from __future__ import annotations
@@ -195,6 +206,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _require_2d(op: str, xd: np.ndarray) -> None:
+    """Refuse a batched input to an op whose backward pass is 2-D only."""
+    if xd.ndim != 2:
+        raise ShapeMismatch(f"{op} records 2-D inputs only, got shape {xd.shape}")
+
+
 # ---------------------------------------------------------------------------
 # elementwise and linear algebra
 #
@@ -246,18 +263,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W + b as one tape node.
+    """x @ W + b as one tape node; x is (n, k), or (B, n, k) off the tape.
 
     Same arithmetic, and so the same bits, as ``add(matmul(x, W), b)`` in
     the value and in all three gradients, with one node instead of two.
     """
-    if x.data.ndim != 2 or W.data.ndim != 2:
-        raise ShapeMismatch("affine expects 2-D x and W")
-    if x.data.shape[1] != W.data.shape[0]:
+    if x.data.ndim < 2 or W.data.ndim != 2:
+        raise ShapeMismatch("affine expects an x of 2 or more dimensions and a 2-D W")
+    if x.data.shape[-1] != W.data.shape[0]:
         raise ShapeMismatch(f"affine {x.data.shape} @ {W.data.shape}")
     xd, wd = x.data, W.data
     out = Tensor(xd @ wd + b.data)
     if _recording(x, W, b):
+        _require_2d("affine", xd)
         _record(out, ((x, lambda g: g @ wd.T),
                       (W, lambda g: xd.T @ g),
                       (b, lambda g: _unbroadcast(g, b.data.shape))))
@@ -334,19 +352,21 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along axis 0 or 1."""
+    """Contiguous slice [start, start+length) along the rows (axis -2) or
+    the features (axis -1); a 2-D x may name them 0 and 1."""
     xd = x.data
-    if axis == 0:
-        out = Tensor(xd[start:start + length])
-    elif axis == 1:
-        out = Tensor(xd[:, start:start + length])
+    if axis >= 0 and xd.ndim == 2:
+        axis -= 2
+    if axis == -2:
+        sl = (Ellipsis, slice(start, start + length), slice(None))
+    elif axis == -1:
+        sl = (Ellipsis, slice(start, start + length))
     else:
-        raise ShapeMismatch(f"narrow along axis {axis}; expected 0 or 1")
+        raise ShapeMismatch(f"narrow along axis {axis} of shape {xd.shape}; "
+                            "expected rows or features")
+    out = Tensor(xd[sl])
     if not _recording(x):
         return out
-    sl = [slice(None)] * xd.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
     shape = xd.shape
 
     def grad(g):
@@ -359,20 +379,20 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def gather_rows(x: Tensor, plan: SegmentPlan) -> Tensor:
-    """Rows x[plan.index] of a 2-D x with ``plan.num`` rows; the gradient
-    is the plan's segment sum, ``plan.member @ g``."""
-    out = Tensor(x.data[plan.index])
+    """Rows ``plan.index`` (along axis -2) of an x with ``plan.num`` rows;
+    the gradient is the plan's segment sum, ``plan.member @ g``."""
+    out = Tensor(np.take(x.data, plan.index, axis=-2))
     if _recording(x):
         _record(out, ((x, lambda g: plan.member @ g),))
     return out
 
 
 def row_sum(x: Tensor) -> Tensor:
-    """Sum over axis 1, keeping the row axis: (n, d) -> (n, 1)."""
-    out = Tensor(x.data.sum(axis=1, keepdims=True))
+    """Sum over the features, keeping the row axis: (..., n, d) -> (..., n, 1)."""
+    out = Tensor(x.data.sum(axis=-1, keepdims=True))
     if _recording(x):
-        width = x.data.shape[1]
-        _record(out, ((x, lambda g: np.repeat(g, width, axis=1)),))
+        width = x.data.shape[-1]
+        _record(out, ((x, lambda g: np.repeat(g, width, axis=-1)),))
     return out
 
 
@@ -463,7 +483,8 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     ``N(h)`` is ``prop @ h`` for a constant (n, n) ``prop``, or with
     ``prop`` None each row's mean over the other rows (zeros for one row).
     ReLU runs between layers, not after the last; a ReLU's gradient is 0 at
-    inputs <= 0 and NaN stays NaN.
+    inputs <= 0 and NaN stays NaN. Off the tape x may be a (B, n, w) batch
+    of graphs of one size, each entry run as that graph alone.
 
     The value has the same bits taped, untaped and inside
     ``frozen_params``. Dense stacks (no Wn), ``prop`` stacks and one-row
@@ -473,11 +494,11 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     comment) and matches that stack to rounding.
     """
     xd = x.data
-    if xd.ndim != 2:
-        raise ShapeMismatch(f"relu_stack expects a 2-D x, got shape {xd.shape}")
+    if xd.ndim < 2:
+        raise ShapeMismatch(f"relu_stack expects rows of features, got shape {xd.shape}")
     if not layers:
         raise EmptyInput("relu_stack needs at least one layer")
-    n = len(xd)
+    n = xd.shape[-2]
     if prop is not None and np.shape(prop) != (n, n):
         raise ShapeMismatch(f"relu_stack: prop {np.shape(prop)} for {n} rows")
     arrays, inputs = [], []
@@ -486,7 +507,7 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     for i, (W, Wn, b) in enumerate(layers):
         wd, wn, bd = None if W is None else W.data, None if Wn is None else Wn.data, b.data
         w = wn if wd is None else wd
-        if (w is None or w.ndim != 2 or w.shape[0] != h.shape[1] or bd.shape != (w.shape[1],)
+        if (w is None or w.ndim != 2 or w.shape[0] != h.shape[-1] or bd.shape != (w.shape[1],)
                 or not (wd is None or wn is None or wn.shape == wd.shape)):
             shapes = [None if a is None else a.shape for a in (wd, wn)]
             raise ShapeMismatch(f"relu_stack layer {i} on {h.shape}: W, Wn {shapes}, b {bd.shape}")
@@ -504,7 +525,7 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
             act = h @ ws + bd
         else:
             ws, wq = _fold(wd, wn, n)
-            fold = wq, np.add.reduce(h, axis=0)
+            fold = wq, np.add.reduce(h, axis=-2, keepdims=True)
             act = h @ ws + (fold[1] @ wq + bd)
         if i < last:
             np.maximum(act, 0.0, out=act)
@@ -516,6 +537,7 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     params = [t for layer in layers for t in layer]
     if not _recording(x, *(t for t in params if t is not None)):
         return out
+    _require_2d("relu_stack", xd)
     x_attached = x.trainable or _ACTIVE_TAPE.produced(x)
     cache = [None, None]
 
@@ -639,7 +661,8 @@ def segment_mean(x: Tensor, plan: SegmentPlan) -> Tensor:
 
 
 def pna_aggregate(x: Tensor, src_plan: SegmentPlan, dst_plan: SegmentPlan) -> Tensor:
-    """Principal neighbourhood aggregation as one node: (n, w) -> (n, 5w + 1).
+    """Principal neighbourhood aggregation as one node: (n, w) -> (n, 5w + 1),
+    or (B, n, w) -> (B, n, 5w + 1) off the tape.
 
     Each row of the output is [x, mean, min, max, std, log(d + 1)], where
     the statistics run over the messages ``x[src_plan.index]`` that arrive
@@ -647,24 +670,28 @@ def pna_aggregate(x: Tensor, src_plan: SegmentPlan, dst_plan: SegmentPlan) -> Te
     population std. Rows with no messages get zeros for all four.
     """
     xd = x.data
-    n, w = xd.shape
-    msgs = xd[src_plan.index]
+    *batch, n, w = xd.shape
+    # np.take returns the gathered rows C-ordered; a fancy index on axis -2
+    # of a batch puts the gathered axis outermost in memory, and every
+    # later pass over a batch entry then strides
+    msgs = np.take(xd, src_plan.index, axis=-2)
     inv = dst_plan.inv_counts_col
-    out = np.empty((n, 5 * w + 1))
-    out[:, :w] = xd
-    mean = out[:, w:2 * w]
-    np.multiply(dst_plan.member @ msgs, inv, out=mean)
-    vals = msgs[dst_plan.table]
-    vals.min(axis=0, initial=np.inf, out=out[:, 2 * w:3 * w])
-    vals.max(axis=0, initial=-np.inf, out=out[:, 3 * w:4 * w])
-    out[dst_plan.empty, 2 * w:4 * w] = 0.0
-    centered = msgs - mean[dst_plan.index]
-    std = out[:, 4 * w:5 * w]
-    np.sqrt((dst_plan.member @ (centered * centered)) * inv, out=std)
-    out[:, 5 * w] = np.log1p(dst_plan.counts)
+    mean = (dst_plan.member @ msgs) * inv
+    vals = np.take(msgs, dst_plan.table, axis=-2)
+    centered = msgs - np.take(mean, dst_plan.index, axis=-2)
+    std = np.sqrt((dst_plan.member @ (centered * centered)) * inv)
+    out = np.empty((*batch, n, 5 * w + 1))
+    out[..., :w] = xd
+    out[..., w:2 * w] = mean
+    out[..., 2 * w:3 * w] = vals.min(axis=-3, initial=np.inf)
+    out[..., 3 * w:4 * w] = vals.max(axis=-3, initial=-np.inf)
+    out[..., dst_plan.empty, 2 * w:4 * w] = 0.0
+    out[..., 4 * w:5 * w] = std
+    out[..., 5 * w] = np.log1p(dst_plan.counts)
     result = Tensor(out)
     if not _recording(x):
         return result
+    _require_2d("pna_aggregate", xd)
 
     def grad(g):
         if not len(dst_plan):  # no messages: the statistics are constants
@@ -704,16 +731,16 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Row-wise softmax, over the feature axis -1."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
     if not _recording(x):
         return out
 
     def grad(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return s * (g - dot)
 
     _record(out, ((x, grad),))

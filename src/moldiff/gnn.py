@@ -149,8 +149,8 @@ class PnaLayer:
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
     def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
-        if x.data.shape[1] != self.in_width:
-            raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
+        if x.data.shape[-1] != self.in_width:
+            raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[-1]}")
         return T.affine(T.pna_aggregate(x, e.src_plan, e.dst_plan), self.W, self.b)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
@@ -278,12 +278,13 @@ def pair_edges(n: int) -> EdgeIndex:
 
 
 def symmetric_pair_logits(mlp: Mlp, h: Tensor, e: EdgeIndex) -> Tensor:
-    """(P, out) order-free pair scores: the mean of mlp([h_i, h_j]) and
-    mlp([h_j, h_i]), with the MLP run once over all 2P rows of ``e``, the
-    (i, j) rows then the (j, i) rows, as ``edges_from_pairs`` lays them out."""
-    both = mlp(T.concat([T.gather_rows(h, e.src_plan), T.gather_rows(h, e.dst_plan)], axis=1))
+    """(P, out) order-free pair scores, (B, P, out) for a batch h: the mean
+    of mlp([h_i, h_j]) and mlp([h_j, h_i]), with the MLP run once over all
+    2P rows of ``e``, the (i, j) rows then the (j, i) rows, as
+    ``edges_from_pairs`` lays them out."""
+    both = mlp(T.concat([T.gather_rows(h, e.src_plan), T.gather_rows(h, e.dst_plan)], axis=-1))
     p = len(e) // 2
-    return T.mul(T.add(T.narrow(both, 0, 0, p), T.narrow(both, 0, p, p)), 0.5)
+    return T.mul(T.add(T.narrow(both, -2, 0, p), T.narrow(both, -2, p, p)), 0.5)
 
 
 @lru_cache(maxsize=None)
@@ -305,14 +306,14 @@ def egnn_distance_features(cloud) -> Tensor:
     The sqrt gradient at coincident points is taken as 0.
     """
     x = cloud if isinstance(cloud, Tensor) else T.tensor(cloud)
-    n = x.data.shape[0]
+    n = x.data.shape[-2]
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     plan_i, plan_j = pair_gather_plans(n)
     diff = T.sub(T.gather_rows(x, plan_i), T.gather_rows(x, plan_j))
     d2 = T.row_sum(T.mul(diff, diff))
     dist = T.sqrt(d2)
-    return T.concat([dist, d2], axis=1)
+    return T.concat([dist, d2], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +385,8 @@ class GcnStack:
     def __call__(self, x: Tensor, e: EdgeIndex | None = None) -> Tensor:
         if self.complete != (e is None):
             raise GraphMismatch("a gcn stack needs an edge index; a complete-graph one takes none")
-        if x.data.shape[1] != self.layers[0].in_width:
-            raise WidthMismatch(f"expected width {self.layers[0].in_width}, got {x.data.shape[1]}")
+        if x.data.shape[-1] != self.layers[0].in_width:
+            raise WidthMismatch(f"expected width {self.layers[0].in_width}, got {x.data.shape[-1]}")
         return T.relu_stack(x, [layer.spec for layer in self.layers],
                             None if e is None else e.gcn_matrix)
 

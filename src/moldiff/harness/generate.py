@@ -10,6 +10,9 @@ from .. import codec
 from ..chem import MolGraph
 from .train import TrainedPipeline
 
+# clouds per batched decoder call; see generate_molecules
+DECODE_CHUNK = 8
+
 
 def size_distribution(histogram: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The atom counts of ``histogram`` in increasing order, and their
@@ -42,14 +45,34 @@ def sample_clouds(pipe: TrainedPipeline, count: int,
 
 def generate_molecules(pipe: TrainedPipeline, count: int,
                        rng: np.random.Generator) -> list[MolGraph]:
-    """Generate ``count`` candidate molecules (valid or not)."""
-    out: list[MolGraph] = []
+    """Generate ``count`` candidate molecules (valid or not), in three steps.
+
+    1. Sample every cloud, one flow call per molecule from ``rng``. Each
+       cloud is checked finite as it is sampled, so ``codec.NonFiniteCloud``
+       leaves ``rng`` where the per-molecule loop left it.
+    2. Decode each size group in chunks of at most ``DECODE_CHUNK`` clouds,
+       one batched decoder call per chunk. A batch gives each cloud the
+       bits it gets decoded alone. The chunk bounds memory: 64-cloud chunks
+       raised the ``generate`` benchmark's peak resident memory from 45.1
+       to 52.1 MB (+15%, over its 10% bound); chunks of 8 left it at 45.1.
+    3. Type the bonds of each molecule, in sampling order.
+    """
+    clouds: list[np.ndarray] = []
+    groups: dict[int, list[int]] = {}  # atom count -> indices into clouds
     for n, cloud in sample_clouds(pipe, count, rng):
         points = pipe.standardizer.invert(cloud)
-        if pipe.input_ae is not None:
-            candidate = codec.input_space_decode(pipe.input_ae, points, n)
-        else:
-            candidate = codec.decode(pipe.graph_ae, pipe.atom_ae, points)
-        mol, _dropped = codec.predict_edge_types(pipe.edge_type, candidate)
-        out.append(mol)
-    return out
+        codec.require_finite(points)
+        groups.setdefault(n, []).append(len(clouds))
+        clouds.append(points)
+    candidates: list[codec.UntypedGraph | None] = [None] * len(clouds)
+    for n, members in groups.items():
+        for lo in range(0, len(members), DECODE_CHUNK):
+            chunk = members[lo:lo + DECODE_CHUNK]
+            points = np.stack([clouds[k] for k in chunk])
+            if pipe.input_ae is not None:
+                graphs = codec.input_space_decode_batch(pipe.input_ae, points, n)
+            else:
+                graphs = codec.decode_batch(pipe.graph_ae, pipe.atom_ae, points)
+            for k, graph in zip(chunk, graphs):
+                candidates[k] = graph
+    return [codec.predict_edge_types(pipe.edge_type, c)[0] for c in candidates]

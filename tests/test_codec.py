@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moldiff import codec
-from moldiff.chem import BondType, Element, molgraph, parse_smiles
+from moldiff.chem import ELEMENTS, BondType, Element, molgraph, parse_smiles
 from moldiff.diffcore import AdamState, Tape, adam_step, backward
 from moldiff.diffcore import tensor as T
 from moldiff.gnn import TooFewPoints, edges_from_pairs, pair_indices, pair_node_edges
@@ -139,6 +139,59 @@ class TestNonFiniteCloud:
         # every pair's presence logit far below the exp overflow at -709
         dict(ae.dec.named_params())["inputae.dec.3.b"].data[4] = -1e4
         assert codec.input_space_decode(ae, rng.standard_normal((6, 2)), 3).edges == []
+
+
+def _kept_pairs(probs: np.ndarray, n: int, tau: float) -> list[tuple[int, int]]:
+    """The pairs of ``pair_indices(n)`` whose probability reaches tau, by
+    a loop over every pair."""
+    i_idx, j_idx = pair_indices(n)
+    return [(int(a), int(b)) for a, b, p in zip(i_idx, j_idx, probs.ravel()) if p >= tau]
+
+
+def _taped_alone(decoder: str, ae, at, cloud: np.ndarray, n: int):
+    """Atoms, kept pairs and pair probabilities of one 2-D cloud, decoded
+    on a recording tape."""
+    with Tape() as tape:
+        x = T.tensor(cloud)
+        if decoder == "input":
+            out = ae.decode_t(x, pair_node_edges(n)).data
+            scores, probs, tau = out[:n, :4], T.sigmoid(T.tensor(out[n:, 4])).data, 0.5
+        else:
+            scores = at.decode_probs(T.narrow(x, 1, ae.z, 2)).data
+            probs = codec.edge_probs(ae, x).data if n >= 2 else np.empty((0, 1))
+            tau = ae.tau
+    assert len(tape) > 0
+    atoms = tuple(ELEMENTS[k] for k in scores.argmax(axis=1))
+    return atoms, _kept_pairs(probs, n, tau), probs
+
+
+class TestBatchDecode:
+    """Entry b of a batched decode is cloud b decoded alone, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("decoder", ["gnn", "egnn", "input"])
+    def test_entries_as_alone(self, decoder, n, batch, rng):
+        if decoder == "input":
+            ae, at = codec.InputSpaceAutoencoder(2, rng, hidden=8), None
+            clouds = rng.standard_normal((batch, n + n * (n - 1) // 2, 2))
+            graphs = codec.input_space_decode_batch(ae, clouds, n)
+            probs = T.sigmoid(T.tensor(
+                ae.decode_t(T.tensor(clouds), pair_node_edges(n)).data[..., n:, 4])).data
+        else:
+            ae = codec.GraphAutoencoder(2, rng, kind=decoder, hidden=16)
+            at = codec.AtomTypeAutoencoder(rng)
+            ae.edge_mlp.layers[-1].b.data[:] = 0.0  # centre the probabilities on tau
+            clouds = rng.standard_normal((batch, n, 4))
+            graphs = codec.decode_batch(ae, at, clouds)
+            probs = codec.edge_probs(ae, T.tensor(clouds)).data if n >= 2 else None
+        assert len(graphs) == batch
+        for b, graph in enumerate(graphs):
+            atoms, edges, want = _taped_alone(decoder, ae, at, clouds[b], n)
+            assert graph.atoms == atoms
+            assert graph.edges == edges
+            if n >= 2:
+                assert probs[b].tobytes() == want.ravel().tobytes()
 
 
 class TestReconstructionLoss:

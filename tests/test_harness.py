@@ -10,6 +10,7 @@ import pytest
 from moldiff import codec, flows, gnn, harness
 from moldiff.chem import Dataset, canonical_key, parse_smiles, write_smiles
 from moldiff.diffcore import load_params, save_params
+from moldiff.harness.generate import sample_clouds
 
 from conftest import ancestral_generate
 
@@ -81,10 +82,14 @@ def test_fifty_ddpm_steps_give_the_ancestral_smiles(exp, trained, monkeypatch):
     assert got == smiles(trained[exp])
 
 
-@pytest.mark.parametrize("exp", EXPERIMENTS)
-def test_sizes_drawn_as_per_molecule(exp, trained):
+# 50 molecules decode in several chunks per size
+@pytest.mark.parametrize("exp, count", [
+    *(pytest.param(exp, 2 * COUNT, id=exp) for exp in EXPERIMENTS),
+    *(pytest.param(exp, 50, id=f"{exp}-50") for exp in EXPERIMENTS)])
+def test_sizes_drawn_as_per_molecule(exp, count, trained):
     """One size distribution per call draws the molecules that rebuilding
-    it for every molecule drew."""
+    it for every molecule drew, and decoding in chunks returns them in
+    the order they were drawn."""
     pipe = trained[exp]
     rng = np.random.default_rng(9)
     rows = {n: n if pipe.input_ae is None else n + n * (n - 1) // 2
@@ -92,7 +97,7 @@ def test_sizes_drawn_as_per_molecule(exp, trained):
     histogram = {n: c for n, c in pipe.dataset.size_histogram.items()
                  if pipe.flow.can_sample(rows[n])}
     want = []
-    for _ in range(2 * COUNT):
+    for _ in range(count):
         n = harness.sample_atom_count(histogram, rng)
         points = pipe.standardizer.invert(pipe.flow.sample(rows[n], rng))
         if pipe.input_ae is not None:
@@ -100,8 +105,63 @@ def test_sizes_drawn_as_per_molecule(exp, trained):
         else:
             candidate = codec.decode(pipe.graph_ae, pipe.atom_ae, points)
         want.append(write_smiles(codec.predict_edge_types(pipe.edge_type, candidate)[0]))
-    got = harness.generate_molecules(pipe, 2 * COUNT, np.random.default_rng(9))
+    got = harness.generate_molecules(pipe, count, np.random.default_rng(9))
     assert [write_smiles(m) for m in got] == want
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS)
+def test_decode_chunks_of_one_size(exp, trained, monkeypatch):
+    pipe = trained[exp]
+    assert harness.generate_molecules(pipe, 0, np.random.default_rng(9)) == []
+    monkeypatch.setattr(pipe.dataset, "size_histogram", {7: 10, 8: 16, 9: 51})
+    name = "decode_batch" if pipe.input_ae is None else "input_space_decode_batch"
+    chunks = []  # (clouds, atom count) per decoder call
+    original = getattr(codec, name)
+
+    def watched(ae, *args):
+        if pipe.input_ae is None:
+            _, clouds = args
+            n = clouds.shape[1]
+        else:
+            clouds, n = args
+            assert clouds.shape[1] == n + n * (n - 1) // 2
+        chunks.append((len(clouds), n))
+        return original(ae, *args)
+
+    monkeypatch.setattr(codec, name, watched)
+    mols = harness.generate_molecules(pipe, 50, np.random.default_rng(9))
+    assert len(mols) == 50
+    assert all(size <= 8 for size, _ in chunks)
+    for n, drawn in Counter(m.n for m in mols).items():
+        sizes = [size for size, at in chunks if at == n]
+        # every chunk but a size's last is full
+        assert sum(sizes) == drawn
+        assert sizes[:-1] == [8] * (len(sizes) - 1)
+    assert len({n for _, n in chunks}) == 3
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_non_finite_cloud_raises_where_it_is_drawn(bad, trained, monkeypatch):
+    """The loop stops at the bad cloud, so the caller's generator has made
+    exactly the draws of the first bad + 1 molecules."""
+    pipe = trained["gnn_gaussian"]
+    calls = []
+    original = flows.ddpm_generate
+
+    def sampler(*args):
+        calls.append(1)
+        cloud = original(*args)
+        return np.full_like(cloud, np.nan) if len(calls) == bad + 1 else cloud
+
+    monkeypatch.setattr(flows, "ddpm_generate", sampler)
+    rng = np.random.default_rng(9)
+    with pytest.raises(codec.NonFiniteCloud):
+        harness.generate_molecules(pipe, 5, rng)
+    assert len(calls) == bad + 1
+    monkeypatch.setattr(flows, "ddpm_generate", original)
+    drawn = np.random.default_rng(9)
+    list(sample_clouds(pipe, bad + 1, drawn))
+    assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 def count_encodes(monkeypatch) -> list:

@@ -76,22 +76,28 @@ def test_counter_sees_taped_calls(record_calls):
     assert len(record_calls) == len(tape) > 0
 
 
-@pytest.mark.parametrize("kind", ["gnn", "egnn"])
-def test_decode_records_nothing(kind, record_calls):
+# a batch of one is named by its kind alone
+@pytest.mark.parametrize("kind, batch", [
+    pytest.param(kind, batch, id=kind if batch == 1 else f"{kind}-{batch}")
+    for kind in ("gnn", "egnn") for batch in (1, 3, 8)])
+def test_decode_records_nothing(kind, batch, record_calls):
     ae = codec.GraphAutoencoder(2, np.random.default_rng(0), kind=kind, hidden=16)
     at = codec.AtomTypeAutoencoder(np.random.default_rng(1))
     ae.tau = 0.0  # keep every pair, so bond typing has edges to type
-    graph = codec.decode(ae, at, np.random.default_rng(2).standard_normal((5, 4)))
+    points = np.random.default_rng(2).standard_normal((batch, 5, 4))
+    graphs = codec.decode_batch(ae, at, points)
     etm = codec.EdgeTypeModel(np.random.default_rng(3), hidden=8)
-    codec.predict_edge_types(etm, graph)
-    assert len(graph.edges) == 10
+    for graph in graphs:
+        codec.predict_edge_types(etm, graph)
+    assert [len(graph.edges) for graph in graphs] == [10] * batch
     assert len(record_calls) == 0
 
 
-def test_input_space_decode_records_nothing(record_calls):
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_input_space_decode_records_nothing(batch, record_calls):
     ae = codec.InputSpaceAutoencoder(2, np.random.default_rng(0), hidden=8)
-    latent = np.random.default_rng(1).standard_normal((4 + 6, 2))
-    codec.input_space_decode(ae, latent, 4)
+    latent = np.random.default_rng(1).standard_normal((batch, 4 + 6, 2))
+    assert len(codec.input_space_decode_batch(ae, latent, 4)) == batch
     assert len(record_calls) == 0
 
 
@@ -166,6 +172,44 @@ def test_op_same_bits_in_every_mode(name, rng):
     assert same_bits(off, const)
     assert same_bits(off, on)
     assert same_bits(off, frozen)
+
+
+# ops a decoder runs on a (B, n, w) batch: name -> (fn, 2-D shapes, how
+# many leading arguments take the batch axis)
+BATCH_OPS = {
+    "gather_rows": (lambda x: T.gather_rows(x, _PLAN), [(5, 3)], 1),
+    "concat_rows": (lambda a, b: T.concat([a, b], axis=-2), [(2, 3), (4, 3)], 2),
+    "concat_features": (lambda a, b: T.concat([a, b], axis=-1), [(4, 2), (4, 3)], 2),
+    "narrow_rows": (lambda x: T.narrow(x, -2, 1, 3), [(5, 3)], 1),
+    "narrow_features": (lambda x: T.narrow(x, -1, 2, 2), [(5, 6)], 1),
+    "affine": (T.affine, [(4, 3), (3, 5), (5,)], 1),
+    "softmax": (T.softmax, [(4, 3)], 1),
+    "row_sum": (T.row_sum, [(4, 3)], 1),
+    "pna_aggregate": (lambda x: T.pna_aggregate(x, _FULL_PLAN, _DST_PLAN), [(5, 3)], 1),
+    "complete_stack": OPS["complete_stack"] + (1,),
+    "gcn_stack": OPS["gcn_stack"] + (1,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_OPS))
+def test_batch_entries_same_bits_as_alone(name, rng):
+    fn, shapes, batched = BATCH_OPS[name]
+    arrays = [rng.standard_normal((3, *s) if k < batched else s) for k, s in enumerate(shapes)]
+    whole = fn(*[T.tensor(a) for a in arrays]).data
+    assert len(whole) == 3
+    for b in range(3):
+        alone = fn(*[T.tensor(a[b] if k < batched else a) for k, a in enumerate(arrays)]).data
+        assert same_bits(whole[b], alone)
+
+
+@pytest.mark.parametrize("name", ["affine", "pna_aggregate", "complete_stack"])
+def test_batch_refused_on_a_recording_tape(name, rng):
+    """These backward passes take 2-D inputs only."""
+    fn, shapes, _ = BATCH_OPS[name]
+    arrays = [rng.standard_normal((3, *s) if k == 0 else s) for k, s in enumerate(shapes)]
+    with Tape():
+        with pytest.raises(T.ShapeMismatch):
+            fn(*[T.param(a) for a in arrays])
 
 
 def _net_modes(run):
