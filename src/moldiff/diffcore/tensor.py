@@ -7,12 +7,14 @@ functions of its attached inputs only. ``backward(tape, loss)`` replays the
 nodes in reverse construction order, which is already a valid topological
 order, so it never computes a gradient for a constant.
 
-Every op computes its value first and then asks ``_recording`` whether it
-records. Only when it does does the op build what the backward pass needs
-(gradient closures, masks, offsets, saved shapes). Off tape, and on a tape
-for ops whose inputs are all constants (targets, features, time columns),
-an op costs its numpy arithmetic, a ``Tensor`` and one check. Its value is
-the same array, bit for bit, in both modes.
+Every op but ``relu_stack`` computes its value first and then asks
+``_recording`` whether it records. Only when it does does the op build what
+the backward pass needs (gradient closures, masks, offsets, saved shapes).
+``relu_stack`` checks for an active tape first, since off the tape it keeps
+none of the per-layer arrays its backward pass would read. Off tape, and
+on a tape for ops whose inputs are all constants (targets, features, time
+columns), an op costs its numpy arithmetic, a ``Tensor`` and one check. Its
+value is the same array, bit for bit, in both modes.
 
 Two ops record a whole network piece as one node with one hand-written
 backward. ``relu_stack`` runs every ReLU stack of the package: the MLPs,
@@ -206,6 +208,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b. Two 2-D operands go to BLAS through ``ndarray.dot``, which
+    skips the ``matmul`` gufunc's dispatch and gives the same bits; a
+    batched operand keeps ``matmul``'s broadcasting. See the ReLU-stack
+    section for the cost."""
+    if a.ndim == 2 and b.ndim == 2:
+        return a.dot(b)
+    return a @ b
+
+
 def _require_2d(op: str, xd: np.ndarray) -> None:
     """Refuse a batched input to an op whose backward pass is 2-D only."""
     if xd.ndim != 2:
@@ -255,10 +267,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
     ad, bd = a.data, b.data
-    out = Tensor(ad @ bd)
+    out = Tensor(_dot(ad, bd))
     if _recording(a, b):
-        _record(out, ((a, lambda g: g @ bd.T),
-                      (b, lambda g: ad.T @ g)))
+        _record(out, ((a, lambda g: _dot(g, bd.T)),
+                      (b, lambda g: _dot(ad.T, g))))
     return out
 
 
@@ -273,11 +285,11 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     if x.data.shape[-1] != W.data.shape[0]:
         raise ShapeMismatch(f"affine {x.data.shape} @ {W.data.shape}")
     xd, wd = x.data, W.data
-    out = Tensor(xd @ wd + b.data)
+    out = Tensor(_dot(xd, wd) + b.data)
     if _recording(x, W, b):
         _require_2d("affine", xd)
-        _record(out, ((x, lambda g: g @ wd.T),
-                      (W, lambda g: xd.T @ g),
+        _record(out, ((x, lambda g: _dot(g, wd.T)),
+                      (W, lambda g: _dot(xd.T, g)),
                       (b, lambda g: _unbroadcast(g, b.data.shape))))
     return out
 
@@ -383,7 +395,7 @@ def gather_rows(x: Tensor, plan: SegmentPlan) -> Tensor:
     the gradient is the plan's segment sum, ``plan.member @ g``."""
     out = Tensor(np.take(x.data, plan.index, axis=-2))
     if _recording(x):
-        _record(out, ((x, lambda g: plan.member @ g),))
+        _record(out, ((x, lambda g: _dot(plan.member, g)),))
     return out
 
 
@@ -412,6 +424,15 @@ def sum_all(x: Tensor) -> Tensor:
 # layer's products take a few microseconds, about what a node costs in
 # Tensor and op-call overhead, so a layer of separate nodes (neighbour map,
 # two affines, ReLU) would spend much of its time on that overhead.
+#
+# At these sizes even the product's dispatch counts. ``a @ b`` goes through
+# the ``matmul`` gufunc machinery: on a 2-core Xeon at one BLAS thread, a
+# (9, 64) @ (64, 64) product takes 2.15 us that way and 1.55 us as
+# ``a.dot(b)``, the same BLAS call with the same bits. So every 2-D product
+# in this module goes through ``_dot``. A stack adds each bias, and a folded
+# layer's column-sum term, in place into the fresh product, in the order of
+# ``h @ W + (colsum(h) @ Wq + b)``; off the tape it keeps no per-layer
+# arrays for a backward pass.
 #
 # Without a propagation matrix the neighbour map is the complete-graph
 # mean, N(h) = (colsum(h) - h) / (n - 1). A layer h @ W + N(h) @ Wn + b is
@@ -501,6 +522,8 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     n = xd.shape[-2]
     if prop is not None and np.shape(prop) != (n, n):
         raise ShapeMismatch(f"relu_stack: prop {np.shape(prop)} for {n} rows")
+    # off the tape nothing is kept for a backward pass: sampling loops run here
+    taped = _ACTIVE_TAPE is not None
     arrays, inputs = [], []
     h = xd
     last = len(layers) - 1
@@ -511,28 +534,39 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
                 or not (wd is None or wn is None or wn.shape == wd.shape)):
             shapes = [None if a is None else a.shape for a in (wd, wn)]
             raise ShapeMismatch(f"relu_stack layer {i} on {h.shape}: W, Wn {shapes}, b {bd.shape}")
-        inputs.append(h)
-        # ws carries g back to h; m is a prop stack's N(h); fold is (Wq, colsum h)
-        ws, m, fold = wd, None, None
+        # ws carries g back to h; m is a prop stack's N(h); fold is (Wq, colsum h);
+        # act is a fresh product and extra, if any, the term added to it
+        ws, m, fold, extra = wd, None, None, None
         if wn is None:
-            act = h @ wd + bd
+            act = _dot(h, wd)
         elif prop is not None:
-            m = prop @ h
-            act = m @ wn + bd if wd is None else h @ wd + (m @ wn + bd)
+            m = _dot(prop, h)
+            if wd is None:
+                act = _dot(m, wn)
+            else:
+                act, extra = _dot(h, wd), _dot(m, wn)
         elif n == 1:
             if wd is None:
                 ws = np.zeros(wn.shape)
-            act = h @ ws + bd
+            act = _dot(h, ws)
         else:
             ws, wq = _fold(wd, wn, n)
             fold = wq, np.add.reduce(h, axis=-2, keepdims=True)
-            act = h @ ws + (fold[1] @ wq + bd)
+            act, extra = _dot(h, ws), _dot(fold[1], wq)
+        # act + bd, or act + (extra + bd), summed into the fresh products
+        if extra is None:
+            act += bd
+        else:
+            extra += bd
+            act += extra
         if i < last:
             np.maximum(act, 0.0, out=act)
-        arrays.append((wd is not None, ws, wn, m, fold, bd.shape))
+        if taped:
+            inputs.append(h)
+            arrays.append((wd is not None, ws, wn, m, fold, bd.shape))
         h = act
     out = Tensor(h)
-    if _ACTIVE_TAPE is None:  # sampling: skip gathering the parameters
+    if not taped:
         return out
     params = [t for layer in layers for t in layer]
     if not _recording(x, *(t for t in params if t is not None)):
@@ -552,20 +586,20 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
             if i < last:  # the ReLU after layer i; its output is layer i + 1's input
                 g = g * (inputs[i + 1] > 0.0)
             if has_w:
-                grads[1 + 3 * i] = inputs[i].T @ g
+                grads[1 + 3 * i] = _dot(inputs[i].T, g)
             if m is not None:
-                grads[2 + 3 * i] = m.T @ g
+                grads[2 + 3 * i] = _dot(m.T, g)
             elif fold is not None:  # N(h) from the column sum the forward kept
-                grads[2 + 3 * i] = ((fold[1] - inputs[i]) / (n - 1)).T @ g
+                grads[2 + 3 * i] = _dot(((fold[1] - inputs[i]) / (n - 1)).T, g)
             elif wn is not None:  # one row: Wn multiplies zeros
                 grads[2 + 3 * i] = np.zeros(wn.shape)
             gs = grads[3 + 3 * i] = _unbroadcast(g, b_shape)
             if i == 0 and not x_attached:
                 break
-            gx = None if ws is None else g @ ws.T
+            gx = None if ws is None else _dot(g, ws.T)
             if fold is not None:
-                gx += gs @ fold[0].T
-            gn = None if m is None else prop.T @ (g @ wn.T)
+                gx += _dot(gs, fold[0].T)
+            gn = None if m is None else _dot(prop.T, _dot(g, wn.T))
             if i == 0:
                 grads[0], grads[-1] = gx, gn
             else:
@@ -654,9 +688,9 @@ class SegmentPlan:
 
 def segment_mean(x: Tensor, plan: SegmentPlan) -> Tensor:
     """Mean of the rows of x in each segment: (len, w) -> (num, w)."""
-    out = Tensor((plan.member @ x.data) * plan.inv_counts_col)
+    out = Tensor(_dot(plan.member, x.data) * plan.inv_counts_col)
     if _recording(x):
-        _record(out, ((x, lambda g: plan.member.T @ (g * plan.inv_counts_col)),))
+        _record(out, ((x, lambda g: _dot(plan.member.T, g * plan.inv_counts_col)),))
     return out
 
 
@@ -676,10 +710,10 @@ def pna_aggregate(x: Tensor, src_plan: SegmentPlan, dst_plan: SegmentPlan) -> Te
     # later pass over a batch entry then strides
     msgs = np.take(xd, src_plan.index, axis=-2)
     inv = dst_plan.inv_counts_col
-    mean = (dst_plan.member @ msgs) * inv
+    mean = _dot(dst_plan.member, msgs) * inv
     vals = np.take(msgs, dst_plan.table, axis=-2)
     centered = msgs - np.take(mean, dst_plan.index, axis=-2)
-    std = np.sqrt((dst_plan.member @ (centered * centered)) * inv)
+    std = np.sqrt(_dot(dst_plan.member, centered * centered) * inv)
     out = np.empty((*batch, n, 5 * w + 1))
     out[..., :w] = xd
     out[..., w:2 * w] = mean
@@ -704,7 +738,7 @@ def pna_aggregate(x: Tensor, src_plan: SegmentPlan, dst_plan: SegmentPlan) -> Te
         d_slots[vals.argmin(axis=0), rows, cols] = g[:, 2 * w:3 * w]
         d_slots[vals.argmax(axis=0), rows, cols] += g[:, 3 * w:4 * w]
         d_msgs += d_slots.reshape(-1, w)[dst_plan.slot]
-        return g[:, :w] + src_plan.member @ d_msgs
+        return g[:, :w] + _dot(src_plan.member, d_msgs)
 
     _record(result, ((x, grad),))
     return result

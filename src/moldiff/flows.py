@@ -162,7 +162,9 @@ class GnnRestorer:
 
     Input per node is the degraded row concatenated with the normalized
     timestep; the network output matches that width and the predicted noise
-    is the difference's latent-width slice (the time slot is discarded).
+    is its latent-width slice minus the degraded row (the time slot is
+    discarded). Slicing before the difference gives the bits of the
+    difference's slice and subtracts only the latent columns.
     """
 
     kind = "ddpm_gnn"
@@ -179,7 +181,7 @@ class GnnRestorer:
         h_t = np.full((n, 1), t / total)
         s_t = T.concat([x_t, T.tensor(h_t)], axis=1)
         d_t = self.net(s_t)
-        return T.narrow(T.sub(d_t, s_t), 1, 0, self.width)
+        return T.sub(T.narrow(d_t, 1, 0, self.width), x_t)
 
     def named_params(self):
         return self.net.named_params()

@@ -14,6 +14,10 @@ from .train import TrainedPipeline
 DECODE_CHUNK = 8
 
 
+class NoSampleableSize(ValueError):
+    """The flow can sample none of the training histogram's atom counts."""
+
+
 def size_distribution(histogram: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The atom counts of ``histogram`` in increasing order, and their
     probabilities."""
@@ -31,13 +35,18 @@ def sample_clouds(pipe: TrainedPipeline, count: int,
                   rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
     """``count`` pairs of an atom count and a standardized cloud from the
     flow. Each count is drawn from the training size histogram, restricted
-    to the sizes the flow can sample; the distribution is built once."""
+    to the sizes the flow can sample; the distribution is built once.
+    With ``count > 0`` and no such size, raises :class:`NoSampleableSize`
+    before drawing from ``rng``."""
+    histogram = pipe.dataset.size_histogram
     # an input-space cloud has a row per atom and a row per atom pair
-    rows = {n: n if pipe.input_ae is None else n + n * (n - 1) // 2
-            for n in pipe.dataset.size_histogram}
+    rows = {n: n if pipe.input_ae is None else n + n * (n - 1) // 2 for n in histogram}
     # sizes the flow cannot sample (heat: none of its seed clouds) are skipped
-    sizes, p = size_distribution({n: c for n, c in pipe.dataset.size_histogram.items()
-                                  if pipe.flow.can_sample(rows[n])})
+    sampleable = {n: c for n, c in histogram.items() if pipe.flow.can_sample(rows[n])}
+    if count > 0 and not sampleable:
+        raise NoSampleableSize(f"the flow can sample none of the atom counts "
+                               f"{sorted(histogram)} of the training histogram")
+    sizes, p = size_distribution(sampleable)
     for _ in range(count):
         n = int(rng.choice(sizes, p=p))
         yield n, pipe.flow.sample(rows[n], rng)

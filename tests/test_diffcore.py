@@ -1,5 +1,6 @@
 """Tape engine, optimizer, DCT basis, integrator, checkpoints."""
 
+import contextlib
 import warnings
 from functools import partial
 
@@ -272,6 +273,11 @@ def _bits(a):
     return a.shape, a.tobytes()
 
 
+# the three ways a stack runs: on a recording tape, off it, and off it
+# inside frozen_params
+BLOCKS = {"tape": Tape, "off": contextlib.nullcontext, "frozen": T.frozen_params}
+
+
 class TestCompleteStack:
     @staticmethod
     def run(stack, x, layers, weights):
@@ -399,8 +405,17 @@ class TestCompleteStack:
         assert len(tape) == 2
         assert set(grads) == set(trainables(layers))
 
-    @pytest.mark.parametrize("bad", ["x_width", "inner_width", "nbr_shape", "bias", "x_1d"])
-    def test_shape_errors_are_typed(self, bad, rng):
+    # each bad case and the message it raises
+    SHAPE_ERRORS = {
+        "x_width": "relu_stack layer 0 on (4, 3): W, Wn [(2, 3), (2, 3)], b (3,)",
+        "inner_width": "relu_stack layer 1 on (4, 3): W, Wn [(4, 2), None], b (2,)",
+        "nbr_shape": "relu_stack layer 0 on (4, 2): W, Wn [(2, 3), (2, 4)], b (3,)",
+        "bias": "relu_stack layer 1 on (4, 3): W, Wn [(3, 2), None], b (3,)",
+        "x_1d": "relu_stack expects rows of features, got shape (2,)",
+    }
+
+    @staticmethod
+    def bad_stack(bad, rng):
         x = T.tensor(rng.standard_normal((4, 2)))
         layers = stack_layers(rng, [2, 3, 2], [True, False])
         if bad == "x_width":
@@ -413,8 +428,21 @@ class TestCompleteStack:
             layers[1] = (layers[1][0], None, param(np.ones(3)))
         else:
             x = T.tensor(np.ones(2))
+        return x, layers
+
+    @pytest.mark.parametrize("bad", ["x_width", "inner_width", "nbr_shape", "bias", "x_1d"])
+    def test_shape_errors_are_typed(self, bad, rng):
+        x, layers = self.bad_stack(bad, rng)
         with pytest.raises(ShapeMismatch):
             T.relu_stack(x, layers)
+
+    @pytest.mark.parametrize("mode", sorted(BLOCKS))
+    @pytest.mark.parametrize("bad", sorted(SHAPE_ERRORS))
+    def test_shape_errors_in_every_mode(self, bad, mode, rng):
+        x, layers = self.bad_stack(bad, rng)
+        with BLOCKS[mode](), pytest.raises(ShapeMismatch) as err:
+            T.relu_stack(x, layers)
+        assert str(err.value) == self.SHAPE_ERRORS[bad]
 
     def test_no_layers(self, rng):
         with pytest.raises(T.EmptyInput):
@@ -512,8 +540,15 @@ class TestReluStack:
         assert set(grads) == set(trainables(layers))
         assert _bits(T.relu_stack(x, layers, prop).data) == _bits(out.data)
 
-    @pytest.mark.parametrize("bad", ["prop_rows", "prop_cols", "no_weights", "nbr_width"])
-    def test_shape_errors_are_typed(self, bad, rng):
+    SHAPE_ERRORS = {
+        "prop_rows": "relu_stack: prop (5, 5) for 4 rows",
+        "prop_cols": "relu_stack: prop (4, 3) for 4 rows",
+        "no_weights": "relu_stack layer 1 on (4, 3): W, Wn [None, None], b (2,)",
+        "nbr_width": "relu_stack layer 1 on (4, 3): W, Wn [None, (4, 2)], b (2,)",
+    }
+
+    @staticmethod
+    def bad_stack(bad, rng):
         x = T.tensor(rng.standard_normal((4, 2)))
         prop = DIRECTED.gcn_matrix
         layers = stack_layers(rng, [2, 3, 2], [True, True], [False, False])
@@ -525,8 +560,21 @@ class TestReluStack:
             layers[1] = (None, None, layers[1][2])
         else:
             layers[1] = (None, param(np.ones((4, 2))), layers[1][2])
+        return x, layers, prop
+
+    @pytest.mark.parametrize("bad", ["prop_rows", "prop_cols", "no_weights", "nbr_width"])
+    def test_shape_errors_are_typed(self, bad, rng):
+        x, layers, prop = self.bad_stack(bad, rng)
         with pytest.raises(ShapeMismatch):
             T.relu_stack(x, layers, prop)
+
+    @pytest.mark.parametrize("mode", sorted(BLOCKS))
+    @pytest.mark.parametrize("bad", sorted(SHAPE_ERRORS))
+    def test_shape_errors_in_every_mode(self, bad, mode, rng):
+        x, layers, prop = self.bad_stack(bad, rng)
+        with BLOCKS[mode](), pytest.raises(ShapeMismatch) as err:
+            T.relu_stack(x, layers, prop)
+        assert str(err.value) == self.SHAPE_ERRORS[bad]
 
 
 class TestAdam:

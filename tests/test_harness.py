@@ -140,6 +140,28 @@ def test_decode_chunks_of_one_size(exp, trained, monkeypatch):
     assert len({n for _, n in chunks}) == 3
 
 
+class NoSizeFlow:
+    """A flow that can sample no cloud, like heat with no seed clouds."""
+
+    def can_sample(self, rows: int) -> bool:
+        return False
+
+    def sample(self, rows: int, rng: np.random.Generator) -> np.ndarray:
+        raise AssertionError("sample called on a flow that can sample nothing")
+
+
+def test_no_sampleable_size_is_a_typed_error(trained, monkeypatch):
+    pipe = trained["gnn_gaussian"]
+    monkeypatch.setattr(pipe, "flow", NoSizeFlow())
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    assert harness.generate_molecules(pipe, 0, rng) == []
+    with pytest.raises(harness.NoSampleableSize) as err:
+        harness.generate_molecules(pipe, 3, rng)
+    assert str(sorted(pipe.dataset.size_histogram)) in str(err.value)
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
 @pytest.mark.parametrize("bad", [0, 2])
 def test_non_finite_cloud_raises_where_it_is_drawn(bad, trained, monkeypatch):
     """The loop stops at the bad cloud, so the caller's generator has made

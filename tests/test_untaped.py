@@ -202,6 +202,65 @@ def test_batch_entries_same_bits_as_alone(name, rng):
         assert same_bits(whole[b], alone)
 
 
+# relu_stack's branches: name -> (2-D x shape, (W, Wn, b) shapes per layer,
+# prop); a None shape is a missing weight
+STACK_BRANCHES = {
+    "dense": ((5, 3), [((3, 4), None, (4,)), ((4, 2), None, (2,))], None),
+    "prop": ((5, 3), [((3, 4), (3, 4), (4,)), (None, (4, 2), (2,))], _PROP),
+    "complete": ((6, 3), [((3, 4), (3, 4), (4,)), (None, (4, 2), (2,))], None),
+    "one_row": ((1, 3), [((3, 4), (3, 4), (4,)), (None, (4, 2), (2,))], None),
+}
+
+
+@pytest.mark.parametrize("mode", ["off", "tape", "frozen", "batch"])
+@pytest.mark.parametrize("branch", sorted(STACK_BRANCHES))
+def test_relu_stack_leaves_its_operands_alone(branch, mode, rng):
+    """The bias adds run in place into fresh products: the caller's x and
+    every weight keep their bytes, and the output shares memory with none
+    of them."""
+    shape, layer_shapes, prop = STACK_BRANCHES[branch]
+    x = rng.standard_normal((3, *shape) if mode == "batch" else shape)
+    weights = [[None if s is None else rng.standard_normal(s) for s in layer]
+               for layer in layer_shapes]
+    operands = [x, *(a for layer in weights for a in layer if a is not None)]
+    before = [a.copy() for a in operands]
+    wrap = T.tensor if mode in ("off", "batch") else T.param
+    layers = [tuple(None if a is None else wrap(a) for a in layer) for layer in weights]
+    block = {"tape": Tape, "frozen": T.frozen_params}.get(mode, contextlib.nullcontext)
+    with block():
+        out = T.relu_stack(wrap(x), layers, prop).data
+    for a, b in zip(operands, before):
+        assert same_bits(a, b)
+        assert not np.shares_memory(out, a)
+
+
+# every 2-D product shape of the tape engine: forward, a (1, k) column sum
+# times a matrix, the two backward forms and a Gram product
+DOT_CASES = {
+    "forward": lambda a, b: (a, b),
+    "row": lambda a, b: (a.sum(axis=0, keepdims=True), b),
+    "x_T_g": lambda a, b: (a.T, a @ b),
+    "g_W_T": lambda a, b: (a @ b, b.T),
+    "A_T_A": lambda a, b: (a.T, a),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 45])
+@pytest.mark.parametrize("case", sorted(DOT_CASES))
+@pytest.mark.parametrize("k, m", [(3, 64), (64, 64), (65, 2)])
+def test_dot_same_bits_as_matmul(case, n, k, m, rng):
+    a, b = DOT_CASES[case](rng.standard_normal((n, k)), rng.standard_normal((k, m)))
+    got, want = T._dot(a, b), a @ b
+    assert same_bits(got, want)
+    assert got.flags.c_contiguous
+
+
+def test_dot_broadcasts_a_batch(rng):
+    h, w, prop = rng.standard_normal((3, 5, 4)), rng.standard_normal((4, 2)), _PROP
+    assert same_bits(T._dot(h, w), h @ w)
+    assert same_bits(T._dot(prop, h), prop @ h)
+
+
 @pytest.mark.parametrize("name", ["affine", "pna_aggregate", "complete_stack"])
 def test_batch_refused_on_a_recording_tape(name, rng):
     """These backward passes take 2-D inputs only."""
