@@ -45,7 +45,6 @@ from .gnn import (
     EdgeIndex,
     Mlp,
     PnaLayer,
-    GcnLayer,
     GcnStack,
     TooFewPoints,
     complete_graph_edges,
@@ -249,7 +248,7 @@ def reconstruction_loss(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
     the atom-type softmax and the one-hot elements."""
     cloud = encode_t(ae, at, m)
     onehot = atom_onehot(m.atoms)
-    atom_cols = T.narrow(cloud, 1, ae.z, 2)
+    atom_cols = T.narrow(cloud, -1, ae.z, 2)
     atom_probs = at.decode_probs(atom_cols)
     loss = T.mse(atom_probs, T.tensor(onehot))
     if m.n >= 2:
@@ -262,14 +261,15 @@ def reconstruction_loss(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
 
 
 class EdgeTypeModel:
-    """Two graph convolutions with ReLU (one ``T.relu_stack`` node) then an
-    MLP over concatenated endpoint embeddings; logits are symmetrized by
-    averaging both orientations (``gnn.symmetric_pair_logits``)."""
+    """Two graph convolutions with ReLU (``Dense`` layers propagated over
+    the GCN matrix, one ``T.relu_stack`` node) then an MLP over
+    concatenated endpoint embeddings; logits are symmetrized by averaging
+    both orientations (``gnn.symmetric_pair_logits``)."""
 
     def __init__(self, rng: np.random.Generator, hidden: int = 32,
                  name: str = "edgetype"):
-        self.gcn1 = GcnLayer(4, hidden, rng, name=f"{name}.gcn1")
-        self.gcn2 = GcnLayer(hidden, hidden, rng, name=f"{name}.gcn2")
+        self.gcn1 = Dense(4, hidden, rng, name=f"{name}.gcn1")
+        self.gcn2 = Dense(hidden, hidden, rng, name=f"{name}.gcn2")
         self.head = Mlp([2 * hidden, hidden, len(BOND_TYPES)], rng, name=f"{name}.head")
 
     def pair_logits(self, atoms: tuple[Element, ...], e: EdgeIndex) -> Tensor:
@@ -407,9 +407,9 @@ def input_space_loss(ae: InputSpaceAutoencoder, g: EdgesAsNodesGraph) -> Tensor:
     latent = ae.encode_t(g)
     out = ae.decode_t(latent, g.edges)
     n = g.n_original
-    presence = T.sigmoid(T.narrow(T.narrow(out, 0, n, g.n_aux), 1, 4, 1))
+    presence = T.sigmoid(T.narrow(T.narrow(out, -2, n, g.n_aux), -1, 4, 1))
     presence_target = g.features[n:, 4:5]
-    atom_probs = T.softmax(T.narrow(T.narrow(out, 0, 0, n), 1, 0, 4))
+    atom_probs = T.softmax(T.narrow(T.narrow(out, -2, 0, n), -1, 0, 4))
     loss = T.mse(atom_probs, T.tensor(g.features[:n, :4]))
     return T.add(loss, T.mse(presence, T.tensor(presence_target)))
 

@@ -17,13 +17,15 @@ columns), an op costs its numpy arithmetic, a ``Tensor`` and one check. Its
 value is the same array, bit for bit, in both modes.
 
 Two ops record a whole network piece as one node with one hand-written
-backward. ``relu_stack`` runs every ReLU stack of the package: the MLPs,
-the GCN stacks over a constant propagation matrix, and the complete-graph
-networks (the restorers and the velocity network); see the ReLU-stack
+backward. ``relu_stack`` runs every ReLU stack of the package, from layers
+``(W, Wn, b)`` in three forms: dense ``h @ W + b`` (the MLPs), propagated
+``(prop @ h) @ W + b`` over a constant matrix (the GCN stacks), and
+complete-graph ``h @ W + N(h) @ Wn + b`` with N the mean over the other
+rows (the restorers and the velocity network); see the ReLU-stack
 section. Its value has the same bits taped, untaped and inside
 ``frozen_params()``, the block in which samplers keep each complete-graph
-layer's folded weights. Its MLPs and GCN stacks also have, value and
-gradients, the bits of the same stack built from separate nodes; its
+layer's folded weights. Its dense and propagated layers also have, value
+and gradients, the bits of the same stack built from separate nodes; its
 complete-graph layers fold the neighbour mean into the weights and match
 that stack to rounding. ``pna_aggregate`` runs a PNA aggregation on small
 dense operators per graph (``SegmentPlan``); see the segment aggregation
@@ -365,10 +367,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along the rows (axis -2) or
-    the features (axis -1); a 2-D x may name them 0 and 1."""
+    the features (axis -1)."""
     xd = x.data
-    if axis >= 0 and xd.ndim == 2:
-        axis -= 2
     if axis == -2:
         sl = (Ellipsis, slice(start, start + length), slice(None))
     elif axis == -1:
@@ -425,6 +425,14 @@ def sum_all(x: Tensor) -> Tensor:
 # Tensor and op-call overhead, so a layer of separate nodes (neighbour map,
 # two affines, ReLU) would spend much of its time on that overhead.
 #
+# Every layer is (W, Wn, b) with a W, in one of three forms:
+#   dense          h @ W + b                      (no prop, Wn None)
+#   propagated     (prop @ h) @ W + b             (prop given, Wn None)
+#   complete-graph h @ W + N(h) @ Wn + b          (no prop, Wn given)
+# A GCN layer propagates, then transforms (Kipf & Welling), so a GCN stack
+# is a stack of dense layers on prop @ h and needs no weight of its own;
+# its backward pass carries g to h as prop^T (g W^T).
+#
 # At these sizes even the product's dispatch counts. ``a @ b`` goes through
 # the ``matmul`` gufunc machinery: on a 2-core Xeon at one BLAS thread, a
 # (9, 64) @ (64, 64) product takes 2.15 us that way and 1.55 us as
@@ -434,11 +442,11 @@ def sum_all(x: Tensor) -> Tensor:
 # ``h @ W + (colsum(h) @ Wq + b)``; off the tape it keeps no per-layer
 # arrays for a backward pass.
 #
-# Without a propagation matrix the neighbour map is the complete-graph
-# mean, N(h) = (colsum(h) - h) / (n - 1). A layer h @ W + N(h) @ Wn + b is
+# A complete-graph layer's neighbour map is the mean over the other rows,
+# N(h) = (colsum(h) - h) / (n - 1). The layer h @ W + N(h) @ Wn + b is
 # then h @ Weff + (colsum(h) @ Wq + b), with Wq = Wn / (n - 1) and
-# Weff = W - Wq (-Wq without W): one (n, w) product and one row product,
-# where the mean would take two full products and three passes over h.
+# Weff = W - Wq: one (n, w) product and one row product, where the mean
+# would take two full products and three passes over h.
 # The backward pass carries g to h by the same identity,
 # dh = g Weff^T + colsum(g) Wq^T. dWn is N(h)^T g, with N(h) rebuilt from
 # the column sum the forward pass kept: at n <= 45 rows that is cheaper
@@ -481,7 +489,7 @@ def frozen_params():
         _FOLDS = None
 
 
-def _fold(wd: np.ndarray | None, wn: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _fold(wd: np.ndarray, wn: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(Weff, Wq) of a complete-graph layer on n > 1 rows."""
     folds = _FOLDS
     key = (id(wd), id(wn), n)
@@ -490,7 +498,7 @@ def _fold(wd: np.ndarray | None, wn: np.ndarray, n: int) -> tuple[np.ndarray, np
         if hit is not None:
             return hit[2], hit[3]
     wq = wn * (1.0 / (n - 1))
-    weff = -wq if wd is None else wd - wq
+    weff = wd - wq
     if folds is not None:
         folds[key] = (wd, wn, weff, wq)  # holding the arrays keeps their ids unused
     return weff, wq
@@ -499,20 +507,21 @@ def _fold(wd: np.ndarray | None, wn: np.ndarray, n: int) -> tuple[np.ndarray, np
 def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     """A ReLU stack on the graph of x's rows, as one tape node.
 
-    Each layer is ``(W, Wn, b)`` and maps h to ``h @ W + N(h) @ Wn + b``,
-    without the term of a weight that is None (one may be, not both).
-    ``N(h)`` is ``prop @ h`` for a constant (n, n) ``prop``, or with
-    ``prop`` None each row's mean over the other rows (zeros for one row).
+    Each layer is ``(W, Wn, b)`` with W always given. With a constant
+    (n, n) ``prop`` every layer propagates first, mapping h to
+    ``(prop @ h) @ W + b``, and has no Wn. With ``prop`` None a layer maps
+    h to ``h @ W + N(h) @ Wn + b``, where ``N(h)`` is each row's mean over
+    the other rows (zeros for one row); Wn None makes it a dense layer.
     ReLU runs between layers, not after the last; a ReLU's gradient is 0 at
     inputs <= 0 and NaN stays NaN. Off the tape x may be a (B, n, w) batch
     of graphs of one size, each entry run as that graph alone.
 
     The value has the same bits taped, untaped and inside
-    ``frozen_params``. Dense stacks (no Wn), ``prop`` stacks and one-row
-    stacks have, in the value and every gradient, the bits of the same
-    stack built from ``matmul``, ``affine`` and ``relu`` nodes. A
-    complete-graph layer on more rows runs folded (see the section
-    comment) and matches that stack to rounding.
+    ``frozen_params``. Dense stacks, ``prop`` stacks and one-row stacks
+    have, in the value and every gradient, the bits of the same stack built
+    from ``matmul``, ``affine`` and ``relu`` nodes. A complete-graph layer
+    on more rows runs folded (see the section comment) and matches that
+    stack to rounding.
     """
     xd = x.data
     if xd.ndim < 2:
@@ -529,41 +538,30 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     last = len(layers) - 1
     for i, (W, Wn, b) in enumerate(layers):
         wd, wn, bd = None if W is None else W.data, None if Wn is None else Wn.data, b.data
-        w = wn if wd is None else wd
-        if (w is None or w.ndim != 2 or w.shape[0] != h.shape[-1] or bd.shape != (w.shape[1],)
-                or not (wd is None or wn is None or wn.shape == wd.shape)):
+        if (wd is None or wd.ndim != 2 or wd.shape[0] != h.shape[-1] or bd.shape != (wd.shape[1],)
+                or not (wn is None or (prop is None and wn.shape == wd.shape))):
             shapes = [None if a is None else a.shape for a in (wd, wn)]
             raise ShapeMismatch(f"relu_stack layer {i} on {h.shape}: W, Wn {shapes}, b {bd.shape}")
-        # ws carries g back to h; m is a prop stack's N(h); fold is (Wq, colsum h);
-        # act is a fresh product and extra, if any, the term added to it
-        ws, m, fold, extra = wd, None, None, None
-        if wn is None:
-            act = _dot(h, wd)
-        elif prop is not None:
-            m = _dot(prop, h)
-            if wd is None:
-                act = _dot(m, wn)
-            else:
-                act, extra = _dot(h, wd), _dot(m, wn)
-        elif n == 1:
-            if wd is None:
-                ws = np.zeros(wn.shape)
-            act = _dot(h, ws)
-        else:
+        # the product is lhs @ ws: lhs is prop @ h on a prop stack; a folded
+        # layer has ws = Weff and keeps fold = (Wq, colsum h)
+        lhs, ws, fold = h, wd, None
+        if prop is not None:
+            lhs = _dot(prop, h)
+        elif wn is not None and n > 1:
             ws, wq = _fold(wd, wn, n)
             fold = wq, np.add.reduce(h, axis=-2, keepdims=True)
-            act, extra = _dot(h, ws), _dot(fold[1], wq)
-        # act + bd, or act + (extra + bd), summed into the fresh products
-        if extra is None:
+        act = _dot(lhs, ws)
+        if fold is None:
             act += bd
-        else:
+        else:  # act + (colsum h @ Wq + b), summed into the fresh products
+            extra = _dot(fold[1], fold[0])
             extra += bd
             act += extra
         if i < last:
             np.maximum(act, 0.0, out=act)
         if taped:
             inputs.append(h)
-            arrays.append((wd is not None, ws, wn, m, fold, bd.shape))
+            arrays.append((lhs, ws, wn, fold, bd.shape))
         h = act
     out = Tensor(h)
     if not taped:
@@ -579,41 +577,31 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
         # backward hands every pair of a node the same g: compute once
         if cache[0] is g_out:
             return cache[1]
-        grads = [None] * (2 + len(params))
+        grads = [None] * (1 + len(params))
         g = g_out
         for i in range(last, -1, -1):
-            has_w, ws, wn, m, fold, b_shape = arrays[i]
+            lhs, ws, wn, fold, b_shape = arrays[i]
             if i < last:  # the ReLU after layer i; its output is layer i + 1's input
                 g = g * (inputs[i + 1] > 0.0)
-            if has_w:
-                grads[1 + 3 * i] = _dot(inputs[i].T, g)
-            if m is not None:
-                grads[2 + 3 * i] = _dot(m.T, g)
-            elif fold is not None:  # N(h) from the column sum the forward kept
+            grads[1 + 3 * i] = _dot(lhs.T, g)
+            if fold is not None:  # N(h) from the column sum the forward kept
                 grads[2 + 3 * i] = _dot(((fold[1] - inputs[i]) / (n - 1)).T, g)
             elif wn is not None:  # one row: Wn multiplies zeros
                 grads[2 + 3 * i] = np.zeros(wn.shape)
             gs = grads[3 + 3 * i] = _unbroadcast(g, b_shape)
             if i == 0 and not x_attached:
                 break
-            gx = None if ws is None else _dot(g, ws.T)
+            g = _dot(g, ws.T)
             if fold is not None:
-                gx += _dot(gs, fold[0].T)
-            gn = None if m is None else _dot(prop.T, _dot(g, wn.T))
-            if i == 0:
-                grads[0], grads[-1] = gx, gn
-            else:
-                g = gx if gn is None else gn if gx is None else gx + gn
+                g += _dot(gs, fold[0].T)
+            if prop is not None:
+                g = _dot(prop.T, g)
+        grads[0] = g  # x's gradient, read only when x is attached
         cache[0], cache[1] = g_out, grads
         return grads
 
-    # on a prop stack x's gradient is two contributions, its self path and
-    # then its neighbour path, so it sums with x's other uses in the order
-    # of a stack of separate nodes
-    ws0, m0 = arrays[0][1], arrays[0][3]
-    inputs_of_grads = [None if ws0 is None else x, *params, None if m0 is None else x]
     _record(out, [(t, lambda g, k=k: node_grads(g)[k])
-                  for k, t in enumerate(inputs_of_grads) if t is not None])
+                  for k, t in enumerate([x, *params]) if t is not None])
     return out
 
 

@@ -181,7 +181,7 @@ class GnnRestorer:
         h_t = np.full((n, 1), t / total)
         s_t = T.concat([x_t, T.tensor(h_t)], axis=1)
         d_t = self.net(s_t)
-        return T.sub(T.narrow(d_t, 1, 0, self.width), x_t)
+        return T.sub(T.narrow(d_t, -1, 0, self.width), x_t)
 
     def named_params(self):
         return self.net.named_params()

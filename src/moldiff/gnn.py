@@ -8,7 +8,11 @@ matrix for GCN); complete-graph networks are called on features alone,
 since their graph is every ordered pair of x's rows. Both pair heads (edge
 and bond type) are ``symmetric_pair_logits``. Every stack (``Mlp``, both
 ``GcnStack`` flavors, ``FlowFieldNet``) hands its layers' ``spec``,
-``(W, Wn, b)``, to one ``T.relu_stack`` call: one tape node.
+``(W, Wn, b)``, to one ``T.relu_stack`` call: one tape node. Two layer
+classes make every spec: ``Dense``, which a GCN stack runs as
+``(e.gcn_matrix @ h) @ W + b`` (propagate, then transform), and
+``GraphConvLayer``, the complete-graph layer with a self and a
+neighbor-mean weight.
 """
 
 from __future__ import annotations
@@ -157,26 +161,6 @@ class PnaLayer:
         return [(self.W.name, self.W), (self.b.name, self.b)]
 
 
-class GcnLayer:
-    """Graph convolution with self-loops and symmetric degree normalization,
-    ``(e.gcn_matrix @ x) @ W + b``, run from ``spec`` by ``T.relu_stack``
-    with ``prop=e.gcn_matrix`` (at most 45 x 45: the 9-atom pair-node graph)."""
-
-    def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
-                 name: str = "gcn"):
-        self.in_width = in_width
-        self.W = T.param(glorot(rng, in_width, out_width), name=f"{name}.W")
-        self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
-
-    @property
-    def spec(self) -> tuple[None, Tensor, Tensor]:
-        """The layer as ``T.relu_stack`` takes it: a neighbor path only."""
-        return None, self.W, self.b
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [(self.W.name, self.W), (self.b.name, self.b)]
-
-
 class GraphConvLayer:
     """Convolution with separate self and neighbor-mean weight paths, for
     complete graphs only.
@@ -211,8 +195,8 @@ class GraphConvLayer:
         return self.W_self, self.W_nbr, self.b
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.shape[1] != self.in_width:
-            raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[1]}")
+        if x.data.shape[-1] != self.in_width:
+            raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[-1]}")
         return T.relu_stack(x, [self.spec])
 
     def named_params(self) -> list[tuple[str, Tensor]]:
@@ -221,14 +205,20 @@ class GraphConvLayer:
 
 
 class Dense:
+    """Linear map ``x @ W + b``. In a ``T.relu_stack`` given ``prop`` its
+    ``spec`` is the graph convolution ``(prop @ x) @ W + b``: the layers of
+    ``GcnStack(conv="gcn")`` and of the bond-type model are Dense layers
+    run over ``e.gcn_matrix``."""
+
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
                  name: str = "dense"):
+        self.in_width = in_width
         self.W = T.param(glorot(rng, in_width, out_width), name=f"{name}.W")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
     @property
     def spec(self) -> tuple[Tensor, None, Tensor]:
-        """The layer as ``T.relu_stack`` takes it: no neighbor path."""
+        """The layer as ``T.relu_stack`` takes it: no neighbor-mean path."""
         return self.W, None, self.b
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -271,10 +261,9 @@ def pair_gather_plans(n: int) -> tuple[T.SegmentPlan, T.SegmentPlan]:
 
 @lru_cache(maxsize=None)
 def pair_edges(n: int) -> EdgeIndex:
-    """Both orientations of every pair of ``pair_indices(n)``, laid out as
-    ``edges_from_pairs`` lays them out. Cached; treat as read-only."""
-    i_idx, j_idx = pair_indices(n)
-    return EdgeIndex(np.concatenate([i_idx, j_idx]), np.concatenate([j_idx, i_idx]), n)
+    """``edges_from_pairs`` over every pair of ``pair_indices(n)``. Cached;
+    treat as read-only."""
+    return edges_from_pairs(n, list(zip(*pair_indices(n))))
 
 
 def symmetric_pair_logits(mlp: Mlp, h: Tensor, e: EdgeIndex) -> Tensor:
@@ -370,14 +359,15 @@ class GcnStack:
     ``conv`` picks the layer flavor: "gcn" (symmetric normalized, for
     sparse molecular graphs) or "graph" (self/neighbor split, for complete
     graphs). A "gcn" stack is called with the ``EdgeIndex`` ``e`` whose
-    ``gcn_matrix`` it propagates over; a "graph" stack runs on the complete
-    graph of x's rows and takes no ``e``. Either mistake raises
-    ``GraphMismatch``.
+    ``gcn_matrix`` its ``Dense`` layers propagate over, each layer mapping
+    h to ``(e.gcn_matrix @ h) @ W + b`` (at most 45 x 45: the 9-atom
+    pair-node graph); a "graph" stack runs on the complete graph of x's
+    rows and takes no ``e``. Either mistake raises ``GraphMismatch``.
     """
 
     def __init__(self, widths: list[int], rng: np.random.Generator,
                  name: str = "gcnstack", conv: str = "gcn"):
-        layer_cls = {"gcn": GcnLayer, "graph": GraphConvLayer}[conv]
+        layer_cls = {"gcn": Dense, "graph": GraphConvLayer}[conv]
         self.layers = [layer_cls(widths[i], widths[i + 1], rng, name=f"{name}.{i}")
                        for i in range(len(widths) - 1)]
         self.complete = conv == "graph"

@@ -52,9 +52,10 @@ def assert_close(got: np.ndarray, want: np.ndarray, rtol: float = 1e-12) -> None
 
 
 def mean_only(width: int) -> list:
-    """A one-layer ``relu_stack`` whose output is the neighbour mean:
-    no self path, the identity on the neighbour path, no bias."""
-    return [(None, T.tensor(np.eye(width)), T.tensor(np.zeros(width)))]
+    """A one-layer ``relu_stack`` whose output is the neighbour mean: a
+    zero self weight, the identity on the neighbour path, no bias."""
+    return [(T.tensor(np.zeros((width, width))), T.tensor(np.eye(width)),
+             T.tensor(np.zeros(width)))]
 
 
 def _complete_mean(a: np.ndarray) -> np.ndarray:
@@ -77,18 +78,19 @@ def _complete_mean_node(x):
 
 def per_layer_stack(x, layers, prop=None):
     """``T.relu_stack(x, layers, prop)`` from separate nodes: per layer, a
-    neighbour node (the complete-graph mean, or ``T.matmul`` by ``prop``)
-    when it has ``Wn``, one or two ``affine`` nodes and a ``relu``. The
-    reference computes the mean itself and does not fold it into the
-    weights. Same arithmetic as ``relu_stack`` on dense and ``prop`` stacks
-    and on one row, so the same bits there; on complete-graph layers over
-    more rows the two agree to rounding."""
+    ``T.matmul`` node by ``prop`` on a ``prop`` stack, the complete-graph
+    mean node when the layer has ``Wn``, one or two ``affine`` nodes and a
+    ``relu``. The reference computes the mean itself and does not fold it
+    into the weights. Same arithmetic as ``relu_stack`` on dense and
+    ``prop`` stacks and on one row, so the same bits there; on
+    complete-graph layers over more rows the two agree to rounding."""
     for i, (w, wn, b) in enumerate(layers):
-        if wn is None:
+        if prop is not None:
+            x = T.affine(T.matmul(T.tensor(prop), x), w, b)
+        elif wn is None:
             x = T.affine(x, w, b)
         else:
-            m = _complete_mean_node(x) if prop is None else T.matmul(T.tensor(prop), x)
-            x = T.affine(m, wn, b) if w is None else T.affine(x, w, T.affine(m, wn, b))
+            x = T.affine(x, w, T.affine(_complete_mean_node(x), wn, b))
         if i < len(layers) - 1:
             x = T.relu(x)
     return x

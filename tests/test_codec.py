@@ -7,7 +7,14 @@ from moldiff import codec
 from moldiff.chem import ELEMENTS, BondType, Element, molgraph, parse_smiles
 from moldiff.diffcore import AdamState, Tape, adam_step, backward
 from moldiff.diffcore import tensor as T
-from moldiff.gnn import TooFewPoints, edges_from_pairs, pair_indices, pair_node_edges
+from moldiff.gnn import (
+    TooFewPoints,
+    bias_init,
+    edges_from_pairs,
+    glorot,
+    pair_indices,
+    pair_node_edges,
+)
 
 from conftest import fd_gradcheck
 
@@ -157,7 +164,7 @@ def _taped_alone(decoder: str, ae, at, cloud: np.ndarray, n: int):
             out = ae.decode_t(x, pair_node_edges(n)).data
             scores, probs, tau = out[:n, :4], T.sigmoid(T.tensor(out[n:, 4])).data, 0.5
         else:
-            scores = at.decode_probs(T.narrow(x, 1, ae.z, 2)).data
+            scores = at.decode_probs(T.narrow(x, -1, ae.z, 2)).data
             probs = codec.edge_probs(ae, x).data if n >= 2 else np.empty((0, 1))
             tau = ae.tau
     assert len(tape) > 0
@@ -339,6 +346,38 @@ class TestEdgesAsNodes:
         g = codec.build_edges_as_nodes(parse_smiles("CC(=O)N"))
         params = [p for _, p in ae.named_params()]
         assert fd_gradcheck(lambda: codec.input_space_loss(ae, g), params) < 1e-4
+
+
+def _stack_names(prefix: str, widths: list[int]) -> list[tuple[str, tuple]]:
+    return [p for i, (a, b) in enumerate(zip(widths, widths[1:]))
+            for p in ((f"{prefix}.{i}.W", (a, b)), (f"{prefix}.{i}.b", (b,)))]
+
+
+class TestCheckpointNames:
+    """A checkpoint stores each parameter under its name. The GCN layers'
+    names, shapes and initial draws are those stored files were written
+    with, so those files still load."""
+
+    MODELS = {
+        "edgetype": (lambda rng: codec.EdgeTypeModel(rng),
+                     [("edgetype.gcn1.W", (4, 32)), ("edgetype.gcn1.b", (32,)),
+                      ("edgetype.gcn2.W", (32, 32)), ("edgetype.gcn2.b", (32,)),
+                      *_stack_names("edgetype.head", [64, 32, 4])]),
+        "inputae": (lambda rng: codec.InputSpaceAutoencoder(2, rng),
+                    _stack_names("inputae.enc", [9, 32, 32, 32, 2])
+                    + _stack_names("inputae.dec", [2, 32, 32, 32, 9])),
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_names_shapes_and_draws(self, model):
+        build, want = self.MODELS[model]
+        params = build(np.random.default_rng(5)).named_params()
+        assert [(name, p.data.shape) for name, p in params] == want
+        # every layer draws a glorot W, then a bias, in layer order
+        ref = np.random.default_rng(5)
+        for (_, w), (_, b) in zip(params[::2], params[1::2]):
+            assert np.array_equal(w.data, glorot(ref, *w.data.shape))
+            assert np.array_equal(b.data, bias_init(ref, len(b.data)))
 
 
 def overfit_single(m, seed, steps=500, lr=0.004, restarts=6):

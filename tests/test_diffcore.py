@@ -132,7 +132,7 @@ class TestGradCheckPrimitives:
         def build():
             cat = T.concat([a, b], axis=0)
             picked = T.gather_rows(cat, plan)
-            return T.mse(T.narrow(picked, 1, 0, 2), T.tensor(tgt))
+            return T.mse(T.narrow(picked, -1, 0, 2), T.tensor(tgt))
 
         assert fd_gradcheck(build, [a, b]) < 1e-4
 
@@ -140,6 +140,10 @@ class TestGradCheckPrimitives:
         x = T.tensor(rng.standard_normal((2, 3, 4)))
         with pytest.raises(ShapeMismatch):
             T.narrow(x, 2, 0, 1)
+        # rows are axis -2 and features -1, for a 2-D x too
+        for axis in (0, 1):
+            with pytest.raises(ShapeMismatch):
+                T.narrow(T.tensor(x.data[0]), axis, 0, 1)
 
     def test_segment_ops(self, rng):
         x = param(rng.standard_normal((8, 3)))
@@ -171,7 +175,7 @@ class TestGradCheckPrimitives:
         src = T.SegmentPlan(np.array([0, 1, 2]), 3)
         plan = T.SegmentPlan(np.array([0, 0, 0]), 3)
         with Tape() as tape:
-            loss = T.sum_all(T.narrow(T.pna_aggregate(x, src, plan), 1, 4, 1))
+            loss = T.sum_all(T.narrow(T.pna_aggregate(x, src, plan), -1, 4, 1))
         grads = backward(tape, loss)
         assert np.all(grads[x] == 0.0)
 
@@ -255,14 +259,13 @@ class TestCompleteMean:
         assert np.array_equal(T.relu_stack(x, mean_only(1)).data, [[4.0], [3.5], [1.5]])
 
 
-def stack_layers(rng, widths, nbr, own=None) -> list:
-    """Trainable (W or None, Wn or None, b) layers; ``nbr[i]`` gives layer
-    i a neighbour path and ``own[i]`` (default: every layer) a self path."""
-    own = own or [True] * len(nbr)
-    return [(param(rng.standard_normal((a, b))) if o else None,
+def stack_layers(rng, widths, nbr) -> list:
+    """Trainable (W, Wn or None, b) layers; ``nbr[i]`` gives layer i a
+    neighbour-mean path."""
+    return [(param(rng.standard_normal((a, b))),
              param(rng.standard_normal((a, b))) if k else None,
              param(rng.standard_normal(b)))
-            for a, b, k, o in zip(widths, widths[1:], nbr, own)]
+            for a, b, k in zip(widths, widths[1:], nbr)]
 
 
 def trainables(layers) -> list:
@@ -412,6 +415,7 @@ class TestCompleteStack:
         "nbr_shape": "relu_stack layer 0 on (4, 2): W, Wn [(2, 3), (2, 4)], b (3,)",
         "bias": "relu_stack layer 1 on (4, 3): W, Wn [(3, 2), None], b (3,)",
         "x_1d": "relu_stack expects rows of features, got shape (2,)",
+        "no_self": "relu_stack layer 0 on (4, 2): W, Wn [None, (2, 3)], b (3,)",
     }
 
     @staticmethod
@@ -426,6 +430,8 @@ class TestCompleteStack:
             layers[0] = (layers[0][0], param(np.ones((2, 4))), layers[0][2])
         elif bad == "bias":
             layers[1] = (layers[1][0], None, param(np.ones(3)))
+        elif bad == "no_self":  # a complete-graph layer needs its W
+            layers[0] = (None, layers[0][1], layers[0][2])
         else:
             x = T.tensor(np.ones(2))
         return x, layers
@@ -463,22 +469,21 @@ GRAPHS = {
     "directed": lambda: DIRECTED,
 }
 
-# (nbr, own) per layer: a GCN stack has no self path; "mixed" has a layer
-# with both paths, one with the neighbour path only and one with the self
-# path only
-KINDS = {"gcn": ([True] * 3, [False] * 3), "mixed": ([True, True, False], [True, False, True])}
+# the neighbour-mean path per layer: a ``prop`` stack's layers have none,
+# since every layer propagates first
+KINDS = {"gcn": [False] * 3}
 
 
 class TestReluStack:
     """``relu_stack`` over a constant propagation matrix, with layers that
-    have no self path: the GCN stacks."""
+    propagate, then transform: the GCN stacks."""
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     def test_same_bits_as_per_layer_nodes(self, graph, kind, rng):
         prop = GRAPHS[graph]().gcn_matrix
         n = prop.shape[0]
-        layers = stack_layers(rng, [3, 8, 8, 3], *KINDS[kind])
+        layers = stack_layers(rng, [3, 8, 8, 3], KINDS[kind])
         x = param(rng.standard_normal((n, 3)))
         weights = T.tensor(rng.standard_normal((n, 3)))
         run = TestCompleteStack.run
@@ -486,15 +491,14 @@ class TestReluStack:
         ref, ref_nodes, ref_grads = run(partial(per_layer_stack, prop=prop), x, layers, weights)
         assert _bits(one) == _bits(ref)
         assert [_bits(g) for g in one_grads] == [_bits(g) for g in ref_grads]
-        # both kinds take 8 per-layer nodes: gcn 2 + 1 + 2 + 1 + 2,
-        # mixed 3 + 1 + 2 + 1 + 1
+        # 8 per-layer nodes: 2 + 1 + 2 + 1 + 2
         assert (one_nodes, ref_nodes) == (3 + 1, 3 + 8)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("graph", ["molecule", "directed"])
     def test_against_finite_differences(self, graph, kind, rng):
         prop = GRAPHS[graph]().gcn_matrix
-        layers = stack_layers(rng, [2, 4, 3, 2], *KINDS[kind])
+        layers = stack_layers(rng, [2, 4, 3, 2], KINDS[kind])
         x = param(rng.standard_normal((prop.shape[0], 2)))
         tgt = rng.standard_normal((prop.shape[0], 2))
         assert fd_gradcheck(lambda: T.mse(T.relu_stack(x, layers, prop), T.tensor(tgt)),
@@ -506,7 +510,7 @@ class TestReluStack:
         x = param(rng.standard_normal((4, 2)))
         weights = rng.standard_normal((4, 2))
         with Tape() as tape:
-            out = T.relu_stack(x, [(None, T.tensor(np.eye(2)), T.tensor(np.zeros(2)))], prop)
+            out = T.relu_stack(x, [(T.tensor(np.eye(2)), None, T.tensor(np.zeros(2)))], prop)
             grads = backward(tape, T.sum_all(T.mul(out, T.tensor(weights))))
         assert np.array_equal(out.data, prop @ x.data)
         assert np.array_equal(grads[x], prop.T @ weights)
@@ -515,7 +519,7 @@ class TestReluStack:
     def test_attached_input_also_in_the_loss(self, rng):
         """x comes from a node on the tape and reaches the loss twice."""
         prop = GRAPHS["molecule"]().gcn_matrix
-        layers = stack_layers(rng, [3, 8, 3], [True, True], [True, False])
+        layers = stack_layers(rng, [3, 8, 3], KINDS["gcn"])
         leaf = param(rng.standard_normal((prop.shape[0], 3)))
         weights = T.tensor(rng.standard_normal((prop.shape[0], 3)))
 
@@ -530,7 +534,7 @@ class TestReluStack:
 
     def test_constant_input_records_one_node(self, rng):
         prop = GRAPHS["molecule"]().gcn_matrix
-        layers = stack_layers(rng, [4, 3, 3], *KINDS["gcn"])
+        layers = stack_layers(rng, [4, 3, 3], KINDS["gcn"])
         x = T.tensor(rng.standard_normal((prop.shape[0], 4)))
         with Tape() as tape:
             out = T.relu_stack(x, layers, prop)
@@ -544,22 +548,28 @@ class TestReluStack:
         "prop_rows": "relu_stack: prop (5, 5) for 4 rows",
         "prop_cols": "relu_stack: prop (4, 3) for 4 rows",
         "no_weights": "relu_stack layer 1 on (4, 3): W, Wn [None, None], b (2,)",
-        "nbr_width": "relu_stack layer 1 on (4, 3): W, Wn [None, (4, 2)], b (2,)",
+        "nbr_width": "relu_stack layer 1 on (4, 3): W, Wn [(4, 2), None], b (2,)",
+        "no_w": "relu_stack layer 1 on (4, 3): W, Wn [None, (3, 2)], b (2,)",
+        "prop_nbr": "relu_stack layer 1 on (4, 3): W, Wn [(3, 2), (3, 2)], b (2,)",
     }
 
     @staticmethod
     def bad_stack(bad, rng):
         x = T.tensor(rng.standard_normal((4, 2)))
         prop = DIRECTED.gcn_matrix
-        layers = stack_layers(rng, [2, 3, 2], [True, True], [False, False])
+        layers = stack_layers(rng, [2, 3, 2], KINDS["gcn"])
         if bad == "prop_rows":
             prop = np.eye(5)
         elif bad == "prop_cols":
             prop = np.ones((4, 3))
         elif bad == "no_weights":
             layers[1] = (None, None, layers[1][2])
-        else:
-            layers[1] = (None, param(np.ones((4, 2))), layers[1][2])
+        elif bad == "nbr_width":  # the propagated input's W of the wrong width
+            layers[1] = (param(np.ones((4, 2))), None, layers[1][2])
+        elif bad == "no_w":
+            layers[1] = (None, param(np.ones((3, 2))), layers[1][2])
+        else:  # a Wn on a prop stack
+            layers[1] = (layers[1][0], param(np.ones((3, 2))), layers[1][2])
         return x, layers, prop
 
     @pytest.mark.parametrize("bad", ["prop_rows", "prop_cols", "no_weights", "nbr_width"])

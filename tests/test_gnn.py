@@ -390,6 +390,17 @@ class TestGraphConv:
         for g, w in zip(got_grads, want_grads):
             assert np.max(np.abs(g - w)) <= 1e-12 * max(np.max(np.abs(w)), 1.0)
 
+    def test_batch_entries_as_alone(self, rng):
+        """Off the tape a (B, n, w) batch runs each entry as that graph
+        alone, and the width check reads the feature axis."""
+        lay = GraphConvLayer(3, 4, rng)
+        x = rng.standard_normal((5, 6, 3))
+        whole = lay(T.tensor(x)).data
+        for b in range(5):
+            assert whole[b].tobytes() == lay(T.tensor(x[b])).data.tobytes()
+        with pytest.raises(WidthMismatch):
+            lay(T.tensor(rng.standard_normal((5, 3, 4))))
+
     def test_matches_message_passing_layer(self, rng):
         lay = GraphConvLayer(3, 4, rng)
         x = rng.standard_normal((7, 3))
@@ -581,7 +592,7 @@ class TestNets:
         def layer_by_layer(x):
             s = T.concat([x, T.tensor(np.full((n, 1), 17 / 50))], axis=1)
             h = per_layer_stack(s, [layer.spec for layer in restorer.net.layers])
-            return T.narrow(T.sub(h, s), 1, 0, 2)
+            return T.narrow(T.sub(h, s), -1, 0, 2)
 
         self.assert_matches(
             self.input_gradient(lambda x: restorer.predict_noise(x, 17, 50), x, weights),

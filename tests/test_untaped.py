@@ -140,8 +140,8 @@ OPS = {
     "reciprocal": (T.reciprocal, [(4, 3)]),
     "concat0": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (4, 3)]),
     "concat1": (lambda a, b: T.concat([a, b], axis=1), [(4, 2), (4, 3)]),
-    "narrow0": (lambda x: T.narrow(x, 0, 1, 3), [(5, 3)]),
-    "narrow1": (lambda x: T.narrow(x, 1, 2, 2), [(5, 6)]),
+    "narrow0": (lambda x: T.narrow(x, -2, 1, 3), [(5, 3)]),
+    "narrow1": (lambda x: T.narrow(x, -1, 2, 2), [(5, 6)]),
     "gather_rows": (lambda x: T.gather_rows(x, _FULL_PLAN), [(5, 3)]),
     "gather_rows_plan": (lambda x: T.gather_rows(x, _PLAN), [(5, 3)]),
     "row_sum": (T.row_sum, [(4, 3)]),
@@ -151,7 +151,7 @@ OPS = {
         lambda x, w, wn, b, w2, b2: T.relu_stack(x, [(w, wn, b), (w2, None, b2)]),
         [(6, 3), (3, 4), (3, 4), (4,), (4, 2), (2,)]),
     "gcn_stack": (
-        lambda x, wn, b, wn2, b2: T.relu_stack(x, [(None, wn, b), (None, wn2, b2)], _PROP),
+        lambda x, w, b, w2, b2: T.relu_stack(x, [(w, None, b), (w2, None, b2)], _PROP),
         [(5, 3), (3, 4), (4,), (4, 2), (2,)]),
     "segment_mean": (lambda x: T.segment_mean(x, _PLAN), [(7, 3)]),
     "pna_aggregate": (lambda x: T.pna_aggregate(x, _FULL_PLAN, _DST_PLAN), [(5, 3)]),
@@ -203,12 +203,12 @@ def test_batch_entries_same_bits_as_alone(name, rng):
 
 
 # relu_stack's branches: name -> (2-D x shape, (W, Wn, b) shapes per layer,
-# prop); a None shape is a missing weight
+# prop); a None shape is a missing Wn
 STACK_BRANCHES = {
     "dense": ((5, 3), [((3, 4), None, (4,)), ((4, 2), None, (2,))], None),
-    "prop": ((5, 3), [((3, 4), (3, 4), (4,)), (None, (4, 2), (2,))], _PROP),
-    "complete": ((6, 3), [((3, 4), (3, 4), (4,)), (None, (4, 2), (2,))], None),
-    "one_row": ((1, 3), [((3, 4), (3, 4), (4,)), (None, (4, 2), (2,))], None),
+    "prop": ((5, 3), [((3, 4), None, (4,)), ((4, 2), None, (2,))], _PROP),
+    "complete": ((6, 3), [((3, 4), (3, 4), (4,)), ((4, 2), (4, 2), (2,))], None),
+    "one_row": ((1, 3), [((3, 4), (3, 4), (4,)), ((4, 2), (4, 2), (2,))], None),
 }
 
 
