@@ -45,6 +45,8 @@ def save_params(path, named: dict[str, np.ndarray], meta: dict | None = None) ->
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The named arrays and the meta object of a checkpoint. A file that
+    breaks the layout above raises :class:`CheckpointError`."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
@@ -58,13 +60,24 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
         pos += n
         return piece
 
+    def text(n: int) -> str:
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(take(meta_len).decode("utf-8")) if meta_len else {}
+    try:
+        meta = json.loads(text(meta_len)) if meta_len else {}
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: meta is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta is a JSON {type(meta).__name__}, not an object")
 
     named: dict[str, np.ndarray] = {}
     while pos < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        name = text(name_len)
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         count = int(np.prod(dims)) if rank else 1

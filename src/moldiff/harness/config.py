@@ -17,6 +17,10 @@ FLOW_KINDS = {
     "flow_matching": "flow_matching",
 }
 
+# the codec kind (see moldiff.codec.build) that each experiment trains
+CODEC_KINDS = {"gnn_gaussian": "gnn", "egnn_gaussian": "egnn", "input_space_gaussian": "input",
+               "heat_1d": "gnn", "flow_matching": "gnn"}
+
 EXPERIMENTS = tuple(FLOW_KINDS)
 
 LATENT_WIDTHS = (1, 2, 6)

@@ -39,8 +39,7 @@ def sample_clouds(pipe: TrainedPipeline, count: int,
     With ``count > 0`` and no such size, raises :class:`NoSampleableSize`
     before drawing from ``rng``."""
     histogram = pipe.dataset.size_histogram
-    # an input-space cloud has a row per atom and a row per atom pair
-    rows = {n: n if pipe.input_ae is None else n + n * (n - 1) // 2 for n in histogram}
+    rows = {n: pipe.codec.rows(n) for n in histogram}
     # sizes the flow cannot sample (heat: none of its seed clouds) are skipped
     sampleable = {n: c for n, c in histogram.items() if pipe.flow.can_sample(rows[n])}
     if count > 0 and not sampleable:
@@ -77,11 +76,7 @@ def generate_molecules(pipe: TrainedPipeline, count: int,
     for n, members in groups.items():
         for lo in range(0, len(members), DECODE_CHUNK):
             chunk = members[lo:lo + DECODE_CHUNK]
-            points = np.stack([clouds[k] for k in chunk])
-            if pipe.input_ae is not None:
-                graphs = codec.input_space_decode_batch(pipe.input_ae, points, n)
-            else:
-                graphs = codec.decode_batch(pipe.graph_ae, pipe.atom_ae, points)
+            graphs = pipe.codec.decode_batch(np.stack([clouds[k] for k in chunk]), n)
             for k, graph in zip(chunk, graphs):
                 candidates[k] = graph
     return [codec.predict_edge_types(pipe.edge_type, c)[0] for c in candidates]

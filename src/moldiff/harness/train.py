@@ -1,7 +1,8 @@
-"""Training orchestration: autoencoders first, then the flow on frozen embeddings.
+"""Training orchestration: the codec first, then the flow on frozen embeddings.
 
-A run produces two checkpoints in the run directory: ``codec.mdl1`` (graph
-autoencoder, atom-type autoencoder, bond-type classifier) and ``flow.mdl1``
+Each is built by kind (``codec.build``, ``flows.build``) and used through its
+interface only. A run writes two checkpoints to the run directory: ``codec.mdl1``
+(codec, then bond-type classifier) and ``flow.mdl1``
 (restoration model plus the embedding standardizer, with the flow's
 ``meta()`` in the metadata header). Loading rebuilds the flow from the
 stored schedule constants, not from the defaults. Wall-clock seconds for
@@ -22,7 +23,7 @@ import numpy as np
 from .. import codec, flows
 from ..chem import Dataset, MolGraph
 from ..diffcore import AdamState, Tape, adam_step, backward, load_params, save_params
-from .config import FLOW_KINDS, ExperimentConfig
+from .config import CODEC_KINDS, FLOW_KINDS, ExperimentConfig
 from .data import DatasetError, resolve_dataset
 
 
@@ -54,9 +55,7 @@ class TrainedPipeline:
     cfg: ExperimentConfig
     dataset: Dataset
     subset: list[MolGraph]
-    graph_ae: codec.GraphAutoencoder | None
-    input_ae: codec.InputSpaceAutoencoder | None
-    atom_ae: codec.AtomTypeAutoencoder | None
+    codec: codec.GraphCodec | codec.InputSpaceAutoencoder
     edge_type: codec.EdgeTypeModel
     flow: flows.DdpmModel | flows.HeatModel | flows.FlowField | None
     standardizer: Standardizer | None
@@ -65,21 +64,23 @@ class TrainedPipeline:
     param_count: int = 0
     history: dict = field(default_factory=dict)
 
-    @property
-    def flow_width(self) -> int:
-        if self.input_ae is not None:
-            return self.input_ae.width
-        return self.graph_ae.width
-
-    @property
-    def autoencoders(self) -> list:
-        """The input-space autoencoder, or the graph and atom-type ones."""
-        return [ae for ae in (self.graph_ae, self.atom_ae, self.input_ae) if ae is not None]
-
     def codec_params(self) -> list:
-        """Named parameters of the autoencoder(s), then of the bond-type model."""
-        return [p for part in (*self.autoencoders, self.edge_type)
-                for p in part.named_params()]
+        """Named parameters of the codec, then of the bond-type model."""
+        return self.codec.named_params() + self.edge_type.named_params()
+
+    # Read-only views by codec kind, for bench/workloads.py (pipeline_arrays,
+    # Train.quality_checks); nothing in the program reads them.
+    @property
+    def graph_ae(self) -> codec.GraphCodec | None:
+        return self.codec if isinstance(self.codec, codec.GraphCodec) else None
+
+    @property
+    def atom_ae(self) -> codec.AtomTypeAutoencoder | None:
+        return self.graph_ae and self.graph_ae.atoms
+
+    @property
+    def input_ae(self) -> codec.InputSpaceAutoencoder | None:
+        return None if self.graph_ae else self.codec
 
 
 def _spawn(seed: int, n: int) -> list[np.random.Generator]:
@@ -124,46 +125,24 @@ def _select_subset(dataset: Dataset, cfg: ExperimentConfig,
     return [mols[int(i)] for i in picks]
 
 
-def _build_codec(cfg: ExperimentConfig, rng: np.random.Generator):
-    if cfg.experiment == "input_space_gaussian":
-        return None, None, codec.InputSpaceAutoencoder(cfg.latent_z, rng)
-    kind = "egnn" if cfg.experiment == "egnn_gaussian" else "gnn"
-    return (codec.GraphAutoencoder(cfg.latent_z, rng, kind=kind),
-            codec.AtomTypeAutoencoder(rng), None)
-
-
 def _untrained(cfg: ExperimentConfig, dataset: Dataset, init_rng: np.random.Generator,
                subset_rng: np.random.Generator) -> TrainedPipeline:
     """Freshly initialised codec parts on the selected subset; no flow yet."""
-    graph_ae, atom_ae, input_ae = _build_codec(cfg, init_rng)
     return TrainedPipeline(
         cfg=cfg, dataset=dataset, subset=_select_subset(dataset, cfg, subset_rng),
-        graph_ae=graph_ae, input_ae=input_ae, atom_ae=atom_ae,
+        codec=codec.build(CODEC_KINDS[cfg.experiment], cfg.latent_z, init_rng),
         edge_type=codec.EdgeTypeModel(init_rng), flow=None, standardizer=None)
 
 
 def _cloud_molecules(pipe: TrainedPipeline) -> list[MolGraph]:
-    """The training molecules that give the flow a cloud: all of them, or
-    for the input-space codec those with two atoms or more (its graph has a
-    node per atom pair)."""
-    if pipe.input_ae is None:
-        return pipe.subset
-    return [m for m in pipe.subset if m.n >= 2]
-
-
-def _encode_subset(pipe: TrainedPipeline) -> Iterator[np.ndarray]:
-    """Frozen-encoder embeddings of the training molecules, each computed
-    when the iterator reaches it."""
-    if pipe.input_ae is not None:
-        return (pipe.input_ae.encode_t(codec.build_edges_as_nodes(m)).data
-                for m in _cloud_molecules(pipe))
-    return (codec.encode_t(pipe.graph_ae, pipe.atom_ae, m).data for m in pipe.subset)
+    """The training molecules the codec can encode: each gives the flow a cloud."""
+    return [m for m in pipe.subset if m.n >= pipe.codec.min_atoms]
 
 
 def standardized_clouds(pipe: TrainedPipeline) -> Iterator[np.ndarray]:
     """The flow's training clouds, as the standardizer maps them, each
     encoded when the iterator reaches it."""
-    return (pipe.standardizer.apply(c) for c in _encode_subset(pipe))
+    return (pipe.standardizer.apply(pipe.codec.encode(m)) for m in _cloud_molecules(pipe))
 
 
 def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> TrainedPipeline:
@@ -176,34 +155,28 @@ def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> T
         dataset = resolve_dataset(cfg)
     init_rng, subset_rng, ae_rng, flow_rng, _ = _spawn(cfg.seed, 5)
     pipe = _untrained(cfg, dataset, init_rng, subset_rng)
-    if not _cloud_molecules(pipe):
+    mols = _cloud_molecules(pipe)
+    if not mols:
         if not pipe.subset:
             raise DatasetError(f"{dataset.source}: no molecules to train on")
-        raise DatasetError(
-            f"{dataset.source}: {cfg.experiment} needs molecules of two atoms or more"
-            f" for the flow, and all {len(pipe.subset)} training molecules have one atom")
+        raise DatasetError(f"{dataset.source}: {cfg.experiment} needs molecules of"
+                           f" {pipe.codec.min_atoms} atoms or more for the flow, and all"
+                           f" {len(pipe.subset)} training molecules have fewer")
 
-    # phase 1: autoencoder(s) plus the bond-type classifier
+    # phase 1: the codec plus the bond-type classifier
     t0 = time.perf_counter()
-    ae_params = [p for ae in pipe.autoencoders for _, p in ae.named_params()]
-    if pipe.input_ae is not None:
-        graphs = [codec.build_edges_as_nodes(m) for m in _cloud_molecules(pipe)]
-        ae_hist = _train_loop(lambda g: codec.input_space_loss(pipe.input_ae, g),
-                              graphs, cfg.epochs, ae_params, cfg.lr, ae_rng)
-    else:
-        ae_hist = _train_loop(
-            lambda m: codec.reconstruction_loss(pipe.graph_ae, pipe.atom_ae, m),
-            pipe.subset, cfg.epochs, ae_params, cfg.lr, ae_rng)
+    ae_params = _param_list(pipe.codec.named_params())
+    ae_hist = _train_loop(pipe.codec.loss, mols, cfg.epochs, ae_params, cfg.lr, ae_rng)
     et_params = _param_list(pipe.edge_type.named_params())
     et_hist = _train_loop(lambda m: codec.edge_type_loss(pipe.edge_type, m),
                           pipe.subset, cfg.epochs, et_params, cfg.lr, ae_rng)
     pipe.ae_seconds = time.perf_counter() - t0
 
     # phase 2: flow on frozen-encoder embeddings
-    clouds = list(_encode_subset(pipe))
+    clouds = [pipe.codec.encode(m) for m in mols]
     pipe.standardizer = Standardizer.fit(np.concatenate(clouds, axis=0))
     flow_data = [pipe.standardizer.apply(c) for c in clouds]
-    pipe.flow = flows.build(FLOW_KINDS[cfg.experiment], pipe.flow_width, init_rng,
+    pipe.flow = flows.build(FLOW_KINDS[cfg.experiment], pipe.codec.width, init_rng,
                             flow_data)
     flow_params = _param_list(pipe.flow.named_params())
 
@@ -298,7 +271,7 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     constants = {k: v for k, v in flow_meta.items()
                  if k not in ("flow", "experiment", "latent_z")}
     try:
-        pipe.flow = flows.build(kind, pipe.flow_width, rng, clouds, **constants)
+        pipe.flow = flows.build(kind, pipe.codec.width, rng, clouds, **constants)
     except (TypeError, flows.FixedConstant) as exc:  # a constant this flow does not have
         raise CheckpointMismatch(f"{flow_path}: {exc}") from None
     missing = sorted(pipe.flow.meta().keys() - flow_meta.keys())

@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moldiff
 from moldiff import harness
 from moldiff.chem import load_dataset, parse_smiles
 from moldiff.harness import ConfigInvalid, ExperimentConfig, MetricsReport, cli
@@ -166,3 +171,27 @@ class TestResultsCsv:
                 g, w = getattr(got, col), getattr(want, col)
                 assert g == w or (col == "latent_mmd" and math.isnan(g) and math.isnan(w)), col
                 assert type(g) is type(w), col
+
+
+def _train_and_generate(out: Path, hash_seed: str) -> dict[str, bytes]:
+    """Train and sample input_space_gaussian through the command line in
+    fresh interpreters; the bytes of the run's outputs."""
+    env = {k: v for k, v in os.environ.items() if k != "MOLDIFF_DATA"}
+    env.update(PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(moldiff.__file__).parents[1]))
+    flags = ["--experiment", "input_space_gaussian", "--epochs", "1", "--subset", "12",
+             "--seed", "0", "--output-dir", str(out)]
+    for command in (["train"], ["generate", "--count", "20"]):
+        subprocess.run([sys.executable, "-m", "moldiff.harness.cli", *command, *flags],
+                       env=env, check=True, capture_output=True)
+    run_dir = out / "input_space_gaussian_z2_seed0"
+    return {f: (run_dir / f).read_bytes()
+            for f in ("generated.smi", "codec.mdl1", "flow.mdl1")}
+
+
+def test_runs_in_other_processes_give_the_same_bytes(tmp_path):
+    """Neither string hashing nor anything else of one interpreter reaches
+    the checkpoints or the generated SMILES."""
+    first = _train_and_generate(tmp_path / "a", "0")
+    assert len(first["generated.smi"].splitlines()) == 20
+    assert _train_and_generate(tmp_path / "b", "1") == first

@@ -162,14 +162,13 @@ def _taped_alone(decoder: str, ae, at, cloud: np.ndarray, n: int):
         x = T.tensor(cloud)
         if decoder == "input":
             out = ae.decode_t(x, pair_node_edges(n)).data
-            scores, probs, tau = out[:n, :4], T.sigmoid(T.tensor(out[n:, 4])).data, 0.5
+            scores, probs = out[:n, :4], T.sigmoid(T.tensor(out[n:, 4])).data
         else:
             scores = at.decode_probs(T.narrow(x, -1, ae.z, 2)).data
             probs = codec.edge_probs(ae, x).data if n >= 2 else np.empty((0, 1))
-            tau = ae.tau
     assert len(tape) > 0
     atoms = tuple(ELEMENTS[k] for k in scores.argmax(axis=1))
-    return atoms, _kept_pairs(probs, n, tau), probs
+    return atoms, _kept_pairs(probs, n, ae.tau), probs
 
 
 class TestBatchDecode:
@@ -378,6 +377,67 @@ class TestCheckpointNames:
         for (_, w), (_, b) in zip(params[::2], params[1::2]):
             assert np.array_equal(w.data, glorot(ref, *w.data.shape))
             assert np.array_equal(b.data, bias_init(ref, len(b.data)))
+
+
+def _same_size(n: int) -> list:
+    """Three molecules of n atoms."""
+    if n == 1:
+        return [parse_smiles(s) for s in ("C", "N", "O")]
+    ring = f"C1{'C' * (n - 2)}C1" if n >= 3 else "C=O"
+    return [parse_smiles(s) for s in ("C" * n, "O" + "C" * (n - 1), ring)]
+
+
+def _decode_alone(ae, cloud: np.ndarray, n: int):
+    if isinstance(ae, codec.InputSpaceAutoencoder):
+        return codec.input_space_decode(ae, cloud, n)
+    return codec.decode(ae, ae.atoms, cloud)
+
+
+class TestCodecInterface:
+    """Every codec keeps the contract the harness relies on."""
+
+    KINDS = ("gnn", "egnn", "input")
+
+    @pytest.fixture(scope="class", params=KINDS)
+    def built(self, request):
+        return codec.build(request.param, 2, np.random.default_rng(3))
+
+    def test_encode_shape_and_batch_decode(self, built):
+        for n in range(built.min_atoms, 10):
+            mols = _same_size(n)
+            clouds = [built.encode(m) for m in mols]
+            for cloud in clouds:
+                assert cloud.shape == (built.rows(n), built.width)
+            graphs = built.decode_batch(np.stack(clouds), n)
+            assert graphs == [_decode_alone(built, c, n) for c in clouds]
+
+    def test_loss_is_a_taped_scalar(self, built):
+        params = {id(p) for _, p in built.named_params()}
+        for n in range(built.min_atoms, 10):
+            with Tape() as tape:
+                loss = built.loss(_same_size(n)[-1])
+            assert loss.data.shape == ()
+            grads = backward(tape, loss)
+            assert {id(p) for p in grads} <= params and grads
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_build_makes_the_stored_parameters(self, kind):
+        """The names and draws of the constructors a pipeline called before
+        ``build``, in that order, so stored checkpoints still load."""
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        got = codec.build(kind, 2, rng).named_params()
+        if kind == "input":
+            want = codec.InputSpaceAutoencoder(2, ref).named_params()
+        else:
+            want = (codec.GraphAutoencoder(2, ref, kind=kind).named_params()
+                    + codec.AtomTypeAutoencoder(ref).named_params())
+        assert [(n, p.data.tobytes()) for n, p in got] == [
+            (n, p.data.tobytes()) for n, p in want]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_unknown_kind(self, rng):
+        with pytest.raises(ValueError, match="unknown"):
+            codec.build("pna", 2, rng)
 
 
 def overfit_single(m, seed, steps=500, lr=0.004, restarts=6):

@@ -1,6 +1,8 @@
 """Tape engine, optimizer, DCT basis, integrator, checkpoints."""
 
 import contextlib
+import re
+import struct
 import warnings
 from functools import partial
 
@@ -11,6 +13,7 @@ from moldiff.chem import parse_smiles
 from moldiff.codec import molecular_edges
 from moldiff.diffcore import (
     AdamState,
+    CheckpointError,
     DetachedLoss,
     LossNotScalar,
     NonFiniteField,
@@ -725,3 +728,16 @@ class TestCheckpoint:
         path = tmp_path / "model.mdl1"
         save_params(path, {"x": np.zeros(2)})
         assert path.read_bytes()[:4] == b"MDL1"
+
+    @pytest.mark.parametrize("meta, name", [
+        (b"{x}", b"x"),             # meta that is not JSON
+        (b"{}", b"\xff\xfe"),       # a parameter name that is not UTF-8
+        (b"[1,2]", b"x"),           # JSON meta that is no object
+    ], ids=["meta-not-json", "name-not-utf8", "meta-not-object"])
+    def test_malformed_file_is_a_checkpoint_error(self, meta, name, tmp_path):
+        path = tmp_path / "model.mdl1"
+        scalar = struct.pack("<II", len(name), 0) + np.float64(1.0).tobytes()
+        path.write_bytes(b"MDL1" + struct.pack("<I", len(meta)) + meta
+                         + scalar[:4] + name + scalar[4:])
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_params(path)

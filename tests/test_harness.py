@@ -334,7 +334,7 @@ def train_loops(monkeypatch):
 
 @pytest.mark.parametrize("exp, mols, cause", [
     ("gnn_gaussian", (), "no molecules"),
-    ("input_space_gaussian", ONE_ATOM, "two atoms or more"),
+    ("input_space_gaussian", ONE_ATOM, "of 2 atoms"),
 ])
 def test_no_flow_cloud_raises_before_training(exp, mols, cause, train_loops, tmp_path):
     cfg = harness.ExperimentConfig(experiment=exp, epochs=1, seed=0, output_dir=str(tmp_path))
