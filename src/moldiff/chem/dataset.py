@@ -23,6 +23,15 @@ class AllLinesFailed(ValueError):
 
 @dataclass
 class Dataset:
+    """Molecules of one source, with their canonical keys and size histogram.
+
+    ``canonical_keys`` holds :func:`canonical_key` of every molecule, so its
+    size is the number of isomorphism classes. A key is defined for any
+    ``MolGraph``, connected or not. Two keys are equal exactly when their
+    molecules are isomorphic: same elements, same bond types. The key bytes
+    hold only within one program version.
+    """
+
     molecules: list[MolGraph]
     canonical_keys: set[bytes]
     size_histogram: dict[int, int]

@@ -1,12 +1,17 @@
 """Parser, writer, canonical keys, validity, dataset loading."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moldiff.chem import (
     AllLinesFailed,
+    BOND_TYPES,
     BondType,
+    ELEMENTS,
     Element,
     EmptyInput,
     FileUnreadable,
@@ -154,6 +159,46 @@ class TestCanonicalKey:
         star = parse_smiles("CC(C)C")  # star
         assert canonical_key(path) != canonical_key(star)
 
+    def test_regular_graph_coarser_than_orbits(self):
+        # cubic and connected but not vertex-transitive: refinement leaves one
+        # cell, and the search must try more than one atom of it
+        edges = [(0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (2, 5),
+                 (2, 7), (3, 4), (3, 7), (4, 6), (5, 6), (5, 7)]
+        m = molgraph(["C"] * 8, [(i, j, BondType.SINGLE) for i, j in edges])
+        key = canonical_key(m)
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            assert canonical_key(m.permuted(list(rng.permutation(m.n)))) == key
+
+
+def _best_of_3_ms(fn):
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
+class TestCanonicalKeyTime:
+    """Symmetric graphs key in bounded time: the search prunes by automorphisms."""
+
+    @pytest.mark.parametrize("bonds", [
+        pytest.param([], id="bondless-9"),
+        pytest.param([(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)], id="three-C3-chains"),
+        pytest.param([(i, (i + 1) % 9) for i in range(9)], id="ring-9"),
+        pytest.param(list(itertools.combinations(range(9), 2)), id="K9"),
+    ])
+    def test_symmetric_graph(self, bonds):
+        m = molgraph(["C"] * 9, [(i, j, BondType.SINGLE) for i, j in bonds])
+        assert _best_of_3_ms(lambda: canonical_key(m)) < 50
+
+    def test_load_dotted_carbons(self, tmp_path):
+        path = tmp_path / "dots.smi"
+        path.write_text("C.C.C.C.C.C.C.C.C\n")
+        assert _best_of_3_ms(lambda: load_dataset(path)) < 50
+        assert len(load_dataset(path).canonical_keys) == 1
+
 
 class TestValidity:
     def test_carbon_over_valence(self):
@@ -230,7 +275,41 @@ def random_molecules(draw):
     return synthetic_molecules(1, seed=seed)[0]
 
 
+@st.composite
+def typed_graphs(draw, n):
+    """Random graph on n atoms over a drawn subset of elements and bond types,
+    connected or not; small subsets make isomorphic pairs common."""
+    elements = ELEMENTS[:draw(st.integers(1, len(ELEMENTS)))]
+    bond_types = BOND_TYPES[:draw(st.integers(1, len(BOND_TYPES)))]
+    atoms = draw(st.lists(st.sampled_from(elements), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from((None,) + bond_types),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    pairs = itertools.combinations(range(n), 2)
+    return MolGraph(tuple(atoms), frozenset(
+        (i, j, t) for (i, j), t in zip(pairs, kinds) if t is not None))
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two graphs of one size; the second is often a relabelled copy of the first."""
+    n = draw(st.integers(1, 6))
+    a = draw(typed_graphs(n))
+    b = a if draw(st.booleans()) else draw(typed_graphs(n))
+    return a, b.permuted(draw(st.permutations(range(n))))
+
+
+def brute_force_isomorphic(a, b):
+    return any(a.permuted(list(perm)) == b for perm in itertools.permutations(range(a.n)))
+
+
 class TestProperties:
+    @given(graph_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_key_equality_is_isomorphism(self, pair):
+        # half the pairs are a graph and a relabelled copy, which must share a key
+        a, b = pair
+        assert (canonical_key(a) == canonical_key(b)) == brute_force_isomorphic(a, b)
+
     @given(random_molecules())
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_preserves_key(self, m):
