@@ -46,10 +46,6 @@ class BondType(Enum):
         self.label = label
         self.half_order = half_order
 
-    @property
-    def valence_contribution(self) -> float:
-        return self.half_order / 2.0
-
 
 #: Fixed ordering used for bond-type class indices.
 BOND_TYPES: tuple[BondType, ...] = (

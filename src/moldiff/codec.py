@@ -34,7 +34,8 @@ either) offer one interface, and the harness sees nothing else:
 
 * ``width``, and ``min_atoms``: the fewest atoms a molecule must have;
 * ``rows(n)``: the rows of an n-atom molecule's cloud;
-* ``named_params()``, and ``loss(m)``: a taped loss on one molecule;
+* ``named_params()``, from ``gnn.Module``, and ``loss(m)``: a taped
+  loss on one molecule;
 * ``encode(m)``: m's (``rows(m.n)``, ``width``) cloud, and
   ``decode_batch(points, n)``: the graphs of a stack of n-atom clouds.
 
@@ -56,6 +57,7 @@ from .gnn import (
     Dense,
     EdgeIndex,
     Mlp,
+    Module,
     PnaLayer,
     GcnStack,
     TooFewPoints,
@@ -109,7 +111,7 @@ class UntypedGraph:
         return len(self.atoms)
 
 
-class AtomTypeAutoencoder:
+class AtomTypeAutoencoder(Module):
     """One-hot element -> 2-d embedding -> softmax over elements."""
 
     def __init__(self, rng: np.random.Generator, name: str = "atomae"):
@@ -122,11 +124,8 @@ class AtomTypeAutoencoder:
     def decode_probs(self, z: Tensor) -> Tensor:
         return T.softmax(self.dec(z))
 
-    def named_params(self):
-        return self.enc.named_params() + self.dec.named_params()
 
-
-class GraphAutoencoder:
+class GraphAutoencoder(Module):
     """PNA encoder/decoder with a thresholded pair-MLP edge predictor.
 
     kind="gnn" decodes from the latent points directly; kind="egnn" decodes
@@ -158,12 +157,6 @@ class GraphAutoencoder:
     @property
     def width(self) -> int:
         return self.z + 2
-
-    def named_params(self):
-        out = []
-        for part in (self.enc1, self.enc2, self.dec1, self.dec2, self.edge_mlp):
-            out.extend(part.named_params())
-        return out
 
 
 def encode_t(ae: GraphAutoencoder, at: AtomTypeAutoencoder, m: MolGraph) -> Tensor:
@@ -281,9 +274,6 @@ class GraphCodec(GraphAutoencoder):
     def rows(self, n: int) -> int:
         return n
 
-    def named_params(self):
-        return super().named_params() + self.atoms.named_params()
-
     def loss(self, m: MolGraph) -> Tensor:
         return reconstruction_loss(self, self.atoms, m)
 
@@ -298,7 +288,7 @@ class GraphCodec(GraphAutoencoder):
 # bond-type prediction
 
 
-class EdgeTypeModel:
+class EdgeTypeModel(Module):
     """Two graph convolutions with ReLU (``Dense`` layers propagated over
     the GCN matrix, one ``T.relu_stack`` node) then an MLP over
     concatenated endpoint embeddings; logits are symmetrized by averaging
@@ -316,10 +306,6 @@ class EdgeTypeModel:
         h = T.relu(T.relu_stack(T.tensor(atom_onehot(atoms)),
                                 [self.gcn1.spec, self.gcn2.spec], e.gcn_matrix))
         return symmetric_pair_logits(self.head, h, e)
-
-    def named_params(self):
-        return (self.gcn1.named_params() + self.gcn2.named_params()
-                + self.head.named_params())
 
 
 def edge_type_loss(etm: EdgeTypeModel, m: MolGraph) -> Tensor | None:
@@ -415,7 +401,7 @@ def build_edges_as_nodes(m: MolGraph) -> EdgesAsNodesGraph:
     return EdgesAsNodesGraph(features=feats, edges=edges, n_original=n)
 
 
-class InputSpaceAutoencoder:
+class InputSpaceAutoencoder(Module):
     """4-layer graph-convolution encoder/decoder over the edges-as-nodes
     graph; compresses every node (original and auxiliary) to z features,
     so a cloud has a row per atom and per atom pair."""
@@ -442,9 +428,6 @@ class InputSpaceAutoencoder:
 
     def decode_t(self, latent: Tensor, edges: EdgeIndex) -> Tensor:
         return self.dec(latent, edges)
-
-    def named_params(self):
-        return self.enc.named_params() + self.dec.named_params()
 
     def loss(self, m: MolGraph) -> Tensor:
         return input_space_loss(self, build_edges_as_nodes(m))

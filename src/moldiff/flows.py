@@ -25,7 +25,7 @@
 Every flow (``DdpmModel``, ``HeatModel``, ``FlowField``) offers the same
 small interface, and the harness sees nothing else:
 
-* ``named_params()``: the trainable tensors;
+* ``named_params()``, from ``gnn.Module``: the trainable tensors;
 * ``loss(x, rng)``: a taped loss on one standardized training cloud, or
   None for a cloud the flow cannot learn from;
 * ``can_sample(rows)`` and ``sample(rows, rng)``: one standardized cloud
@@ -49,7 +49,7 @@ import numpy as np
 from .diffcore import tensor as T
 from .diffcore.ode import ode_integrate
 from .diffcore.tensor import EmptyInput, ShapeMismatch, Tensor, dct_matrix
-from .gnn import TIME_MAX_FREQ, EgnnNet, FlowFieldNet, GcnStack
+from .gnn import TIME_MAX_FREQ, EgnnNet, FlowFieldNet, GcnStack, Module
 
 
 class StepOutOfRange(ValueError):
@@ -157,7 +157,7 @@ def ddim_coefficients(sched: DdpmSchedule, t: np.ndarray,
     return keep, mix, sigma
 
 
-class GnnRestorer:
+class GnnRestorer(Module):
     """7-layer graph-convolution noise predictor over the complete graph.
 
     Input per node is the degraded row concatenated with the normalized
@@ -183,11 +183,8 @@ class GnnRestorer:
         d_t = self.net(s_t)
         return T.sub(T.narrow(d_t, -1, 0, self.width), x_t)
 
-    def named_params(self):
-        return self.net.named_params()
 
-
-class EgnnRestorer:
+class EgnnRestorer(Module):
     """Distance-driven noise predictor; output co-rotates with the cloud.
 
     It sees a cloud only through pairwise distances, so it needs 2 points.
@@ -204,21 +201,15 @@ class EgnnRestorer:
     def predict_noise(self, x_t: Tensor, t: int, total: int) -> Tensor:
         return self.net(x_t, t / total)
 
-    def named_params(self):
-        return self.net.named_params()
-
 
 @dataclass
-class DdpmModel:
+class DdpmModel(Module):
     restorer: GnnRestorer | EgnnRestorer
     sched: DdpmSchedule
 
     @property
     def width(self) -> int:
         return self.restorer.width
-
-    def named_params(self):
-        return self.restorer.named_params()
 
     def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor | None:
         return ddpm_loss(self, x, rng)
@@ -325,7 +316,7 @@ def heat_blur(x: np.ndarray, sigma: float) -> np.ndarray:
     return basis.T @ ((basis @ x) * np.exp(-(freqs ** 2) * (sigma ** 2) / 2.0))
 
 
-class HeatModel:
+class HeatModel(Module):
     """Deblurring residual network over the complete graph.
 
     The predictor is time-free: the same network is applied at every level
@@ -346,9 +337,6 @@ class HeatModel:
 
     def delta(self, x: Tensor) -> Tensor:
         return self.net(x)
-
-    def named_params(self):
-        return self.net.named_params()
 
     def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor:
         return heat_loss(self, x, rng)
@@ -507,7 +495,7 @@ def pair_noise(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class FlowField:
+class FlowField(Module):
     """A velocity net, the interpolant's ``sigma_min`` and the RK4 budget.
 
     ``ode_steps`` goes with the net's time bandwidth (``TIME_MAX_FREQ``,
@@ -543,9 +531,6 @@ class FlowField:
     @property
     def width(self) -> int:
         return self.net.width
-
-    def named_params(self):
-        return self.net.named_params()
 
     def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor:
         return fm_loss(self, x, rng)

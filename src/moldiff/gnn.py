@@ -13,6 +13,11 @@ classes make every spec: ``Dense``, which a GCN stack runs as
 ``(e.gcn_matrix @ h) @ W + b`` (propagate, then transform), and
 ``GraphConvLayer``, the complete-graph layer with a self and a
 neighbor-mean weight.
+
+Every layer and network here, and every codec and flow, is a ``Module``:
+its ``named_params()`` lists the trainable tensors its attributes reach,
+in attribute-assignment order. That is the order the constructors draw
+the weights in, and the order checkpoints and ``AdamState`` follow.
 """
 
 from __future__ import annotations
@@ -126,11 +131,39 @@ def bias_init(rng: np.random.Generator, width: int) -> np.ndarray:
     return rng.uniform(-0.01, 0.01, size=width)
 
 
+class Module:
+    """A part with trainable tensors: a layer, a network, a codec or a flow.
+
+    ``named_params()`` lists every trainable ``Tensor`` the instance reaches
+    through its attributes, held directly, by a sub-``Module`` or in a list
+    or tuple, each once, where it is first reached, as (name, tensor). The
+    walk goes in attribute-assignment order, which is the order the
+    constructors draw in. Checkpoints and ``AdamState`` follow it. Dicts
+    and other objects are not walked.
+    """
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        found: dict[int, Tensor] = {}
+
+        def walk(v) -> None:
+            if isinstance(v, Tensor) and v.trainable:
+                found.setdefault(id(v), v)
+            elif isinstance(v, Module):
+                for u in vars(v).values():
+                    walk(u)
+            elif isinstance(v, (list, tuple)):
+                for u in v:
+                    walk(u)
+
+        walk(self)
+        return [(p.name, p) for p in found.values()]
+
+
 # ---------------------------------------------------------------------------
 # layers
 
 
-class PnaLayer:
+class PnaLayer(Module):
     """Aggregates neighbor messages with mean/min/max/std, concatenates the
     node's own features, the four statistics and a degree column
     log(d + 1), then applies one linear map. ``d`` is the node's in-degree.
@@ -157,11 +190,8 @@ class PnaLayer:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[-1]}")
         return T.affine(T.pna_aggregate(x, e.src_plan, e.dst_plan), self.W, self.b)
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [(self.W.name, self.W), (self.b.name, self.b)]
 
-
-class GraphConvLayer:
+class GraphConvLayer(Module):
     """Convolution with separate self and neighbor-mean weight paths, for
     complete graphs only.
 
@@ -199,12 +229,8 @@ class GraphConvLayer:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[-1]}")
         return T.relu_stack(x, [self.spec])
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [(self.W_self.name, self.W_self), (self.W_nbr.name, self.W_nbr),
-                (self.b.name, self.b)]
 
-
-class Dense:
+class Dense(Module):
     """Linear map ``x @ W + b``. In a ``T.relu_stack`` given ``prop`` its
     ``spec`` is the graph convolution ``(prop @ x) @ W + b``: the layers of
     ``GcnStack(conv="gcn")`` and of the bond-type model are Dense layers
@@ -224,11 +250,8 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         return T.affine(x, self.W, self.b)
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [(self.W.name, self.W), (self.b.name, self.b)]
 
-
-class Mlp:
+class Mlp(Module):
     """Dense stack with ReLU between layers, linear output, as one node."""
 
     def __init__(self, widths: list[int], rng: np.random.Generator, name: str = "mlp"):
@@ -237,9 +260,6 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.relu_stack(x, [layer.spec for layer in self.layers])
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [p for layer in self.layers for p in layer.named_params()]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +373,7 @@ def time_encode(t: float, total: float, enc: TimeEncoding) -> np.ndarray:
 # network stacks shared by codecs and flows
 
 
-class GcnStack:
+class GcnStack(Module):
     """Graph convolutions with ReLU between layers, linear output, as one node.
 
     ``conv`` picks the layer flavor: "gcn" (symmetric normalized, for
@@ -380,11 +400,8 @@ class GcnStack:
         return T.relu_stack(x, [layer.spec for layer in self.layers],
                             None if e is None else e.gcn_matrix)
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [p for layer in self.layers for p in layer.named_params()]
 
-
-class FlowFieldNet:
+class FlowFieldNet(Module):
     """Velocity network: initial graph convolution over the complete graph,
     a tower of dense hidden layers with ReLU, and a linear output head.
     Sinusoidal time features are concatenated onto every node, and the
@@ -419,15 +436,8 @@ class FlowFieldNet:
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self(T.tensor(x), t).data
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        out = self.entry.named_params()
-        for layer in self.hidden:
-            out.extend(layer.named_params())
-        out.extend(self.out.named_params())
-        return out
 
-
-class EgnnNet:
+class EgnnNet(Module):
     """Coordinate-update network built purely from pairwise-distance
     invariants; its displacement output co-rotates with the input cloud.
 
@@ -478,9 +488,3 @@ class EgnnNet:
             h = T.add(h, node_mlp(T.concat([h, agg], axis=1)))
         return T.sub(x, x0)
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        out = self.embed.named_params()
-        for group in (self.edge_mlps, self.coord_mlps, self.node_mlps):
-            for mlp in group:
-                out.extend(mlp.named_params())
-        return out

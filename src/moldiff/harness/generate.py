@@ -26,11 +26,6 @@ def size_distribution(histogram: dict[int, int]) -> tuple[np.ndarray, np.ndarray
     return sizes, weights / weights.sum()
 
 
-def sample_atom_count(histogram: dict[int, int], rng: np.random.Generator) -> int:
-    sizes, p = size_distribution(histogram)
-    return int(rng.choice(sizes, p=p))
-
-
 def sample_clouds(pipe: TrainedPipeline, count: int,
                   rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
     """``count`` pairs of an atom count and a standardized cloud from the

@@ -228,7 +228,13 @@ def save_pipeline(pipe: TrainedPipeline) -> None:
     (run_dir / "training.json").write_text(json.dumps(record, indent=2, allow_nan=False))
 
 
-def _restore(named_params, stored: dict[str, np.ndarray], path) -> None:
+def _restore(named_params, stored: dict[str, np.ndarray], path, extra=()) -> None:
+    """Load each named parameter from ``stored``. A parameter missing there,
+    of another shape, or stored but neither named nor in ``extra``, raises
+    :class:`CheckpointMismatch`."""
+    stale = sorted(stored.keys() - {name for name, _ in named_params} - set(extra))
+    if stale:
+        raise CheckpointMismatch(f"{path}: stored parameters the model does not have: {stale}")
     for name, p in named_params:
         if name not in stored:
             raise CheckpointMismatch(f"{path}: missing parameter {name}")
@@ -277,10 +283,18 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     missing = sorted(pipe.flow.meta().keys() - flow_meta.keys())
     if missing:
         raise CheckpointMismatch(f"{flow_path}: flow meta lacks {missing}")
-    _restore(pipe.flow.named_params(), flow_stored, flow_path)
+    _restore(pipe.flow.named_params(), flow_stored, flow_path,
+             extra=("standardizer.mean", "standardizer.std"))
 
     rec_path = run_dir / "training.json"
-    record = json.loads(rec_path.read_text()) if rec_path.exists() else {}
+    record = {}
+    if rec_path.exists():
+        try:
+            record = json.loads(rec_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise CheckpointMismatch(f"{rec_path}: not JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise CheckpointMismatch(f"{rec_path}: not a JSON object")
     pipe.ae_seconds = record.get("ae_seconds", 0.0)
     pipe.flow_seconds = record.get("flow_seconds", 0.0)
     pipe.param_count = record.get("param_count", 0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moldiff import codec
+from moldiff import codec, flows
 from moldiff.chem import ELEMENTS, BondType, Element, molgraph, parse_smiles
 from moldiff.diffcore import AdamState, Tape, adam_step, backward
 from moldiff.diffcore import tensor as T
@@ -264,12 +264,12 @@ class TestEdgeTypes:
         for m in corpus.molecules[:40]:
             cand = codec.UntypedGraph(m.atoms, [(i, j) for i, j, _ in m.bonds])
             mol, _ = codec.predict_edge_types(etm, cand)
-            sums = {i: 0.0 for i in range(mol.n)}
+            half_sums = {i: 0 for i in range(mol.n)}
             for i, j, t in mol.bonds:
-                sums[i] += t.valence_contribution
-                sums[j] += t.valence_contribution
+                half_sums[i] += t.half_order
+                half_sums[j] += t.half_order
             for i, el in enumerate(mol.atoms):
-                assert sums[i] <= el.max_valence
+                assert half_sums[i] <= 2 * el.max_valence
 
     def test_infeasible_edges_dropped(self, rng):
         etm = codec.EdgeTypeModel(rng, hidden=8)
@@ -352,19 +352,71 @@ def _stack_names(prefix: str, widths: list[int]) -> list[tuple[str, tuple]]:
             for p in ((f"{prefix}.{i}.W", (a, b)), (f"{prefix}.{i}.b", (b,)))]
 
 
+def _dense_names(prefix: str, a: int, b: int) -> list[tuple[str, tuple]]:
+    return [(f"{prefix}.W", (a, b)), (f"{prefix}.b", (b,))]
+
+
+def _conv_names(prefix: str, a: int, b: int) -> list[tuple[str, tuple]]:
+    """One ``GraphConvLayer``: self weight, neighbor weight, bias."""
+    return [(f"{prefix}.Ws", (a, b)), (f"{prefix}.Wn", (a, b)), (f"{prefix}.b", (b,))]
+
+
+def _conv_stack_names(prefix: str, widths: list[int]) -> list[tuple[str, tuple]]:
+    return [p for i, (a, b) in enumerate(zip(widths, widths[1:]))
+            for p in _conv_names(f"{prefix}.{i}", a, b)]
+
+
+def _graph_codec_names(dec_in: int, pair_in: int) -> list[tuple[str, tuple]]:
+    """``codec.build("gnn" | "egnn", 2, rng)``: the PNA layers (each reads
+    5 * in + 1 columns), the edge head, then the atom-type autoencoder."""
+    return [("graphae.enc1.W", (21, 64)), ("graphae.enc1.b", (64,)),
+            ("graphae.enc2.W", (321, 2)), ("graphae.enc2.b", (2,)),
+            ("graphae.dec1.W", (5 * dec_in + 1, 64)), ("graphae.dec1.b", (64,)),
+            ("graphae.dec2.W", (321, 4)), ("graphae.dec2.b", (4,)),
+            *_stack_names("graphae.edge", [pair_in, 32, 1]),
+            *_dense_names("atomae.enc", 4, 2), *_dense_names("atomae.dec", 2, 4)]
+
+
+def _egnn_names(prefix: str) -> list[tuple[str, tuple]]:
+    """``EgnnNet`` at hidden 64 and 4 layers, of any width: it reads
+    distances alone."""
+    return [*_dense_names(f"{prefix}.embed", 1, 64),
+            *(p for i in range(4) for p in _stack_names(f"{prefix}.edge{i}", [130, 64, 64])),
+            *(p for i in range(4) for p in _stack_names(f"{prefix}.coord{i}", [64, 64, 1])),
+            *(p for i in range(4) for p in _stack_names(f"{prefix}.node{i}", [128, 64]))]
+
+
+# the edge head's last bias is drawn, then set to this "no edge" prior
+_OVERWRITTEN = {"graphae.edge.1.b": -1.1}
+
+
 class TestCheckpointNames:
-    """A checkpoint stores each parameter under its name. The GCN layers'
-    names, shapes and initial draws are those stored files were written
-    with, so those files still load."""
+    """A checkpoint stores each parameter under its name, and ``AdamState``
+    packs them in listed order. Every codec and flow lists the names and
+    shapes, in the order, that stored files were written with, so those
+    files still load; and the list follows the draw order: each 2-D tensor
+    is a glorot draw and each 1-D one a bias draw, from one generator."""
 
     MODELS = {
         "edgetype": (lambda rng: codec.EdgeTypeModel(rng),
-                     [("edgetype.gcn1.W", (4, 32)), ("edgetype.gcn1.b", (32,)),
-                      ("edgetype.gcn2.W", (32, 32)), ("edgetype.gcn2.b", (32,)),
+                     [*_dense_names("edgetype.gcn1", 4, 32),
+                      *_dense_names("edgetype.gcn2", 32, 32),
                       *_stack_names("edgetype.head", [64, 32, 4])]),
-        "inputae": (lambda rng: codec.InputSpaceAutoencoder(2, rng),
+        "inputae": (lambda rng: codec.build("input", 2, rng),
                     _stack_names("inputae.enc", [9, 32, 32, 32, 2])
                     + _stack_names("inputae.dec", [2, 32, 32, 32, 9])),
+        "gnn": (lambda rng: codec.build("gnn", 2, rng), _graph_codec_names(4, 8)),
+        "egnn": (lambda rng: codec.build("egnn", 2, rng), _graph_codec_names(2, 4)),
+        "ddpm_gnn": (lambda rng: flows.build("ddpm_gnn", 4, rng),
+                     _conv_stack_names("ddpm_gnn", [5] + [64] * 6 + [5])),
+        "ddpm_egnn": (lambda rng: flows.build("ddpm_egnn", 4, rng),
+                      _egnn_names("ddpm_egnn")),
+        "heat": (lambda rng: flows.build("heat", 4, rng, [np.zeros((3, 4))]),
+                 _conv_stack_names("heat", [4, 64, 64, 4])),
+        "flow_matching": (lambda rng: flows.build("flow_matching", 4, rng),
+                          [*_conv_names("flowfield.entry", 12, 64),
+                           *(p for i in range(10) for p in _dense_names(f"flowfield.h{i}", 64, 64)),
+                           *_dense_names("flowfield.out", 64, 4)]),
     }
 
     @pytest.mark.parametrize("model", sorted(MODELS))
@@ -372,11 +424,13 @@ class TestCheckpointNames:
         build, want = self.MODELS[model]
         params = build(np.random.default_rng(5)).named_params()
         assert [(name, p.data.shape) for name, p in params] == want
-        # every layer draws a glorot W, then a bias, in layer order
         ref = np.random.default_rng(5)
-        for (_, w), (_, b) in zip(params[::2], params[1::2]):
-            assert np.array_equal(w.data, glorot(ref, *w.data.shape))
-            assert np.array_equal(b.data, bias_init(ref, len(b.data)))
+        for name, p in params:
+            drawn = (glorot(ref, *p.data.shape) if p.data.ndim == 2
+                     else bias_init(ref, len(p.data)))
+            if name in _OVERWRITTEN:
+                drawn = np.full_like(drawn, _OVERWRITTEN[name])
+            assert np.array_equal(p.data, drawn), name
 
 
 def _same_size(n: int) -> list:

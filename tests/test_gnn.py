@@ -13,6 +13,7 @@ from moldiff.gnn import (
     GraphMismatch,
     GraphConvLayer,
     Mlp,
+    Module,
     OutOfRange,
     PnaLayer,
     TimeEncoding,
@@ -626,3 +627,27 @@ class TestNets:
         net = EgnnNet(3, rng, hidden=8, layers=2)
         out = net(T.tensor(np.ones((1, 3))), 0.5).data
         assert np.all(out == 0.0)
+
+
+class _Part(Module):
+    def __init__(self, name: str):
+        self.w = T.param(np.zeros(1), name=f"{name}.w")
+
+
+class _Toy(Module):
+    def __init__(self):
+        self.a = T.param(np.zeros(2), name="a")
+        self.const = T.tensor(np.ones(2))
+        self.nested = [[_Part("n0"), T.param(np.zeros(1), name="n1")],
+                       (T.param(np.zeros(1), name="t0"),)]
+        self.again = self.a
+        self.lookup = {"d": T.param(np.zeros(1), name="d")}
+        self.pair = (_Part("p"), self.nested[0][0])
+        self.z = T.param(np.zeros(1), name="z")
+
+
+def test_module_walk_lists_each_trainable_tensor_once_in_assignment_order():
+    toy = _Toy()
+    params = toy.named_params()
+    assert [name for name, _ in params] == ["a", "n0.w", "n1", "t0", "p.w", "z"]
+    assert params[0][1] is toy.a and params[1][1] is toy.nested[0][0].w

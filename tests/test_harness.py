@@ -10,7 +10,7 @@ import pytest
 from moldiff import codec, flows, gnn, harness
 from moldiff.chem import Dataset, canonical_key, parse_smiles, write_smiles
 from moldiff.diffcore import load_params, save_params
-from moldiff.harness.generate import sample_clouds
+from moldiff.harness.generate import sample_clouds, size_distribution
 
 from conftest import ancestral_generate
 
@@ -98,7 +98,8 @@ def test_sizes_drawn_as_per_molecule(exp, count, trained):
                  if pipe.flow.can_sample(rows[n])}
     want = []
     for _ in range(count):
-        n = harness.sample_atom_count(histogram, rng)
+        sizes, p = size_distribution(histogram)
+        n = int(rng.choice(sizes, p=p))
         points = pipe.standardizer.invert(pipe.flow.sample(rows[n], rng))
         if pipe.input_ae is not None:
             candidate = codec.input_space_decode(pipe.input_ae, points, n)
@@ -281,6 +282,32 @@ def test_flow_matching_meta_of_another_time_encoding_is_refused(freq, trained, d
             harness.load_pipeline(cfg, dataset)
     finally:
         rewrite_flow_meta(cfg, time_max_freq=meta["time_max_freq"])
+
+
+@pytest.mark.parametrize("file", ["codec.mdl1", "flow.mdl1"])
+def test_a_stored_parameter_the_model_lacks_is_refused(file, trained, dataset):
+    cfg = trained["gnn_gaussian"].cfg
+    path = cfg.run_dir / file
+    original = path.read_bytes()
+    named, meta = load_params(path)
+    save_params(path, {**named, "graphae.stale.W": np.zeros((2, 2))}, meta=meta)
+    try:
+        with pytest.raises(harness.CheckpointMismatch, match="graphae.stale.W"):
+            harness.load_pipeline(cfg, dataset)
+    finally:
+        path.write_bytes(original)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_a_malformed_training_record_is_refused(text, trained, dataset):
+    path = trained["gnn_gaussian"].cfg.run_dir / "training.json"
+    original = path.read_text()
+    path.write_text(text)
+    try:
+        with pytest.raises(harness.CheckpointMismatch, match="training.json"):
+            harness.load_pipeline(trained["gnn_gaussian"].cfg, dataset)
+    finally:
+        path.write_text(original)
 
 
 def test_egnn_trains_with_a_one_atom_molecule(tmp_path):
