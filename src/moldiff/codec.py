@@ -298,13 +298,13 @@ class EdgeTypeModel(Module):
                  name: str = "edgetype"):
         self.gcn1 = Dense(4, hidden, rng, name=f"{name}.gcn1")
         self.gcn2 = Dense(hidden, hidden, rng, name=f"{name}.gcn2")
+        self.gcn_specs = (self.gcn1.spec, self.gcn2.spec)
         self.head = Mlp([2 * hidden, hidden, len(BOND_TYPES)], rng, name=f"{name}.head")
 
     def pair_logits(self, atoms: tuple[Element, ...], e: EdgeIndex) -> Tensor:
         """(P, bond types) logits for the P pairs of ``e``, an
         ``edges_from_pairs`` index over ``atoms``, in its pair order."""
-        h = T.relu(T.relu_stack(T.tensor(atom_onehot(atoms)),
-                                [self.gcn1.spec, self.gcn2.spec], e.gcn_matrix))
+        h = T.relu(T.relu_stack(T.tensor(atom_onehot(atoms)), self.gcn_specs, e.gcn_matrix))
         return symmetric_pair_logits(self.head, h, e)
 
 

@@ -23,13 +23,13 @@ backward. ``relu_stack`` runs every ReLU stack of the package, from layers
 complete-graph ``h @ W + N(h) @ Wn + b`` with N the mean over the other
 rows (the restorers and the velocity network); see the ReLU-stack
 section. Its value has the same bits taped, untaped and inside
-``frozen_params()``, the block in which samplers keep each complete-graph
-layer's folded weights. Its dense and propagated layers also have, value
-and gradients, the bits of the same stack built from separate nodes; its
-complete-graph layers fold the neighbour mean into the weights and match
-that stack to rounding. ``pna_aggregate`` runs a PNA aggregation on small
-dense operators per graph (``SegmentPlan``); see the segment aggregation
-section.
+``frozen_params()``, the block in which sampling keeps each stack's plan:
+its layers resolved, with complete-graph weights folded. Its dense and
+propagated layers also have, value and gradients, the bits of the same
+stack built from separate nodes; its complete-graph layers fold the
+neighbour mean into the weights and match that stack to rounding.
+``pna_aggregate`` runs a PNA aggregation on small dense operators per
+graph (``SegmentPlan``); see the segment aggregation section.
 
 Off the tape, the ops a decoder runs also take a leading batch axis: they
 address rows as axis -2 and features as axis -1, so an op on a (B, n, w)
@@ -122,7 +122,7 @@ class Tape:
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise RuntimeError("a tape is already recording")
-        if _FOLDS is not None:
+        if _PLANS is not None:
             raise RuntimeError("a tape inside frozen_params: its parameters may not change")
         _ACTIVE_TAPE = self
         return self
@@ -365,6 +365,21 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
+def concat_row(x: Tensor, row: np.ndarray) -> Tensor:
+    """x's features followed by the constant 1-D ``row`` on every row of x,
+    written into one array: ``concat`` with ``row`` repeated, without the
+    repeat. The gradient reaches x only."""
+    xd = x.data
+    w = xd.shape[-1]
+    data = np.empty((*xd.shape[:-1], w + len(row)))
+    data[..., :w] = xd
+    data[..., w:] = row
+    out = Tensor(data)
+    if _recording(x):
+        _record(out, ((x, lambda g: g[..., :w]),))
+    return out
+
+
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along the rows (axis -2) or
     the features (axis -1)."""
@@ -455,53 +470,65 @@ def sum_all(x: Tensor) -> Tensor:
 # rounding only; against a long-double reference it adds no cancellation.
 # One row has no neighbours, and its layer is h @ W + b.
 #
-# Folding costs two passes over the weights per call. Inside
-# ``frozen_params()`` each (W, Wn, n) is folded once and kept until the
-# block ends, so a sampler that runs one network 50 to 100 times on a
-# molecule folds it once.
+# A stack runs from a plan: per layer the arrays (W or Weff, Wq or None, b),
+# resolved and shape-checked from the layers for one row count and input
+# width. Outside ``frozen_params()`` a call makes its plan, two passes over
+# the weights of each folded layer. Inside the block each plan is kept per
+# (layer sequence, row count) until the block ends: a network that runs
+# 5 to 40 times on each molecule of a ``generate_molecules`` call, which
+# runs in one block, resolves and folds its layers once per row count.
+# ``prop`` is read when the plan runs, so graphs of one size share a plan.
 
 
-_FOLDS: dict | None = None
+_PLANS: dict | None = None
 
 
 @contextmanager
 def frozen_params():
     """A block in which no parameter changes, for sampling loops.
 
-    ``relu_stack`` keeps each complete-graph layer's folded weights per
-    (W array, Wn array, row count) until the block ends, also on an
-    exception; the values are the same bits as outside it. Entering the
-    block while a tape records raises RuntimeError, and so does opening a
-    tape inside it. A parameter changed in place inside the block is not
-    seen there; one rebound or changed between two blocks is. A block
-    inside a block shares the outer block's folds.
+    ``relu_stack`` keeps its plan, each layer's arrays with complete-graph
+    layers folded, per (layer sequence, row count) until the block ends,
+    also on an exception; the values are the same bits as outside it. A
+    layer sequence is keyed by identity, so a network passes the same one
+    on every call. Entering the block while a tape records raises
+    RuntimeError, and so does opening a tape inside it. A parameter changed
+    in place or rebound inside the block is not seen there; one changed
+    between two blocks is. A block inside a block shares the outer block's
+    plans.
     """
-    global _FOLDS
+    global _PLANS
     if _ACTIVE_TAPE is not None:
         raise RuntimeError("frozen_params while a tape is recording")
-    if _FOLDS is not None:
+    if _PLANS is not None:
         yield
         return
-    _FOLDS = {}
+    _PLANS = {}
     try:
         yield
     finally:
-        _FOLDS = None
+        _PLANS = None
 
 
-def _fold(wd: np.ndarray, wn: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Weff, Wq) of a complete-graph layer on n > 1 rows."""
-    folds = _FOLDS
-    key = (id(wd), id(wn), n)
-    if folds is not None:
-        hit = folds.get(key)
-        if hit is not None:
-            return hit[2], hit[3]
-    wq = wn * (1.0 / (n - 1))
-    weff = wd - wq
-    if folds is not None:
-        folds[key] = (wd, wn, weff, wq)  # holding the arrays keeps their ids unused
-    return weff, wq
+def _plan(layers, shape: tuple[int, ...], propagated: bool) -> tuple:
+    """Each layer as (ws, wq, b) arrays for an input of ``shape``: ws is W,
+    or Weff on a complete-graph layer over n > 1 rows, whose Wq is wq."""
+    n = shape[-2]
+    h_shape = shape
+    steps = []
+    for i, (W, Wn, b) in enumerate(layers):
+        wd, wn, bd = None if W is None else W.data, None if Wn is None else Wn.data, b.data
+        if (wd is None or wd.ndim != 2 or wd.shape[0] != h_shape[-1] or bd.shape != (wd.shape[1],)
+                or not (wn is None or (not propagated and wn.shape == wd.shape))):
+            shapes = [None if a is None else a.shape for a in (wd, wn)]
+            raise ShapeMismatch(f"relu_stack layer {i} on {h_shape}: W, Wn {shapes}, b {bd.shape}")
+        if wn is None or n == 1:
+            steps.append((wd, None, bd))
+        else:
+            wq = wn * (1.0 / (n - 1))
+            steps.append((wd - wq, wq, bd))
+        h_shape = (*h_shape[:-1], wd.shape[1])
+    return tuple(steps)
 
 
 def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
@@ -517,11 +544,11 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     of graphs of one size, each entry run as that graph alone.
 
     The value has the same bits taped, untaped and inside
-    ``frozen_params``. Dense stacks, ``prop`` stacks and one-row stacks
-    have, in the value and every gradient, the bits of the same stack built
-    from ``matmul``, ``affine`` and ``relu`` nodes. A complete-graph layer
-    on more rows runs folded (see the section comment) and matches that
-    stack to rounding.
+    ``frozen_params``, where the plan is kept. Dense stacks, ``prop``
+    stacks and one-row stacks have, in the value and every gradient, the
+    bits of the same stack built from ``matmul``, ``affine`` and ``relu``
+    nodes. A complete-graph layer on more rows runs folded (see the
+    section comment) and matches that stack to rounding.
     """
     xd = x.data
     if xd.ndim < 2:
@@ -531,37 +558,40 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     n = xd.shape[-2]
     if prop is not None and np.shape(prop) != (n, n):
         raise ShapeMismatch(f"relu_stack: prop {np.shape(prop)} for {n} rows")
+    plans = _PLANS
+    if plans is None:
+        plan = _plan(layers, xd.shape, prop is not None)
+    else:
+        key = (id(layers), xd.shape[-2:], prop is None)
+        hit = plans.get(key)
+        if hit is None:
+            plan = _plan(layers, xd.shape, prop is not None)
+            plans[key] = (layers, plan)  # holding the layers keeps their id unused
+        else:
+            plan = hit[1]
     # off the tape nothing is kept for a backward pass: sampling loops run here
     taped = _ACTIVE_TAPE is not None
-    arrays, inputs = [], []
+    kept = []  # per layer (input, lhs, colsum) on a tape
+    # ``_dot``'s choice, made once: on a 2-D x every product is 2-D
+    dot = np.ndarray.dot if xd.ndim == 2 else np.matmul
     h = xd
-    last = len(layers) - 1
-    for i, (W, Wn, b) in enumerate(layers):
-        wd, wn, bd = None if W is None else W.data, None if Wn is None else Wn.data, b.data
-        if (wd is None or wd.ndim != 2 or wd.shape[0] != h.shape[-1] or bd.shape != (wd.shape[1],)
-                or not (wn is None or (prop is None and wn.shape == wd.shape))):
-            shapes = [None if a is None else a.shape for a in (wd, wn)]
-            raise ShapeMismatch(f"relu_stack layer {i} on {h.shape}: W, Wn {shapes}, b {bd.shape}")
-        # the product is lhs @ ws: lhs is prop @ h on a prop stack; a folded
-        # layer has ws = Weff and keeps fold = (Wq, colsum h)
-        lhs, ws, fold = h, wd, None
-        if prop is not None:
-            lhs = _dot(prop, h)
-        elif wn is not None and n > 1:
-            ws, wq = _fold(wd, wn, n)
-            fold = wq, np.add.reduce(h, axis=-2, keepdims=True)
-        act = _dot(lhs, ws)
-        if fold is None:
+    last = len(plan) - 1
+    for i, (ws, wq, bd) in enumerate(plan):
+        # the product is lhs @ ws: lhs is prop @ h on a prop stack
+        lhs = h if prop is None else dot(prop, h)
+        act = dot(lhs, ws)
+        if wq is None:
+            colsum = None
             act += bd
         else:  # act + (colsum h @ Wq + b), summed into the fresh products
-            extra = _dot(fold[1], fold[0])
+            colsum = np.add.reduce(h, axis=-2, keepdims=True)
+            extra = dot(colsum, wq)
             extra += bd
             act += extra
         if i < last:
             np.maximum(act, 0.0, out=act)
         if taped:
-            inputs.append(h)
-            arrays.append((lhs, ws, wn, fold, bd.shape))
+            kept.append((h, lhs, colsum))
         h = act
     out = Tensor(h)
     if not taped:
@@ -580,20 +610,21 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
         grads = [None] * (1 + len(params))
         g = g_out
         for i in range(last, -1, -1):
-            lhs, ws, wn, fold, b_shape = arrays[i]
+            ws, wq, bd = plan[i]
+            h_in, lhs, colsum = kept[i]
             if i < last:  # the ReLU after layer i; its output is layer i + 1's input
-                g = g * (inputs[i + 1] > 0.0)
+                g = g * (kept[i + 1][0] > 0.0)
             grads[1 + 3 * i] = _dot(lhs.T, g)
-            if fold is not None:  # N(h) from the column sum the forward kept
-                grads[2 + 3 * i] = _dot(((fold[1] - inputs[i]) / (n - 1)).T, g)
-            elif wn is not None:  # one row: Wn multiplies zeros
-                grads[2 + 3 * i] = np.zeros(wn.shape)
-            gs = grads[3 + 3 * i] = _unbroadcast(g, b_shape)
+            if wq is not None:  # N(h) from the column sum the forward kept
+                grads[2 + 3 * i] = _dot(((colsum - h_in) / (n - 1)).T, g)
+            elif layers[i][1] is not None:  # one row: Wn multiplies zeros
+                grads[2 + 3 * i] = np.zeros(layers[i][1].data.shape)
+            gs = grads[3 + 3 * i] = _unbroadcast(g, bd.shape)
             if i == 0 and not x_attached:
                 break
             g = _dot(g, ws.T)
-            if fold is not None:
-                g += _dot(gs, fold[0].T)
+            if wq is not None:
+                g += _dot(gs, wq.T)
             if prop is not None:
                 g = _dot(prop.T, g)
         grads[0] = g  # x's gradient, read only when x is attached

@@ -35,9 +35,11 @@ small interface, and the harness sees nothing else:
 
 Every sampler takes an explicit numpy Generator, so runs are reproducible
 bit for bit from a seed. Each runs its loop inside ``T.frozen_params()``,
-so the complete-graph layers of its network fold their weights once per
-sampled cloud rather than once per step; the samples are the same bits as
-without the block.
+so its network's stack plan, with the complete-graph layers' weights
+folded, is made once per row count rather than once per step.
+``harness.generate_molecules`` runs every sample of a call in one outer
+block, so the plans are made once per row count for the whole call; a
+sampler called alone makes them once per cloud. The samples are the same bits as without a block.
 """
 
 from __future__ import annotations
@@ -177,10 +179,7 @@ class GnnRestorer(Module):
                             name=name, conv="graph")
 
     def predict_noise(self, x_t: Tensor, t: int, total: int) -> Tensor:
-        n = x_t.data.shape[0]
-        h_t = np.full((n, 1), t / total)
-        s_t = T.concat([x_t, T.tensor(h_t)], axis=1)
-        d_t = self.net(s_t)
+        d_t = self.net(T.concat_row(x_t, np.array([t / total])))
         return T.sub(T.narrow(d_t, -1, 0, self.width), x_t)
 
 

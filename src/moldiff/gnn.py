@@ -7,9 +7,11 @@ dense operators it caches (segment plans for PNA, a normalized adjacency
 matrix for GCN); complete-graph networks are called on features alone,
 since their graph is every ordered pair of x's rows. Both pair heads (edge
 and bond type) are ``symmetric_pair_logits``. Every stack (``Mlp``, both
-``GcnStack`` flavors, ``FlowFieldNet``) hands its layers' ``spec``,
-``(W, Wn, b)``, to one ``T.relu_stack`` call: one tape node. Two layer
-classes make every spec: ``Dense``, which a GCN stack runs as
+``GcnStack`` flavors, ``FlowFieldNet``) holds its layers' ``spec``,
+``(W, Wn, b)``, in one ``specs`` tuple built with it and hands that tuple
+to one ``T.relu_stack`` call: one tape node, and inside
+``T.frozen_params()`` one kept plan per row count. Two layer classes make
+every spec: ``Dense``, which a GCN stack runs as
 ``(e.gcn_matrix @ h) @ W + b`` (propagate, then transform), and
 ``GraphConvLayer``, the complete-graph layer with a self and a
 neighbor-mean weight.
@@ -206,7 +208,7 @@ class GraphConvLayer(Module):
     it into the weights, x @ (W_self - W_nbr / (n - 1)) plus the column sum
     times W_nbr / (n - 1), so a layer costs one (n, w) product and one row
     product instead of n(n - 1) messages. Inside ``T.frozen_params()``, as
-    in the samplers, the folded weights are made once per row count. The
+    in sampling, the folded weights are made once per row count. The
     graph is x's rows, so the layer is called on x alone. A call is a
     one-layer ``T.relu_stack``; the stacks below pass their layers'
     ``spec`` to one such call instead.
@@ -218,16 +220,14 @@ class GraphConvLayer(Module):
         self.W_self = T.param(glorot(rng, in_width, out_width), name=f"{name}.Ws")
         self.W_nbr = T.param(glorot(rng, in_width, out_width), name=f"{name}.Wn")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
-
-    @property
-    def spec(self) -> tuple[Tensor, Tensor, Tensor]:
-        """The layer as ``T.relu_stack`` takes it."""
-        return self.W_self, self.W_nbr, self.b
+        # the layer as ``T.relu_stack`` takes it, and as a one-layer stack
+        self.spec = self.W_self, self.W_nbr, self.b
+        self.specs = (self.spec,)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.shape[-1] != self.in_width:
             raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[-1]}")
-        return T.relu_stack(x, [self.spec])
+        return T.relu_stack(x, self.specs)
 
 
 class Dense(Module):
@@ -241,11 +241,8 @@ class Dense(Module):
         self.in_width = in_width
         self.W = T.param(glorot(rng, in_width, out_width), name=f"{name}.W")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
-
-    @property
-    def spec(self) -> tuple[Tensor, None, Tensor]:
-        """The layer as ``T.relu_stack`` takes it: no neighbor-mean path."""
-        return self.W, None, self.b
+        # the layer as ``T.relu_stack`` takes it: no neighbor-mean path
+        self.spec = self.W, None, self.b
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.affine(x, self.W, self.b)
@@ -257,9 +254,10 @@ class Mlp(Module):
     def __init__(self, widths: list[int], rng: np.random.Generator, name: str = "mlp"):
         self.layers = [Dense(widths[i], widths[i + 1], rng, name=f"{name}.{i}")
                        for i in range(len(widths) - 1)]
+        self.specs = tuple(layer.spec for layer in self.layers)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.relu_stack(x, [layer.spec for layer in self.layers])
+        return T.relu_stack(x, self.specs)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +388,7 @@ class GcnStack(Module):
         layer_cls = {"gcn": Dense, "graph": GraphConvLayer}[conv]
         self.layers = [layer_cls(widths[i], widths[i + 1], rng, name=f"{name}.{i}")
                        for i in range(len(widths) - 1)]
+        self.specs = tuple(layer.spec for layer in self.layers)
         self.complete = conv == "graph"
 
     def __call__(self, x: Tensor, e: EdgeIndex | None = None) -> Tensor:
@@ -397,15 +396,15 @@ class GcnStack(Module):
             raise GraphMismatch("a gcn stack needs an edge index; a complete-graph one takes none")
         if x.data.shape[-1] != self.layers[0].in_width:
             raise WidthMismatch(f"expected width {self.layers[0].in_width}, got {x.data.shape[-1]}")
-        return T.relu_stack(x, [layer.spec for layer in self.layers],
-                            None if e is None else e.gcn_matrix)
+        return T.relu_stack(x, self.specs, None if e is None else e.gcn_matrix)
 
 
 class FlowFieldNet(Module):
     """Velocity network: initial graph convolution over the complete graph,
     a tower of dense hidden layers with ReLU, and a linear output head.
-    Sinusoidal time features are concatenated onto every node, and the
-    whole tower runs as one ``T.relu_stack`` node.
+    Sinusoidal time features are appended to every node's row
+    (``T.concat_row``), and the whole tower runs as one ``T.relu_stack``
+    node.
 
     The time features run at 1, 2, 4 and 8 radians per unit time, so the
     field is smooth in t on [0, 1] and a coarse RK4 grid resolves it. At
@@ -422,16 +421,15 @@ class FlowFieldNet(Module):
         self.hidden = [Dense(hidden, hidden, rng, name=f"{name}.h{i}")
                        for i in range(hidden_layers)]
         self.out = Dense(hidden, width, rng, name=f"{name}.out")
+        self.specs = (self.entry.spec, *(layer.spec for layer in self.hidden), self.out.spec)
 
     def __call__(self, x: Tensor, t: float) -> Tensor:
-        n, width = x.data.shape
+        _, width = x.data.shape
         if width != self.width:
             raise WidthMismatch(f"expected width {self.width}, got {width}")
         # RK4 stage times can overshoot the interval by one rounding step
         enc = time_encode(min(max(t, 0.0), 1.0), 1.0, self.time_enc)
-        feat = T.concat([x, T.tensor(np.repeat(enc[None, :], n, axis=0))], axis=1)
-        layers = [self.entry.spec, *(layer.spec for layer in self.hidden), self.out.spec]
-        return T.relu_stack(feat, layers)
+        return T.relu_stack(T.concat_row(x, enc), self.specs)
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self(T.tensor(x), t).data

@@ -31,6 +31,10 @@ class CheckpointMismatch(ValueError):
     pass
 
 
+# the arrays ``flow.mdl1`` holds besides the flow's parameters
+STANDARDIZER_KEYS = ("standardizer.mean", "standardizer.std")
+
+
 @dataclass
 class Standardizer:
     """Per-column affine map fitted on the training embedding rows."""
@@ -244,12 +248,45 @@ def _restore(named_params, stored: dict[str, np.ndarray], path, extra=()) -> Non
         p.data = stored[name].copy()
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _read_record(path) -> dict:
+    """The fields of ``training.json`` that loading reads, checked; {} when
+    there is no such file. A record that is not a JSON object, or whose
+    seconds are not numbers, whose ``param_count`` is not an integer, or
+    whose ``history`` is not a dict of lists of numbers or null, raises
+    :class:`CheckpointMismatch`."""
+    if not path.exists():
+        return {}
+    try:
+        record = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CheckpointMismatch(f"{path}: not JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise CheckpointMismatch(f"{path}: not a JSON object")
+    for key in ("ae_seconds", "flow_seconds"):
+        if key in record and not _number(record[key]):
+            raise CheckpointMismatch(f"{path}: {key} is not a number: {record[key]!r}")
+    count = record.get("param_count", 0)
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise CheckpointMismatch(f"{path}: param_count is not an integer: {count!r}")
+    history = record.get("history", {})
+    if not (isinstance(history, dict)
+            and all(isinstance(v, list) and all(x is None or _number(x) for x in v)
+                    for v in history.values())):
+        raise CheckpointMismatch(f"{path}: history is not a dict of lists of numbers or null")
+    return record
+
+
 def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> TrainedPipeline:
     """Rebuild a pipeline from the checkpoints in cfg.run_dir.
 
     The flow is rebuilt with the schedule constants stored in ``flow.mdl1``;
     a constant missing there, or one the flow does not have (as a name or,
-    for a fixed constant, as a value), raises :class:`CheckpointMismatch`.
+    for a fixed constant, as a value), raises :class:`CheckpointMismatch`,
+    as do a missing standardizer array and a malformed ``training.json``.
     """
     if dataset is None:
         dataset = resolve_dataset(cfg)
@@ -270,6 +307,9 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     if flow_meta.get("flow") != kind:
         raise CheckpointMismatch(
             f"{run_dir}: flow checkpoint is {flow_meta.get('flow')}, config wants {kind}")
+    for key in STANDARDIZER_KEYS:
+        if key not in flow_stored:
+            raise CheckpointMismatch(f"{flow_path}: missing parameter {key}")
     pipe.standardizer = Standardizer(mean=flow_stored["standardizer.mean"],
                                      std=flow_stored["standardizer.std"])
     # lazy: only a flow that reads them (heat) pays for encoding the subset
@@ -283,18 +323,9 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     missing = sorted(pipe.flow.meta().keys() - flow_meta.keys())
     if missing:
         raise CheckpointMismatch(f"{flow_path}: flow meta lacks {missing}")
-    _restore(pipe.flow.named_params(), flow_stored, flow_path,
-             extra=("standardizer.mean", "standardizer.std"))
+    _restore(pipe.flow.named_params(), flow_stored, flow_path, extra=STANDARDIZER_KEYS)
 
-    rec_path = run_dir / "training.json"
-    record = {}
-    if rec_path.exists():
-        try:
-            record = json.loads(rec_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CheckpointMismatch(f"{rec_path}: not JSON: {exc}") from None
-        if not isinstance(record, dict):
-            raise CheckpointMismatch(f"{rec_path}: not a JSON object")
+    record = _read_record(run_dir / "training.json")
     pipe.ae_seconds = record.get("ae_seconds", 0.0)
     pipe.flow_seconds = record.get("flow_seconds", 0.0)
     pipe.param_count = record.get("param_count", 0)

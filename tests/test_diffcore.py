@@ -139,6 +139,23 @@ class TestGradCheckPrimitives:
 
         assert fd_gradcheck(build, [a, b]) < 1e-4
 
+    def test_concat_row_is_concat_of_the_repeated_row(self, rng):
+        """The value and x's gradient have the bits of ``concat`` with the
+        row repeated on every row of x."""
+        x = param(rng.standard_normal((4, 2)))
+        row = rng.standard_normal(3)
+        weights = T.tensor(rng.standard_normal((4, 5)))
+        got = []
+        for build in (lambda: T.concat_row(x, row),
+                      lambda: T.concat([x, T.tensor(np.tile(row, (4, 1)))], axis=1)):
+            with Tape() as tape:
+                out = build()
+                grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
+            got.append((out.data.tobytes(), grads[x].tobytes()))
+        assert got[0] == got[1]
+        tgt = rng.standard_normal((4, 5))
+        assert fd_gradcheck(lambda: T.mse(T.concat_row(x, row), T.tensor(tgt)), [x]) < 1e-4
+
     def test_narrow_only_along_rows_or_columns(self, rng):
         x = T.tensor(rng.standard_normal((2, 3, 4)))
         with pytest.raises(ShapeMismatch):

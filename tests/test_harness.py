@@ -1,5 +1,6 @@
 """Harness round trips: train -> checkpoint -> load -> generate, at tiny sizes."""
 
+import contextlib
 import json
 import math
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 from moldiff import codec, flows, gnn, harness
 from moldiff.chem import Dataset, canonical_key, parse_smiles, write_smiles
 from moldiff.diffcore import load_params, save_params
+from moldiff.diffcore import tensor as T
 from moldiff.harness.generate import sample_clouds, size_distribution
 
 from conftest import ancestral_generate
@@ -37,7 +39,7 @@ def dataset():
 def trained(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("runs")
     pipes = {}
-    for exp in EXPERIMENTS:
+    for exp in ALL_EXPERIMENTS:
         cfg = harness.ExperimentConfig(experiment=exp, epochs=1, subset=12, seed=2,
                                        output_dir=str(out))
         pipes[exp] = harness.train_experiment(cfg, dataset)
@@ -61,6 +63,32 @@ def rewrite_flow_meta(cfg, **changes) -> None:
 def test_loaded_pipeline_generates_the_same(exp, trained, dataset):
     pipe = trained[exp]
     assert smiles(harness.load_pipeline(pipe.cfg, dataset)) == smiles(pipe)
+
+
+@pytest.mark.parametrize("exp", ALL_EXPERIMENTS)
+def test_generation_same_without_frozen_blocks(exp, trained, monkeypatch):
+    """One block around the whole call, the samplers' blocks nested in it,
+    gives the molecules that no block at all gives."""
+    got = harness.generate_molecules(trained[exp], 12, np.random.default_rng(9))
+    monkeypatch.setattr(T, "frozen_params", contextlib.nullcontext)
+    assert harness.generate_molecules(trained[exp], 12, np.random.default_rng(9)) == got
+
+
+@pytest.mark.parametrize("exp", ALL_EXPERIMENTS)
+def test_generation_resolves_each_plan_once(exp, trained, monkeypatch):
+    """Sampling, decoding and bond typing run in one block, so each stack
+    is resolved once per row count for all the molecules of a call."""
+    made = []
+    plan = T._plan
+
+    def counting(layers, shape, propagated):
+        made.append((tuple(id(t) for layer in layers for t in layer), shape[-2:], propagated))
+        return plan(layers, shape, propagated)
+
+    monkeypatch.setattr(T, "_plan", counting)
+    harness.generate_molecules(trained[exp], 12, np.random.default_rng(9))
+    assert made
+    assert len(made) == len(set(made))
 
 
 @pytest.mark.parametrize("exp", EXPERIMENTS)
@@ -298,7 +326,26 @@ def test_a_stored_parameter_the_model_lacks_is_refused(file, trained, dataset):
         path.write_bytes(original)
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+@pytest.mark.parametrize("key", ["standardizer.mean", "standardizer.std"])
+def test_a_flow_checkpoint_without_its_standardizer_is_refused(key, trained, dataset):
+    cfg = trained["gnn_gaussian"].cfg
+    path = cfg.run_dir / "flow.mdl1"
+    original = path.read_bytes()
+    named, meta = load_params(path)
+    del named[key]
+    save_params(path, named, meta=meta)
+    try:
+        with pytest.raises(harness.CheckpointMismatch, match=f"missing parameter {key}"):
+            harness.load_pipeline(cfg, dataset)
+    finally:
+        path.write_bytes(original)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "[1, 2]", '{"history": 5}', '{"history": {"ae": 3}}',
+    '{"history": {"ae": [0.5, "x"]}}', '{"history": {"ae": [true]}}',
+    '{"ae_seconds": "1.5"}', '{"flow_seconds": null}', '{"param_count": 1.5}',
+    '{"param_count": true}'])
 def test_a_malformed_training_record_is_refused(text, trained, dataset):
     path = trained["gnn_gaussian"].cfg.run_dir / "training.json"
     original = path.read_text()

@@ -84,4 +84,4 @@ def test_velocity_tensors(cloud, monkeypatch):
 
     monkeypatch.setattr(T.Tensor, "__init__", counting)
     net.velocity(0.5, cloud)
-    assert len(made) == 4
+    assert len(made) == 3  # the cloud, the net input, the velocity

@@ -22,6 +22,7 @@ from moldiff.gnn import (
     EgnnNet,
     FlowFieldNet,
     GcnStack,
+    Mlp,
     PnaLayer,
     edges_from_pairs,
 )
@@ -140,6 +141,7 @@ OPS = {
     "reciprocal": (T.reciprocal, [(4, 3)]),
     "concat0": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (4, 3)]),
     "concat1": (lambda a, b: T.concat([a, b], axis=1), [(4, 2), (4, 3)]),
+    "concat_row": (lambda x: T.concat_row(x, np.array([0.25, -1.5])), [(4, 3)]),
     "narrow0": (lambda x: T.narrow(x, -2, 1, 3), [(5, 3)]),
     "narrow1": (lambda x: T.narrow(x, -1, 2, 2), [(5, 6)]),
     "gather_rows": (lambda x: T.gather_rows(x, _FULL_PLAN), [(5, 3)]),
@@ -180,6 +182,7 @@ BATCH_OPS = {
     "gather_rows": (lambda x: T.gather_rows(x, _PLAN), [(5, 3)], 1),
     "concat_rows": (lambda a, b: T.concat([a, b], axis=-2), [(2, 3), (4, 3)], 2),
     "concat_features": (lambda a, b: T.concat([a, b], axis=-1), [(4, 2), (4, 3)], 2),
+    "concat_row": OPS["concat_row"] + (1,),
     "narrow_rows": (lambda x: T.narrow(x, -2, 1, 3), [(5, 3)], 1),
     "narrow_features": (lambda x: T.narrow(x, -1, 2, 2), [(5, 6)], 1),
     "affine": (T.affine, [(4, 3), (3, 5), (5,)], 1),
@@ -345,7 +348,13 @@ def test_input_space_autoencoder(rng):
 
 
 # ---------------------------------------------------------------------------
-# frozen parameters: folds kept for one block
+# frozen parameters: stack plans kept for one block
+
+
+def _held() -> tuple[int, int]:
+    """The plans the open block keeps, and the folded layers in them."""
+    plans = [plan for _, plan in T._PLANS.values()]
+    return len(plans), sum(wq is not None for plan in plans for _, wq, _ in plan)
 
 
 @pytest.mark.parametrize("experiment", sorted(FLOW_KINDS))
@@ -356,11 +365,16 @@ def test_sampler_same_bits_as_outside_the_block(experiment, monkeypatch):
     assert same_bits(flow.sample(9, np.random.default_rng(1)), frozen)
 
 
+# one plan per network and row count: the egnn's 12 MLPs run on 72 pairs
+# (edge and coordinate MLPs) and on 9 nodes, and fold nothing
+PLANS = {"gnn_gaussian": 1, "heat_1d": 1, "flow_matching": 1, "egnn_gaussian": 12}
+
+
 @pytest.mark.parametrize("experiment, folds", [("gnn_gaussian", 7), ("heat_1d", 3),
                                                ("flow_matching", 1), ("egnn_gaussian", 0)])
 def test_sampler_folds_each_layer_once(experiment, folds, monkeypatch):
-    """A sample runs in one block and ends it holding one fold per
-    complete-graph layer, however many steps it took."""
+    """A sample runs in one block and ends it holding one plan per network
+    and one fold per complete-graph layer, however many steps it took."""
     flow = _flow(experiment, 9)
     held = []
     block = T.frozen_params
@@ -369,12 +383,12 @@ def test_sampler_folds_each_layer_once(experiment, folds, monkeypatch):
     def watched():
         with block():
             yield
-            held.append(len(T._FOLDS))
+            held.append(_held())
 
     monkeypatch.setattr(T, "frozen_params", watched)
     flow.sample(9, np.random.default_rng(1))
-    assert held == [folds]
-    assert T._FOLDS is None
+    assert held == [(PLANS[experiment], folds)]
+    assert T._PLANS is None
 
 
 def test_no_tape_inside_the_block_nor_block_inside_a_tape():
@@ -397,9 +411,9 @@ def test_folds_dropped_on_an_exception(rng):
     with pytest.raises(KeyError):
         with T.frozen_params():
             net(x)
-            assert len(T._FOLDS) == 2
+            assert _held() == (1, 2)
             raise KeyError("inside the block")
-    assert T._FOLDS is None
+    assert T._PLANS is None
 
 
 def test_one_block_folds_per_row_count(rng):
@@ -407,28 +421,57 @@ def test_one_block_folds_per_row_count(rng):
     xs = [T.tensor(rng.standard_normal((n, 3))) for n in (5, 7, 1, 5)]
     with T.frozen_params():
         inside = [net(x).data for x in xs[:2]]
-        with T.frozen_params():  # a block inside a block shares its folds
+        with T.frozen_params():  # a block inside a block shares its plans
             inside += [net(x).data for x in xs[2:]]
-        assert len(T._FOLDS) == 2 * 2  # two layers at 5 and at 7 rows; one row never folds
+        # a plan at 5, 7 and 1 rows; two folded layers at 5 and at 7, none at 1
+        assert _held() == (3, 2 * 2)
     for x, got in zip(xs, inside):
         assert same_bits(got, net(x).data)
 
 
+def test_one_plan_whatever_graph_a_gcn_stack_gets(rng):
+    """``prop`` is read when the plan runs: graphs of one size share a plan
+    and each gives the bits it gives outside the block."""
+    net = GcnStack([3, 8, 3], rng)
+    x = T.tensor(rng.standard_normal((4, 3)))
+    graphs = [edges_from_pairs(4, pairs) for pairs in
+              ([(0, 1), (1, 2)], [(0, 3)], [(0, 1), (1, 2), (2, 3), (3, 0)])]
+    with T.frozen_params():
+        inside = [net(x, e).data for e in graphs]
+        assert _held() == (1, 0)
+    outside = [net(x, e).data for e in graphs]
+    assert all(same_bits(a, b) for a, b in zip(inside, outside))
+    assert not np.array_equal(inside[0], inside[1])
+
+
+# (network, its tensor to change, a call) per stack kind: complete-graph,
+# dense, and the velocity net, whose entry layer folds and tower does not
+CHANGED = {
+    "graph": (lambda rng: GcnStack([3, 8, 3], rng, conv="graph"),
+              lambda net: net.layers[1].W_nbr, lambda net, x: net(x)),
+    "dense": (lambda rng: Mlp([3, 8, 3], rng), lambda net: net.layers[1].W,
+              lambda net, x: net(x)),
+    "velocity": (lambda rng: FlowFieldNet(3, rng, hidden=8, hidden_layers=2),
+                 lambda net: net.entry.W_self, lambda net, x: net(x, 0.3)),
+}
+
+
 @pytest.mark.parametrize("change", ["in_place", "rebound"])
 def test_parameter_changed_between_blocks_is_seen(change, rng):
-    net = GcnStack([3, 8, 3], rng, conv="graph")
-    x = T.tensor(rng.standard_normal((5, 3)))
-    with T.frozen_params():
-        before = net(x).data
-    layer = net.layers[1]
-    if change == "in_place":
-        layer.W_nbr.data *= 2.0
-    else:
-        layer.W_nbr.data = 2.0 * layer.W_nbr.data
-    with T.frozen_params():
-        after = net(x).data
-    assert same_bits(after, net(x).data)
-    assert not np.array_equal(after, before)
+    for build, tensor_of, call in CHANGED.values():
+        net = build(rng)
+        x = T.tensor(rng.standard_normal((5, 3)))
+        with T.frozen_params():
+            before = call(net, x).data
+        p = tensor_of(net)
+        if change == "in_place":
+            p.data *= 2.0
+        else:
+            p.data = 2.0 * p.data
+        with T.frozen_params():
+            after = call(net, x).data
+        assert same_bits(after, call(net, x).data)
+        assert not np.array_equal(after, before)
 
 
 # ---------------------------------------------------------------------------
