@@ -1,7 +1,7 @@
 """Molecular graphs, SMILES subset I/O, validity, canonical keys, datasets."""
 
 from .canon import canonical_key
-from .dataset import AllLinesFailed, Dataset, FileUnreadable, load_dataset
+from .dataset import AllLinesFailed, Dataset, FileUnreadable, load_dataset, read_smiles
 from .graph import (
     BOND_TYPES,
     ELEMENTS,
@@ -28,5 +28,5 @@ __all__ = [
     "Element", "EmptyInput", "FileUnreadable", "MolGraph", "SmilesError",
     "UnbalancedParenthesis", "UnclosedRing", "UnsupportedAtom",
     "ValidityReport", "canonical_key", "check_validity", "load_dataset",
-    "molgraph", "parse_smiles", "synthetic_molecules", "write_smiles",
+    "molgraph", "parse_smiles", "read_smiles", "synthetic_molecules", "write_smiles",
 ]

@@ -67,6 +67,7 @@ from .gnn import (
     pair_edges,
     pair_indices,
     pair_node_edges,
+    pair_slots,
     symmetric_pair_logits,
 )
 
@@ -94,8 +95,7 @@ def molecular_edges(m: MolGraph) -> EdgeIndex:
 def pair_targets(m: MolGraph) -> np.ndarray:
     """(P, 1) 0/1 adjacency over ``pair_indices(m.n)``; cached, treat as read-only."""
     target = np.zeros((len(pair_indices(m.n)[0]), 1))
-    for i, j, _ in m.bonds:  # bonds have i < j: row-major index of (i, j) above the diagonal
-        target[i * m.n - i * (i + 1) // 2 + j - i - 1, 0] = 1.0
+    target[[pair_slots(m.n)[i, j] for i, j, _ in m.bonds], 0] = 1.0
     return target
 
 
@@ -391,13 +391,11 @@ def build_edges_as_nodes(m: MolGraph) -> EdgesAsNodesGraph:
     edges = pair_node_edges(n)
     feats = np.zeros((edges.n, EdgesAsNodesGraph.FEATURE_WIDTH))
     feats[:n, :4] = atom_onehot(m.atoms)
-    typed = {(i, j): t for i, j, t in m.bonds}
-    i_idx, j_idx = pair_indices(n)
-    for k, pair in enumerate(zip(i_idx.tolist(), j_idx.tolist())):
-        t = typed.get(pair)
-        if t is not None:
-            feats[n + k, 4] = 1.0
-            feats[n + k, 5 + _BOND_INDEX[t]] = 1.0
+    slots = pair_slots(n)
+    for i, j, t in m.bonds:
+        k = n + slots[i, j]
+        feats[k, 4] = 1.0
+        feats[k, 5 + _BOND_INDEX[t]] = 1.0
     return EdgesAsNodesGraph(features=feats, edges=edges, n_original=n)
 
 

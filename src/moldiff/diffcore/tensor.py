@@ -423,14 +423,6 @@ def row_sum(x: Tensor) -> Tensor:
     return out
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-    if _recording(x):
-        shape = x.data.shape
-        _record(out, ((x, lambda g: np.broadcast_to(g, shape).copy()),))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # ReLU stacks
 #

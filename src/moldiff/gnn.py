@@ -271,6 +271,16 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def pair_slots(n: int) -> np.ndarray:
+    """(n, n) inverse of ``pair_indices(n)``: entries (i, j) and (j, i) hold
+    the index of pair {i, j}, the diagonal -1. Cached; treat as read-only."""
+    i_idx, j_idx = pair_indices(n)
+    slots = np.full((n, n), -1, dtype=np.intp)
+    slots[i_idx, j_idx] = slots[j_idx, i_idx] = np.arange(len(i_idx))
+    return slots
+
+
+@lru_cache(maxsize=None)
 def pair_gather_plans(n: int) -> tuple[T.SegmentPlan, T.SegmentPlan]:
     """Gather plans for the first and second ends of ``pair_indices(n)``."""
     i_idx, j_idx = pair_indices(n)

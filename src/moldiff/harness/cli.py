@@ -2,6 +2,8 @@
 
 Subcommands: train, generate, evaluate, report, run-all. Flags mirror the
 ExperimentConfig fields; a JSON config file can stand in for flags.
+``evaluate`` reads candidates by the training-file rule (``chem.read_smiles``);
+a line whose SMILES does not parse counts as an unparsed candidate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..chem import MolGraph, SmilesError, load_dataset, parse_smiles, write_smiles
+from ..chem import load_dataset, read_smiles, write_smiles
 from .config import EXPERIMENTS, ExperimentConfig, config_from_dict, read_config_file
 from .generate import generate_molecules
 from .metrics import evaluate
@@ -70,15 +72,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     training = load_dataset(args.dataset)
-    candidates: list[MolGraph | None] = []
-    for line in Path(args.candidates).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            try:
-                candidates.append(parse_smiles(line))
-            except SmilesError:
-                candidates.append(None)
-    report = evaluate(candidates, training)
+    report = evaluate(read_smiles(args.candidates), training)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -121,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     p_gen.set_defaults(fn=_cmd_generate)
 
     p_eval = sub.add_parser("evaluate", help="score a SMILES file of candidates")
-    p_eval.add_argument("--candidates", required=True)
+    p_eval.add_argument("--candidates", required=True, help="read by the training-file rule:"
+                        " the first token of each line, blank and '#' lines skipped")
     p_eval.add_argument("--dataset", required=True)
     p_eval.set_defaults(fn=_cmd_evaluate)
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
-from ..chem import Dataset, canonical_key, load_dataset, synthetic_molecules
+from ..chem import Dataset, load_dataset, synthetic_molecules
 from .config import ExperimentConfig
+
+# molecules in the synthetic fallback of a run that sets no subset
+DEFAULT_SYNTHETIC_COUNT = 10_000
 
 
 class DatasetError(ValueError):
@@ -14,17 +15,10 @@ class DatasetError(ValueError):
 
 def synthetic_dataset(count: int, seed: int = 0) -> Dataset:
     """In-memory stand-in dataset built from the synthetic corpus."""
-    mols = synthetic_molecules(count, seed)
-    return Dataset(
-        molecules=mols,
-        canonical_keys={canonical_key(m) for m in mols},
-        size_histogram=dict(Counter(m.n for m in mols)),
-        skipped=0,
-        source=f"synthetic:{count}:{seed}",
-    )
+    return Dataset.of(synthetic_molecules(count, seed), source=f"synthetic:{count}:{seed}")
 
 
-def resolve_dataset(cfg: ExperimentConfig, default_count: int = 10_000) -> Dataset:
+def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     """Load the configured SMILES file, or fall back to the synthetic corpus.
 
     The fallback keeps desk-scale runs self-contained when no real dataset
@@ -32,7 +26,7 @@ def resolve_dataset(cfg: ExperimentConfig, default_count: int = 10_000) -> Datas
     """
     path = cfg.dataset_path()
     if path is None:
-        count = cfg.subset or default_count
+        count = cfg.subset or DEFAULT_SYNTHETIC_COUNT
         return synthetic_dataset(count, seed=0)
     try:
         return load_dataset(path)

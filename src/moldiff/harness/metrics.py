@@ -133,4 +133,4 @@ def latent_mmd(samples, reference) -> float:
                 + (kyy.sum() - np.trace(kyy)) / (n * (n - 1)) - 2.0 * kxy.mean())
         total += m * mmd2
         weight += m
-    return total / weight if weight else math.nan
+    return float(total / weight) if weight else math.nan

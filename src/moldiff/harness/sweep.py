@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from ..chem import Dataset
 from .config import ExperimentConfig
 from .data import resolve_dataset
 from .generate import generate_molecules, sample_clouds
 from .metrics import MetricsReport, evaluate, latent_mmd, mean_report
 from .report import write_report
-from .train import TrainedPipeline, standardized_clouds, train_experiment
+from .train import TrainedPipeline, run_streams, standardized_clouds, train_experiment
 
 # sampled clouds per latent_mmd
 LATENT_SAMPLES = 200
@@ -38,12 +36,11 @@ def run_experiment(cfg: ExperimentConfig,
     otherwise drawn uniformly from cfg.sample_range; percentages are
     averaged over cfg.repetitions draws. The report's ``latent_mmd``
     compares LATENT_SAMPLES standardized clouds of the flow with the
-    standardized training clouds; they draw from a stream of their own, so
-    the molecules scored for V/U/N do not depend on it.
+    standardized training clouds; they draw from the run's ``latent``
+    stream, so the molecules scored for V/U/N do not depend on it.
     """
     pipeline = train_experiment(cfg, dataset)
-    streams = np.random.SeedSequence(cfg.seed).spawn(6)
-    gen_rng = np.random.default_rng(streams[4])
+    rngs = run_streams(cfg.seed)
 
     reps = []
     for _ in range(cfg.repetitions):
@@ -51,8 +48,8 @@ def run_experiment(cfg: ExperimentConfig,
             count = cfg.sample_count
         else:
             lo, hi = cfg.sample_range
-            count = int(gen_rng.integers(lo, hi + 1))
-        candidates = generate_molecules(pipeline, count, gen_rng)
+            count = int(rngs["generate"].integers(lo, hi + 1))
+        candidates = generate_molecules(pipeline, count, rngs["generate"])
         rep = evaluate(candidates, pipeline.dataset)
         rep.experiment = cfg.experiment
         rep.latent_z = cfg.latent_z
@@ -63,7 +60,7 @@ def run_experiment(cfg: ExperimentConfig,
     report.flow_seconds = pipeline.flow_seconds
     report.params = pipeline.param_count
     sampled = [cloud for _, cloud in sample_clouds(
-        pipeline, LATENT_SAMPLES, np.random.default_rng(streams[5]))]
+        pipeline, LATENT_SAMPLES, rngs["latent"])]
     report.latent_mmd = latent_mmd(sampled, standardized_clouds(pipeline))
     (cfg.run_dir / "metrics.json").write_text(
         json.dumps(report.to_dict(), indent=2, allow_nan=False))
@@ -73,14 +70,13 @@ def run_experiment(cfg: ExperimentConfig,
 def run_all(seed: int, dataset: Dataset | None = None, *, epochs: int = 20,
             subset: int | None = None, sample_count: int | None = None,
             repetitions: int = 5, output_dir: str = "runs",
-            dataset_path: str | None = None,
-            rows: tuple[tuple[str, int], ...] = SWEEP_ROWS) -> list[MetricsReport]:
-    """Run the whole sweep and emit results.csv plus the three figures.
+            dataset_path: str | None = None) -> list[MetricsReport]:
+    """Run every row of SWEEP_ROWS and emit results.csv plus the three figures.
 
     Without ``dataset`` it is resolved once, from the first row's config.
     """
     reports = []
-    for experiment, z in rows:
+    for experiment, z in SWEEP_ROWS:
         cfg = ExperimentConfig(
             experiment=experiment, latent_z=z, epochs=epochs, subset=subset,
             seed=seed, sample_count=sample_count, repetitions=repetitions,

@@ -87,8 +87,15 @@ class TrainedPipeline:
         return None if self.graph_ae else self.codec
 
 
-def _spawn(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+# A run's random streams: stream k is child k of SeedSequence(cfg.seed). A child
+# does not depend on how many are spawned, so appending a name keeps the others.
+STREAMS = ("init", "subset", "ae", "flow", "generate", "latent")
+
+
+def run_streams(seed: int) -> dict[str, np.random.Generator]:
+    """A fresh generator for each of a run's named streams."""
+    children = np.random.SeedSequence(seed).spawn(len(STREAMS))
+    return {name: np.random.default_rng(c) for name, c in zip(STREAMS, children)}
 
 
 def _param_list(named):
@@ -129,13 +136,12 @@ def _select_subset(dataset: Dataset, cfg: ExperimentConfig,
     return [mols[int(i)] for i in picks]
 
 
-def _untrained(cfg: ExperimentConfig, dataset: Dataset, init_rng: np.random.Generator,
-               subset_rng: np.random.Generator) -> TrainedPipeline:
+def _untrained(cfg: ExperimentConfig, dataset: Dataset, rngs: dict) -> TrainedPipeline:
     """Freshly initialised codec parts on the selected subset; no flow yet."""
     return TrainedPipeline(
-        cfg=cfg, dataset=dataset, subset=_select_subset(dataset, cfg, subset_rng),
-        codec=codec.build(CODEC_KINDS[cfg.experiment], cfg.latent_z, init_rng),
-        edge_type=codec.EdgeTypeModel(init_rng), flow=None, standardizer=None)
+        cfg=cfg, dataset=dataset, subset=_select_subset(dataset, cfg, rngs["subset"]),
+        codec=codec.build(CODEC_KINDS[cfg.experiment], cfg.latent_z, rngs["init"]),
+        edge_type=codec.EdgeTypeModel(rngs["init"]), flow=None, standardizer=None)
 
 
 def _cloud_molecules(pipe: TrainedPipeline) -> list[MolGraph]:
@@ -157,8 +163,8 @@ def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> T
     """
     if dataset is None:
         dataset = resolve_dataset(cfg)
-    init_rng, subset_rng, ae_rng, flow_rng, _ = _spawn(cfg.seed, 5)
-    pipe = _untrained(cfg, dataset, init_rng, subset_rng)
+    rngs = run_streams(cfg.seed)
+    pipe = _untrained(cfg, dataset, rngs)
     mols = _cloud_molecules(pipe)
     if not mols:
         if not pipe.subset:
@@ -170,23 +176,23 @@ def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> T
     # phase 1: the codec plus the bond-type classifier
     t0 = time.perf_counter()
     ae_params = _param_list(pipe.codec.named_params())
-    ae_hist = _train_loop(pipe.codec.loss, mols, cfg.epochs, ae_params, cfg.lr, ae_rng)
+    ae_hist = _train_loop(pipe.codec.loss, mols, cfg.epochs, ae_params, cfg.lr, rngs["ae"])
     et_params = _param_list(pipe.edge_type.named_params())
     et_hist = _train_loop(lambda m: codec.edge_type_loss(pipe.edge_type, m),
-                          pipe.subset, cfg.epochs, et_params, cfg.lr, ae_rng)
+                          pipe.subset, cfg.epochs, et_params, cfg.lr, rngs["ae"])
     pipe.ae_seconds = time.perf_counter() - t0
 
     # phase 2: flow on frozen-encoder embeddings
     clouds = [pipe.codec.encode(m) for m in mols]
     pipe.standardizer = Standardizer.fit(np.concatenate(clouds, axis=0))
     flow_data = [pipe.standardizer.apply(c) for c in clouds]
-    pipe.flow = flows.build(FLOW_KINDS[cfg.experiment], pipe.codec.width, init_rng,
+    pipe.flow = flows.build(FLOW_KINDS[cfg.experiment], pipe.codec.width, rngs["init"],
                             flow_data)
     flow_params = _param_list(pipe.flow.named_params())
 
     t0 = time.perf_counter()
-    flow_hist = _train_loop(lambda c: pipe.flow.loss(c, flow_rng), flow_data,
-                            cfg.epochs, flow_params, cfg.lr, flow_rng)
+    flow_hist = _train_loop(lambda c: pipe.flow.loss(c, rngs["flow"]), flow_data,
+                            cfg.epochs, flow_params, cfg.lr, rngs["flow"])
     pipe.flow_seconds = time.perf_counter() - t0
 
     pipe.param_count = sum(p.data.size for p in ae_params + et_params + flow_params)
@@ -298,8 +304,9 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
             f"{run_dir}: checkpoint is for {codec_meta.get('experiment')}"
             f" z={codec_meta.get('latent_z')}, config wants {cfg.experiment} z={cfg.latent_z}")
 
-    rng = np.random.default_rng(0)
-    pipe = _untrained(cfg, dataset, rng, _spawn(cfg.seed, 5)[1])
+    rngs = run_streams(cfg.seed)
+    # the initial weights are overwritten from the checkpoints
+    pipe = _untrained(cfg, dataset, rngs)
     _restore(pipe.codec_params(), codec_stored, codec_path)
 
     flow_stored, flow_meta = load_params(flow_path)
@@ -317,7 +324,7 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     constants = {k: v for k, v in flow_meta.items()
                  if k not in ("flow", "experiment", "latent_z")}
     try:
-        pipe.flow = flows.build(kind, pipe.codec.width, rng, clouds, **constants)
+        pipe.flow = flows.build(kind, pipe.codec.width, rngs["init"], clouds, **constants)
     except (TypeError, flows.FixedConstant) as exc:  # a constant this flow does not have
         raise CheckpointMismatch(f"{flow_path}: {exc}") from None
     missing = sorted(pipe.flow.meta().keys() - flow_meta.keys())

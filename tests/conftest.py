@@ -51,6 +51,16 @@ def assert_close(got: np.ndarray, want: np.ndarray, rtol: float = 1e-12) -> None
     assert err <= rtol * np.max(np.abs(want[~nan]), initial=0.0)
 
 
+def seeded_sum(out, g=None):
+    """sum(out * g) as one tape node: backward from it hands ``g`` (an array
+    or a constant tensor; ones when None) to ``out`` as its gradient."""
+    g = np.ones(out.data.shape) if g is None else getattr(g, "data", g)
+    total = T.Tensor((out.data * g).sum())
+    if T._recording(out):
+        T._record(total, ((out, lambda s: s * g),))
+    return total
+
+
 def mean_only(width: int) -> list:
     """A one-layer ``relu_stack`` whose output is the neighbour mean: a
     zero self weight, the identity on the neighbour path, no bias."""

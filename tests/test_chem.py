@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from moldiff.chem import (
     AllLinesFailed,
     BOND_TYPES,
+    Dataset,
     BondType,
     ELEMENTS,
     Element,
@@ -24,6 +25,7 @@ from moldiff.chem import (
     load_dataset,
     molgraph,
     parse_smiles,
+    read_smiles,
     synthetic_molecules,
     write_smiles,
 )
@@ -357,6 +359,27 @@ class TestDataset:
         path.write_text("xx1\nzz2\n")
         with pytest.raises(AllLinesFailed):
             load_dataset(path)
+
+    def test_first_token_of_each_data_line(self, tmp_path):
+        path = tmp_path / "named.smi"
+        path.write_text("# name follows\n  CCO ethanol \n\nC1CC broken\n#CCCC\nCCN\tamine x\n")
+        parsed = read_smiles(path)
+        assert parsed[1] is None
+        assert [write_smiles(m) for m in (parsed[0], parsed[2])] == [
+            write_smiles(parse_smiles("CCO")), write_smiles(parse_smiles("CCN"))]
+        ds = load_dataset(path)
+        assert (len(ds), ds.skipped) == (2, 1)
+
+    def test_read_smiles_unreadable_file(self, tmp_path):
+        with pytest.raises(FileUnreadable):
+            read_smiles(tmp_path / "missing.smi")
+
+    def test_dataset_of_keys_and_histogram(self):
+        mols = [parse_smiles(s) for s in ("CCO", "OCC", "C", "CCN")]
+        ds = Dataset.of(mols, source="four")
+        assert ds.molecules is mols and (ds.skipped, ds.source) == (0, "four")
+        assert ds.canonical_keys == {canonical_key(m) for m in mols}
+        assert len(ds.canonical_keys) == 3 and ds.size_histogram == {3: 3, 1: 1}
 
     def test_duplicates_collapse_in_keys(self, tmp_path):
         path = tmp_path / "dup.smi"

@@ -151,6 +151,21 @@ class TestEvaluateCommand:
         assert printed["count"] == 2 and printed["unparsed"] == 2
         assert printed["validity"] == 0.0 and printed["degenerate"]
 
+    def test_a_name_after_the_smiles_changes_nothing(self, tmp_path, capsys):
+        training = tmp_path / "train.smi"
+        training.write_text("CCO ethanol\nCC(=O)N acetamide\n", encoding="utf-8")
+        printed = []
+        for name, text in (("bare", "CCO\nCCN\nC(\n"),
+                           ("named", "CCO ethanol\nCCN amine\nC( broken\n")):
+            candidates = tmp_path / f"{name}.smi"
+            candidates.write_text(text, encoding="utf-8")
+            assert cli.main(["evaluate", "--candidates", str(candidates),
+                             "--dataset", str(training)]) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        assert printed[1] == printed[0]
+        assert printed[1]["count"] == 3 and printed[1]["unparsed"] == 1
+        assert printed[1]["validity"] == pytest.approx(200.0 / 3)
+
 
 class TestResultsCsv:
     def test_round_trips_every_column(self, tmp_path):
@@ -171,6 +186,23 @@ class TestResultsCsv:
                 g, w = getattr(got, col), getattr(want, col)
                 assert g == w or (col == "latent_mmd" and math.isnan(g) and math.isnan(w)), col
                 assert type(g) is type(w), col
+
+
+@pytest.mark.slow
+def test_run_all_writes_every_row(tmp_path, monkeypatch):
+    monkeypatch.delenv("MOLDIFF_DATA", raising=False)
+    out = tmp_path / "sweep"
+    assert cli.main(["run-all", "--seed", "0", "--subset", "12", "--epochs", "1",
+                     "--sample-count", "2", "--repetitions", "1",
+                     "--output-dir", str(out)]) == 0
+    reports = harness.read_results_csv(out / "results.csv")
+    assert [(r.experiment, r.latent_z) for r in reports] == list(harness.SWEEP_ROWS)
+    for figure in ("fig_params_vs_quality.svg", "fig_validity_vs_uniqueness.svg",
+                   "fig_training_times.svg"):
+        assert (out / figure).is_file()
+    for experiment, z in harness.SWEEP_ROWS:
+        cfg = ExperimentConfig(experiment=experiment, latent_z=z, seed=0, output_dir=str(out))
+        assert (cfg.run_dir / "metrics.json").is_file()
 
 
 def _train_and_generate(out: Path, hash_seed: str) -> dict[str, bytes]:

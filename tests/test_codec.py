@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moldiff import codec, flows
-from moldiff.chem import ELEMENTS, BondType, Element, molgraph, parse_smiles
+from moldiff.chem import BOND_TYPES, ELEMENTS, BondType, Element, molgraph, parse_smiles
 from moldiff.diffcore import AdamState, Tape, adam_step, backward
 from moldiff.diffcore import tensor as T
 from moldiff.gnn import (
@@ -324,6 +324,17 @@ class TestEdgesAsNodes:
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
             codec.build_edges_as_nodes(parse_smiles("C"))
+
+    def test_pair_rows_match_bond_types(self, corpus):
+        for m in [m for m in corpus.molecules if m.n >= 2][:100]:
+            typed = {(i, j): t for i, j, t in m.bonds}
+            want = np.zeros((len(pair_indices(m.n)[0]), 1 + len(BOND_TYPES)))
+            for k, pair in enumerate(zip(*(a.tolist() for a in pair_indices(m.n)))):
+                if pair in typed:
+                    want[k, 0] = want[k, 1 + BOND_TYPES.index(typed[pair])] = 1.0
+            got = codec.build_edges_as_nodes(m).features
+            assert np.array_equal(got[m.n:, 4:], want)
+            assert not got[m.n:, :4].any()
 
     def test_same_size_molecules_share_one_graph(self):
         a = codec.build_edges_as_nodes(parse_smiles("CCO"))

@@ -30,7 +30,7 @@ from moldiff.diffcore import (
 from moldiff.diffcore import tensor as T
 from moldiff.gnn import EdgeIndex, pair_node_edges
 
-from conftest import assert_close, fd_gradcheck, mean_only, per_layer_stack
+from conftest import assert_close, fd_gradcheck, mean_only, per_layer_stack, seeded_sum
 
 
 class TestBackward:
@@ -44,7 +44,7 @@ class TestBackward:
     def test_relu_dead_unit(self):
         x = param(np.array(-2.0))
         with Tape() as tape:
-            y = T.sum_all(T.relu(x))
+            y = seeded_sum(T.relu(x))
         grads = backward(tape, y)
         assert grads[x] == 0.0
 
@@ -150,7 +150,7 @@ class TestGradCheckPrimitives:
                       lambda: T.concat([x, T.tensor(np.tile(row, (4, 1)))], axis=1)):
             with Tape() as tape:
                 out = build()
-                grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
+                grads = T.backward(tape, seeded_sum(out, weights))
             got.append((out.data.tobytes(), grads[x].tobytes()))
         assert got[0] == got[1]
         tgt = rng.standard_normal((4, 5))
@@ -195,7 +195,7 @@ class TestGradCheckPrimitives:
         src = T.SegmentPlan(np.array([0, 1, 2]), 3)
         plan = T.SegmentPlan(np.array([0, 0, 0]), 3)
         with Tape() as tape:
-            loss = T.sum_all(T.narrow(T.pna_aggregate(x, src, plan), -1, 4, 1))
+            loss = seeded_sum(T.narrow(T.pna_aggregate(x, src, plan), -1, 4, 1))
         grads = backward(tape, loss)
         assert np.all(grads[x] == 0.0)
 
@@ -240,7 +240,7 @@ class TestAffine:
         def run(linear):
             with Tape() as tape:
                 out = linear()
-                grads = backward(tape, T.sum_all(T.mul(out, weights)))
+                grads = backward(tape, seeded_sum(out, weights))
             return out.data, [grads[p] for p in (x, w, b)], len(tape)
 
         fused, fused_grads, fused_nodes = run(lambda: T.affine(x, w, b))
@@ -270,7 +270,7 @@ class TestCompleteMean:
         x = param(rng.standard_normal((1, 4)))
         with Tape() as tape:
             out = T.relu_stack(x, mean_only(4))
-            grads = backward(tape, T.sum_all(out))
+            grads = backward(tape, seeded_sum(out))
         assert np.array_equal(out.data, np.zeros((1, 4)))
         assert np.array_equal(grads[x], np.zeros((1, 4)))
 
@@ -308,7 +308,7 @@ class TestCompleteStack:
         x feeds the stack and the loss, as in a noise predictor."""
         with Tape() as tape:
             out = stack(x, layers)
-            loss = T.sum_all(T.mul(T.sub(out, x), weights))
+            loss = seeded_sum(T.sub(out, x), weights)
             grads = backward(tape, loss)
         return out.data, len(tape), [grads.get(p) for p in [x, *trainables(layers)]]
 
@@ -326,8 +326,8 @@ class TestCompleteStack:
             assert [_bits(g) for g in one_grads] == [_bits(g) for g in ref_grads]
         for got, want in zip([one, *one_grads], [ref, *ref_grads]):
             assert_close(got, want)
-        # three loss nodes, plus one stack node or 4 + 2 + 4 + 1 per-layer nodes
-        assert (one_nodes, ref_nodes) == (3 + 1, 3 + 11)
+        # two loss nodes, plus one stack node or 4 + 2 + 4 + 1 per-layer nodes
+        assert (one_nodes, ref_nodes) == (2 + 1, 2 + 11)
 
     @pytest.mark.parametrize("n", [2, 9])
     def test_two_layers_against_finite_differences(self, n, rng):
@@ -354,7 +354,7 @@ class TestCompleteStack:
         x, ws, wn = param(h), param(w[0]), param(w[1])
         with Tape() as tape:
             out = T.relu_stack(x, [(ws, wn, T.tensor(b))])
-            grads = backward(tape, T.sum_all(T.mul(out, T.tensor(g))))
+            grads = backward(tape, seeded_sum(out, g))
         hl, wsl, wnl, gl = (a.astype(np.longdouble) for a in (h, w[0], w[1], g))
         ml, gn = (hl.sum(axis=0) - hl) / (n - 1), gl @ wnl.T
         want = {"out": hl @ wsl + ml @ wnl + b, "x": gl @ wsl.T + (gn.sum(axis=0) - gn) / (n - 1),
@@ -378,7 +378,7 @@ class TestCompleteStack:
                   (param(np.array([[1.0], [1.0]])), None, param(np.array([-0.0])))]
         with Tape() as tape:
             out = T.relu_stack(x, layers)
-            grads = backward(tape, T.sum_all(out))
+            grads = backward(tape, seeded_sum(out))
         assert np.array_equal(out.data, [[0.0], [1.0], [0.0]])
         assert not np.any(np.signbit(out.data))
         # only row 1, unit 1 is above 0
@@ -410,10 +410,10 @@ class TestCompleteStack:
         w = T.tensor(rng.standard_normal((4, 2)))
         with Tape() as tape:
             out = T.relu_stack(x, layers)
-            plain, weighted = T.sum_all(out), T.sum_all(T.mul(out, w))
+            plain, weighted = seeded_sum(out), seeded_sum(out, w)
         first, second = backward(tape, plain), backward(tape, weighted)
-        for loss, grads in ((lambda o: T.sum_all(o), first),
-                            (lambda o: T.sum_all(T.mul(o, w)), second)):
+        for loss, grads in ((seeded_sum, first),
+                            (lambda o: seeded_sum(o, w), second)):
             with Tape() as fresh:
                 want = backward(fresh, loss(T.relu_stack(x, layers)))
             assert want.keys() == grads.keys()
@@ -424,7 +424,7 @@ class TestCompleteStack:
         layers = stack_layers(rng, [2, 3, 2], [True, False])
         x = T.tensor(rng.standard_normal((4, 2)))
         with Tape() as tape:
-            grads = backward(tape, T.sum_all(T.relu_stack(x, layers)))
+            grads = backward(tape, seeded_sum(T.relu_stack(x, layers)))
         assert len(tape) == 2
         assert set(grads) == set(trainables(layers))
 
@@ -512,7 +512,7 @@ class TestReluStack:
         assert _bits(one) == _bits(ref)
         assert [_bits(g) for g in one_grads] == [_bits(g) for g in ref_grads]
         # 8 per-layer nodes: 2 + 1 + 2 + 1 + 2
-        assert (one_nodes, ref_nodes) == (3 + 1, 3 + 8)
+        assert (one_nodes, ref_nodes) == (2 + 1, 2 + 8)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("graph", ["molecule", "directed"])
@@ -531,7 +531,7 @@ class TestReluStack:
         weights = rng.standard_normal((4, 2))
         with Tape() as tape:
             out = T.relu_stack(x, [(T.tensor(np.eye(2)), None, T.tensor(np.zeros(2)))], prop)
-            grads = backward(tape, T.sum_all(T.mul(out, T.tensor(weights))))
+            grads = backward(tape, seeded_sum(out, weights))
         assert np.array_equal(out.data, prop @ x.data)
         assert np.array_equal(grads[x], prop.T @ weights)
         assert not np.allclose(grads[x], prop @ weights)
@@ -547,7 +547,7 @@ class TestReluStack:
             with Tape() as tape:
                 x = T.mul(leaf, 1.5)
                 out = stack(x, layers, prop)
-                grads = backward(tape, T.sum_all(T.mul(T.sub(out, x), weights)))
+                grads = backward(tape, seeded_sum(T.sub(out, x), weights))
             return [_bits(out.data)] + [_bits(grads[p]) for p in [leaf, *trainables(layers)]]
 
         assert run(T.relu_stack) == run(per_layer_stack)
@@ -560,7 +560,7 @@ class TestReluStack:
             out = T.relu_stack(x, layers, prop)
         assert len(tape) == 1
         with Tape() as tape:
-            grads = backward(tape, T.sum_all(T.relu_stack(x, layers, prop)))
+            grads = backward(tape, seeded_sum(T.relu_stack(x, layers, prop)))
         assert set(grads) == set(trainables(layers))
         assert _bits(T.relu_stack(x, layers, prop).data) == _bits(out.data)
 

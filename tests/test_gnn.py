@@ -26,11 +26,12 @@ from moldiff.gnn import (
     pair_edges,
     pair_indices,
     pair_node_edges,
+    pair_slots,
     symmetric_pair_logits,
     time_encode,
 )
 
-from conftest import assert_close, per_layer_stack
+from conftest import assert_close, per_layer_stack, seeded_sum
 
 
 def random_orthogonal(rng, d):
@@ -72,6 +73,16 @@ class TestPairNodeGraph:
         assert e.src.tolist() == src and e.dst.tolist() == dst
         assert e.src.dtype == e.dst.dtype == np.intp
         assert list(zip(*(a.tolist() for a in pair_indices(n)))) == pairs
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_pair_slots_invert_pair_indices(self, n):
+        slots = pair_slots(n)
+        i_idx, j_idx = pair_indices(n)
+        k = np.arange(len(i_idx))
+        assert np.array_equal(slots[i_idx, j_idx], k)
+        assert np.array_equal(slots[j_idx, i_idx], k)
+        assert np.array_equal(np.diag(slots), np.full(n, -1))
+        assert slots.dtype == np.intp and pair_slots(n) is slots
 
 
 class TestPairHead:
@@ -119,14 +130,14 @@ class TestPairHead:
         weights = T.tensor(rng.standard_normal((len(pairs), 3)))
         with T.Tape() as tape:
             out = symmetric_pair_logits(mlp, h, edges_from_pairs(5, pairs))
-            got = T.backward(tape, T.sum_all(T.mul(out, weights)))[h]
+            got = T.backward(tape, seeded_sum(out, weights))[h]
         i_idx = T.SegmentPlan([a for a, _ in pairs], 5)
         j_idx = T.SegmentPlan([b for _, b in pairs], 5)
         with T.Tape() as tape:
             hi, hj = T.gather_rows(h, i_idx), T.gather_rows(h, j_idx)
             two = T.mul(T.add(mlp(T.concat([hi, hj], axis=1)),
                               mlp(T.concat([hj, hi], axis=1))), 0.5)
-            want = T.backward(tape, T.sum_all(T.mul(two, weights)))[h]
+            want = T.backward(tape, seeded_sum(two, weights))[h]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -223,8 +234,8 @@ def pna_taped(x, g, e):
     xt = T.param(x)
     with T.Tape() as tape:
         out = T.pna_aggregate(xt, e.src_plan, e.dst_plan)
-        grads = T.backward(tape, T.sum_all(T.mul(out, T.tensor(g))))
-    assert len(tape) == 3
+        grads = T.backward(tape, seeded_sum(out, g))
+    assert len(tape) == 2
     return out.data, grads[xt]
 
 
@@ -382,7 +393,7 @@ class TestGraphConv:
         def run(net):
             with T.Tape() as tape:
                 out = net(x)
-                grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
+                grads = T.backward(tape, seeded_sum(out, weights))
             return out.data, [grads[p] for p in params]
 
         got, got_grads = run(stack)
@@ -536,12 +547,12 @@ class TestNets:
         def run(fn):
             with T.Tape() as tape:
                 out = fn(x)
-                grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
+                grads = T.backward(tape, seeded_sum(out, weights))
             return len(tape), [out.data] + [grads[p] for p in params]
 
         nodes, got = run(lambda x: stack(x, *args))
         _, want = run(lambda x: per_layer_stack(x, [lay.spec for lay in stack.layers], prop))
-        assert nodes == 3
+        assert nodes == 2
         if net == "graph":
             for a, b in zip(got, want):
                 assert_close(a, b)
@@ -553,7 +564,7 @@ class TestNets:
         """run(x)'s value and the gradient of sum(run(x) * weights) in x."""
         with T.Tape() as tape:
             out = run(x)
-            grads = T.backward(tape, T.sum_all(T.mul(out, weights)))
+            grads = T.backward(tape, seeded_sum(out, weights))
         return out.data, grads[x]
 
     @staticmethod

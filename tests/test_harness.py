@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from moldiff import codec, flows, gnn, harness
-from moldiff.chem import Dataset, canonical_key, parse_smiles, write_smiles
+from moldiff.chem import Dataset, parse_smiles, write_smiles
 from moldiff.diffcore import load_params, save_params
 from moldiff.diffcore import tensor as T
 from moldiff.harness.generate import sample_clouds, size_distribution
@@ -26,8 +26,19 @@ COUNT = 3
 
 
 def small_dataset(mols) -> Dataset:
-    return Dataset(molecules=mols, canonical_keys={canonical_key(m) for m in mols},
-                   size_histogram=dict(Counter(m.n for m in mols)), source="test")
+    return Dataset.of(mols, source="test")
+
+
+def test_each_named_stream_is_its_child_of_the_seed():
+    """Stream k of a run is child k of ``SeedSequence(seed)``, as it was
+    when the table was shorter, so every run keeps its draws."""
+    assert harness.train.STREAMS == ("init", "subset", "ae", "flow", "generate", "latent")
+    for seed in (0, 3):
+        rngs = harness.train.run_streams(seed)
+        children = np.random.SeedSequence(seed).spawn(len(rngs) + 2)
+        for k, name in enumerate(harness.train.STREAMS):
+            want = np.random.default_rng(children[k]).random(4)
+            assert rngs[name].random(4).tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")

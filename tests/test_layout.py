@@ -1,7 +1,10 @@
-"""Where rules live: every part lists its trainable tensors through the
-one walk on ``gnn.Module``. A class that wrote its own ``named_params``
+"""Where rules live. Every part lists its trainable tensors through the
+one walk on ``gnn.Module``: a class that wrote its own ``named_params``
 could leave a sub-network out, and that sub-network would then be neither
-trained nor saved."""
+trained nor saved. SMILES files are parsed by the one reader in
+``chem/dataset.py``, so a training file and a candidates file follow one
+line rule. A run's seed streams come from the one table in
+``harness/train.py``, so two modules cannot share a stream by index."""
 
 import ast
 from pathlib import Path
@@ -32,3 +35,36 @@ def test_a_second_definition_is_caught(tmp_path):
                       "class B:\n    class C:\n        def named_params(self):\n"
                       "            return []\n\ndef named_params():\n    return []\n")
     assert classes_defining(module, "named_params") == {"A", "C"}
+
+
+def calls_to(path: Path, names: set[str]) -> set[str]:
+    """The functions of ``names`` that a module calls, by bare name or as an
+    attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return called & names
+
+
+def modules_calling(names: set[str]) -> set[str]:
+    return {path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
+            if calls_to(path, names)}
+
+
+def test_smiles_is_parsed_by_the_dataset_reader_only():
+    assert modules_calling({"parse_smiles"}) == {"chem/dataset.py"}
+
+
+def test_seed_streams_are_spawned_by_train_only():
+    assert modules_calling({"SeedSequence", "spawn"}) == {"harness/train.py"}
+
+
+def test_a_second_caller_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\nfrom moldiff.chem import parse_smiles\n\n"
+                      "def f(seed):\n    return np.random.SeedSequence(seed).spawn(2)\n\n"
+                      "mol = parse_smiles('CCO')\nread = parse_smiles\n")
+    names = {"parse_smiles", "SeedSequence", "spawn", "default_rng"}
+    assert calls_to(module, names) == {"parse_smiles", "SeedSequence", "spawn"}
+    module.write_text("from moldiff.chem import parse_smiles\nread = parse_smiles\n")
+    assert calls_to(module, names) == set()

@@ -37,6 +37,12 @@ def test_same_inputs_same_value(rng):
     assert latent_mmd([c.copy() for c in samples], [c.copy() for c in reference]) == first
 
 
+def test_value_is_a_python_float(rng):
+    """``results.csv`` writes it by ``repr``, which must read back as a float."""
+    value = latent_mmd(gaussian_clouds(rng, 30), gaussian_clouds(rng, 30))
+    assert type(value) is float and float(repr(value)) == value
+
+
 def test_counts_weighted_by_their_sampled_clouds(rng):
     """Row counts are scored apart: clouds of 3 rows never meet clouds of 4."""
     def clouds(k, rows, shift=0.0):

@@ -147,7 +147,6 @@ OPS = {
     "gather_rows": (lambda x: T.gather_rows(x, _FULL_PLAN), [(5, 3)]),
     "gather_rows_plan": (lambda x: T.gather_rows(x, _PLAN), [(5, 3)]),
     "row_sum": (T.row_sum, [(4, 3)]),
-    "sum_all": (T.sum_all, [(4, 3)]),
     "complete_mean": (lambda x: T.relu_stack(x, mean_only(3)), [(6, 3)]),
     "complete_stack": (
         lambda x, w, wn, b, w2, b2: T.relu_stack(x, [(w, wn, b), (w2, None, b2)]),
