@@ -25,9 +25,7 @@ one. ``harness.generate_molecules`` decodes in chunks of at most 8. At
 these sizes the per-op overhead, not the arithmetic, sets the cost, and 8
 clouds already share most of it: a 9-atom ``kind="gnn"`` cloud took 224 µs
 alone, 81 µs in a chunk of 8 and 84 µs in a chunk of 64 (one BLAS
-thread). Larger chunks cost memory: 64-cloud chunks raised the peak
-resident memory of the ``generate`` benchmark from 45.1 to 52.1 MB
-(+15%, over its 10% bound), while chunks of 8 left it at 45.1.
+thread).
 
 Both codecs (``GraphCodec``, ``InputSpaceAutoencoder``; ``build`` makes
 either) offer one interface, and the harness sees nothing else:
@@ -73,6 +71,9 @@ from .gnn import (
 
 _ELEM_INDEX = {el: i for i, el in enumerate(ELEMENTS)}
 _BOND_INDEX = {bt: i for i, bt in enumerate(BOND_TYPES)}
+
+# both decoders keep a pair as an edge when its probability reaches this
+EDGE_THRESHOLD = 0.5
 
 
 class NonFiniteCloud(ValueError):
@@ -133,8 +134,6 @@ class GraphAutoencoder(Module):
     making the decoded edge set invariant to orthogonal transforms of the
     cloud.
     """
-
-    tau = 0.5  # a pair at or above this probability is an edge
 
     def __init__(self, z: int, rng: np.random.Generator, kind: str = "gnn",
                  hidden: int = 64, edge_hidden: int = 32, name: str = "graphae"):
@@ -207,13 +206,14 @@ def _elements(scores: np.ndarray) -> list[tuple[Element, ...]]:
     return [tuple(ELEMENTS[k] for k in row) for row in scores.argmax(axis=-1)]
 
 
-def _threshold_edges(probs: np.ndarray, n: int, tau: float) -> list[list[tuple[int, int]]]:
+def _threshold_edges(probs: np.ndarray, n: int) -> list[list[tuple[int, int]]]:
     """For each of the B rows of ``probs``, one probability per pair of
-    ``pair_indices(n)``: the pairs at or above ``tau``, in pair order."""
+    ``pair_indices(n)``: the pairs at or above ``EDGE_THRESHOLD``, in pair
+    order."""
     i_idx, j_idx = pair_indices(n)
     out = []
     for row in probs.reshape(len(probs), -1):
-        kept = np.flatnonzero(row >= tau)
+        kept = np.flatnonzero(row >= EDGE_THRESHOLD)
         out.append(list(zip(i_idx[kept].tolist(), j_idx[kept].tolist())))
     return out
 
@@ -228,16 +228,17 @@ def decode_batch(ae: GraphAutoencoder, at: AtomTypeAutoencoder,
                  points: np.ndarray) -> list[UntypedGraph]:
     """Decode a (B, n, z+2) stack of same-size clouds, each laid out as
     ``encode``'s rows. Atoms come from the atom-type columns; for 2 or more
-    points, edges are the pairs whose probability reaches ``ae.tau``. With
-    ``kind="egnn"`` the edge set ignores the cloud's orientation. Entry b
-    has the bits that points[b] decoded alone has."""
+    points, edges are the pairs whose probability reaches
+    ``EDGE_THRESHOLD``. With ``kind="egnn"`` the edge set ignores the
+    cloud's orientation. Entry b has the bits that points[b] decoded alone
+    has."""
     require_finite(points)
     pts = T.tensor(points)
     atoms = _elements(at.decode_probs(T.narrow(pts, -1, ae.z, 2)).data)
     n = points.shape[-2]
     if n < 2:
         return [UntypedGraph(a, []) for a in atoms]
-    edges = _threshold_edges(edge_probs(ae, pts).data, n, ae.tau)
+    edges = _threshold_edges(edge_probs(ae, pts).data, n)
     return [UntypedGraph(a, e) for a, e in zip(atoms, edges)]
 
 
@@ -404,7 +405,6 @@ class InputSpaceAutoencoder(Module):
     graph; compresses every node (original and auxiliary) to z features,
     so a cloud has a row per atom and per atom pair."""
 
-    tau = 0.5  # a pair whose presence reaches this probability is an edge
     min_atoms = 2
 
     def __init__(self, z: int, rng: np.random.Generator, hidden: int = 32,
@@ -458,7 +458,7 @@ def input_space_decode_batch(ae: InputSpaceAutoencoder, latent: np.ndarray,
     n = n_original
     out = ae.decode_t(T.tensor(latent), pair_node_edges(n)).data
     presence = T.sigmoid(T.tensor(out[..., n:, 4])).data
-    edges = _threshold_edges(presence, n, ae.tau)
+    edges = _threshold_edges(presence, n)
     return [UntypedGraph(a, e) for a, e in zip(_elements(out[..., :n, :4]), edges)]
 
 

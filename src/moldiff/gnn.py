@@ -45,10 +45,6 @@ class TooFewPoints(ValueError):
     pass
 
 
-class OutOfRange(ValueError):
-    pass
-
-
 class GraphMismatch(ValueError):
     """A stack was called without the graph it needs, or with one it does not take."""
 
@@ -337,43 +333,25 @@ def egnn_distance_features(cloud) -> Tensor:
 # time encodings
 
 
-# the top time-feature frequency, in radians per unit of t/total
+# the top time-feature frequency, in radians per unit of t
 TIME_MAX_FREQ = 8.0
 
+# the time features' four frequencies, spaced geometrically from 1 to
+# TIME_MAX_FREQ; treat as read-only
+TIME_FREQS = np.array([TIME_MAX_FREQ ** (i / 3) for i in range(4)])
 
-@dataclass(frozen=True)
-class TimeEncoding:
-    """Sinusoidal timestep features: ``pairs`` (sin, cos) pairs.
+
+def time_features(t: float) -> np.ndarray:
+    """Sinusoidal features of a time t in [0, 1]: sin and cos of t at each
+    of ``TIME_FREQS``, interleaved.
 
     ``TIME_MAX_FREQ`` is the bandwidth. A network fed these features can
     vary in t no faster than its top feature, so a fixed-step solver needs
     steps well below 1/``TIME_MAX_FREQ`` in t to follow it.
     """
-
-    pairs: int = 4
-
-    @property
-    def width(self) -> int:
-        return 2 * self.pairs
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """Frequencies spaced geometrically from 1 to ``TIME_MAX_FREQ``;
-        treat as read-only."""
-        k = self.pairs
-        return np.array([TIME_MAX_FREQ ** (i / (k - 1)) if k > 1 else 1.0
-                         for i in range(k)])
-
-
-def time_encode(t: float, total: float, enc: TimeEncoding) -> np.ndarray:
-    """Encode a timestep as (sin, cos) pairs of t/total over geometrically
-    spaced frequencies."""
-    if not (0 <= t <= total):
-        raise OutOfRange(f"t={t} outside [0, {total}]")
-    tau = t / total
-    out = np.empty(enc.width, dtype=np.float64)
-    out[0::2] = np.sin(tau * enc.omega)
-    out[1::2] = np.cos(tau * enc.omega)
+    out = np.empty(2 * len(TIME_FREQS), dtype=np.float64)
+    out[0::2] = np.sin(t * TIME_FREQS)
+    out[1::2] = np.cos(t * TIME_FREQS)
     return out
 
 
@@ -425,8 +403,7 @@ class FlowFieldNet(Module):
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
                  hidden_layers: int = 10, name: str = "flowfield"):
         self.width = width
-        self.time_enc = TimeEncoding(pairs=4)
-        self.entry = GraphConvLayer(width + self.time_enc.width, hidden, rng,
+        self.entry = GraphConvLayer(width + 2 * len(TIME_FREQS), hidden, rng,
                                     name=f"{name}.entry")
         self.hidden = [Dense(hidden, hidden, rng, name=f"{name}.h{i}")
                        for i in range(hidden_layers)]
@@ -438,8 +415,7 @@ class FlowFieldNet(Module):
         if width != self.width:
             raise WidthMismatch(f"expected width {self.width}, got {width}")
         # RK4 stage times can overshoot the interval by one rounding step
-        enc = time_encode(min(max(t, 0.0), 1.0), 1.0, self.time_enc)
-        return T.relu_stack(T.concat_row(x, enc), self.specs)
+        return T.relu_stack(T.concat_row(x, time_features(min(max(t, 0.0), 1.0))), self.specs)
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         return self(T.tensor(x), t).data

@@ -35,19 +35,26 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subset", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--sample-count", type=int, dest="sample_count")
-    p.add_argument("--sample-range", type=int, nargs=2, dest="sample_range",
-                   metavar=("LOW", "HIGH"))
     p.add_argument("--repetitions", type=int)
     p.add_argument("--output-dir", dest="output_dir")
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _given_fields(args) -> dict:
+    """The config fields that the command line sets."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+            if getattr(args, f.name, None) is not None}
+
+
 def _build_config(args) -> ExperimentConfig:
     raw = read_config_file(args.config) if args.config else {}
-    for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
-    return config_from_dict(raw)
+    return config_from_dict({**raw, **_given_fields(args)})
 
 
 def _cmd_train(args) -> int:
@@ -86,14 +93,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    reports = run_all(
-        args.seed, epochs=args.epochs, subset=args.subset,
-        sample_count=args.sample_count, repetitions=args.repetitions,
-        output_dir=args.output_dir, dataset_path=args.dataset)
+    # every sweep row replaces the template's experiment
+    template = ExperimentConfig(experiment=EXPERIMENTS[0], **_given_fields(args))
+    reports = run_all(template)
     for r in reports:
         print(f"{r.experiment:>22} z={r.latent_z}: validity {r.validity:5.1f}%  "
               f"uniqueness {r.uniqueness:5.1f}%  novelty {r.novelty:5.1f}%")
-    print(f"report written under {args.output_dir}")
+    print(f"report written under {template.output_dir}")
     return 0
 
 
@@ -109,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_gen = sub.add_parser("generate", help="sample molecules from checkpoints")
     _add_config_flags(p_gen)
-    p_gen.add_argument("--count", type=int, default=100)
+    p_gen.add_argument("--count", type=_positive, default=100)
     p_gen.add_argument("--gen-seed", type=int, dest="gen_seed")
     p_gen.add_argument("--out")
     p_gen.set_defaults(fn=_cmd_generate)
@@ -129,10 +135,10 @@ def main(argv: list[str] | None = None) -> int:
     p_all.add_argument("--seed", type=int, required=True)
     p_all.add_argument("--dataset")
     p_all.add_argument("--subset", type=int)
-    p_all.add_argument("--epochs", type=int, default=20)
+    p_all.add_argument("--epochs", type=int)
     p_all.add_argument("--sample-count", type=int, dest="sample_count")
-    p_all.add_argument("--repetitions", type=int, default=5)
-    p_all.add_argument("--output-dir", dest="output_dir", default="runs")
+    p_all.add_argument("--repetitions", type=int)
+    p_all.add_argument("--output-dir", dest="output_dir")
     p_all.set_defaults(fn=_cmd_run_all)
 
     args = parser.parse_args(argv)

@@ -42,7 +42,6 @@ class ExperimentConfig:
     subset: int | None = None
     seed: int = 0
     sample_count: int | None = None
-    sample_range: tuple[int, int] = (100, 500)
     output_dir: str = "runs"
     repetitions: int = 5
 
@@ -60,9 +59,6 @@ class ExperimentConfig:
             raise ConfigInvalid("lr must be positive")
         if self.subset is not None and self.subset < 1:
             raise ConfigInvalid("subset must be >= 1")
-        self.sample_range = (int(self.sample_range[0]), int(self.sample_range[1]))
-        if self.sample_range[0] > self.sample_range[1]:
-            raise ConfigInvalid("sample_range low must be <= high")
         if self.sample_count is not None and self.sample_count < 1:
             raise ConfigInvalid("sample_count must be >= 1")
         if self.repetitions < 1:
@@ -80,20 +76,11 @@ class ExperimentConfig:
         """Configured dataset path, overridden by the environment when set."""
         return os.environ.get(DATA_ENV_VAR) or self.dataset
 
-    def to_json(self) -> str:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["sample_range"] = list(self.sample_range)
-        return json.dumps(d, indent=2, sort_keys=True)
-
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value has the annotated type: a bool is no int, an
-    int is a float, a tuple is a list of its length."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        return (isinstance(value, (list, tuple)) and len(value) == len(args)
-                and all(map(_fits, value, args)))
-    kinds = args or (hint,)  # X | None lists its members
+    int is a float."""
+    kinds = typing.get_args(hint) or (hint,)  # X | None lists its members
     if float in kinds:
         kinds += (int,)
     return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
@@ -113,10 +100,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not _fits(value, hint):
             want = str(hint) if typing.get_args(hint) else hint.__name__
             raise ConfigInvalid(f"{key} must be {want}, got {value!r}")
-    kwargs = dict(raw)
-    if "sample_range" in kwargs:
-        kwargs["sample_range"] = tuple(kwargs["sample_range"])
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**raw)
 
 
 def read_config_file(path) -> dict:

@@ -19,6 +19,10 @@ class NoSampleableSize(ValueError):
     """The flow can sample none of the training histogram's atom counts."""
 
 
+class NegativeCount(ValueError):
+    """A negative number of molecules was asked for."""
+
+
 def size_distribution(histogram: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The atom counts of ``histogram`` in increasing order, and their
     probabilities."""
@@ -66,7 +70,12 @@ def generate_molecules(pipe: TrainedPipeline, count: int,
        raised the ``generate`` benchmark's peak resident memory from 45.1
        to 52.1 MB (+15%, over its 10% bound); chunks of 8 left it at 45.1.
     3. Type the bonds of each molecule, in sampling order.
+
+    A count of 0 gives no molecules; a negative count raises
+    :class:`NegativeCount`.
     """
+    if count < 0:
+        raise NegativeCount(f"cannot generate {count} molecules")
     with T.frozen_params():
         clouds: list[np.ndarray] = []
         groups: dict[int, list[int]] = {}  # atom count -> indices into clouds

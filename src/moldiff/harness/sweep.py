@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from ..chem import Dataset
@@ -14,6 +15,10 @@ from .train import TrainedPipeline, run_streams, standardized_clouds, train_expe
 
 # sampled clouds per latent_mmd
 LATENT_SAMPLES = 200
+
+# the inclusive range each repetition draws its molecule count from when
+# the config sets no sample_count
+SAMPLE_RANGE = (100, 500)
 
 SWEEP_ROWS: tuple[tuple[str, int], ...] = (
     ("gnn_gaussian", 2),
@@ -33,7 +38,7 @@ def run_experiment(cfg: ExperimentConfig,
     """Train one configuration, generate with repetition, and score it.
 
     The number of molecules per repetition is cfg.sample_count when given,
-    otherwise drawn uniformly from cfg.sample_range; percentages are
+    otherwise drawn uniformly from SAMPLE_RANGE; percentages are
     averaged over cfg.repetitions draws. The report's ``latent_mmd``
     compares LATENT_SAMPLES standardized clouds of the flow with the
     standardized training clouds; they draw from the run's ``latent``
@@ -47,7 +52,7 @@ def run_experiment(cfg: ExperimentConfig,
         if cfg.sample_count is not None:
             count = cfg.sample_count
         else:
-            lo, hi = cfg.sample_range
+            lo, hi = SAMPLE_RANGE
             count = int(rngs["generate"].integers(lo, hi + 1))
         candidates = generate_molecules(pipeline, count, rngs["generate"])
         rep = evaluate(candidates, pipeline.dataset)
@@ -67,23 +72,16 @@ def run_experiment(cfg: ExperimentConfig,
     return report, pipeline
 
 
-def run_all(seed: int, dataset: Dataset | None = None, *, epochs: int = 20,
-            subset: int | None = None, sample_count: int | None = None,
-            repetitions: int = 5, output_dir: str = "runs",
-            dataset_path: str | None = None) -> list[MetricsReport]:
-    """Run every row of SWEEP_ROWS and emit results.csv plus the three figures.
+def run_all(template: ExperimentConfig, dataset: Dataset | None = None) -> list[MetricsReport]:
+    """Run every row of SWEEP_ROWS, each as ``template`` with the row's
+    experiment and latent_z, and write results.csv plus the three figures
+    under ``template.output_dir``.
 
-    Without ``dataset`` it is resolved once, from the first row's config.
+    Without ``dataset`` it is resolved once, from the template.
     """
-    reports = []
-    for experiment, z in SWEEP_ROWS:
-        cfg = ExperimentConfig(
-            experiment=experiment, latent_z=z, epochs=epochs, subset=subset,
-            seed=seed, sample_count=sample_count, repetitions=repetitions,
-            output_dir=output_dir, dataset=dataset_path)
-        if dataset is None:
-            dataset = resolve_dataset(cfg)
-        report, _ = run_experiment(cfg, dataset)
-        reports.append(report)
-    write_report(output_dir, reports)
+    if dataset is None:
+        dataset = resolve_dataset(template)
+    reports = [run_experiment(dataclasses.replace(template, experiment=e, latent_z=z), dataset)[0]
+               for e, z in SWEEP_ROWS]
+    write_report(template.output_dir, reports)
     return reports

@@ -8,6 +8,7 @@ interface only. A run writes two checkpoints to the run directory: ``codec.mdl1`
 stored schedule constants, not from the defaults. Wall-clock seconds for
 the two phases, the parameter count, the history and the BLAS threads go
 in ``training.json``, which is strict JSON: a non-finite epoch loss is ``null``.
+It is a record of the run for readers; loading does not read it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +32,8 @@ class CheckpointMismatch(ValueError):
     pass
 
 
-# the arrays ``flow.mdl1`` holds besides the flow's parameters
+# the arrays ``flow.mdl1`` holds besides the flow's parameters, in the
+# order of Standardizer's fields
 STANDARDIZER_KEYS = ("standardizer.mean", "standardizer.std")
 
 
@@ -65,12 +67,16 @@ class TrainedPipeline:
     standardizer: Standardizer | None
     ae_seconds: float = 0.0
     flow_seconds: float = 0.0
-    param_count: int = 0
     history: dict = field(default_factory=dict)
 
     def codec_params(self) -> list:
         """Named parameters of the codec, then of the bond-type model."""
         return self.codec.named_params() + self.edge_type.named_params()
+
+    @property
+    def param_count(self) -> int:
+        """Trainable scalars of the codec, the bond-type model and the flow."""
+        return sum(p.data.size for _, p in self.codec_params() + self.flow.named_params())
 
     # Read-only views by codec kind, for bench/workloads.py (pipeline_arrays,
     # Train.quality_checks); nothing in the program reads them.
@@ -195,7 +201,6 @@ def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> T
                             cfg.epochs, flow_params, cfg.lr, rngs["flow"])
     pipe.flow_seconds = time.perf_counter() - t0
 
-    pipe.param_count = sum(p.data.size for p in ae_params + et_params + flow_params)
     pipe.history = {"ae": ae_hist, "edge_type": et_hist, "flow": flow_hist}
     save_pipeline(pipe)
     return pipe
@@ -219,12 +224,11 @@ def save_pipeline(pipe: TrainedPipeline) -> None:
                 meta=codec_meta)
 
     flow_named = _named_arrays(pipe.flow.named_params())
-    flow_named["standardizer.mean"] = pipe.standardizer.mean
-    flow_named["standardizer.std"] = pipe.standardizer.std
+    flow_named.update(zip(STANDARDIZER_KEYS, (pipe.standardizer.mean, pipe.standardizer.std)))
     save_params(run_dir / "flow.mdl1", flow_named, meta={**codec_meta, **pipe.flow.meta()})
 
     record = {
-        "config": json.loads(cfg.to_json()),
+        "config": asdict(cfg),
         "ae_seconds": pipe.ae_seconds,
         "flow_seconds": pipe.flow_seconds,
         "param_count": pipe.param_count,
@@ -254,45 +258,15 @@ def _restore(named_params, stored: dict[str, np.ndarray], path, extra=()) -> Non
         p.data = stored[name].copy()
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _read_record(path) -> dict:
-    """The fields of ``training.json`` that loading reads, checked; {} when
-    there is no such file. A record that is not a JSON object, or whose
-    seconds are not numbers, whose ``param_count`` is not an integer, or
-    whose ``history`` is not a dict of lists of numbers or null, raises
-    :class:`CheckpointMismatch`."""
-    if not path.exists():
-        return {}
-    try:
-        record = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointMismatch(f"{path}: not JSON: {exc}") from None
-    if not isinstance(record, dict):
-        raise CheckpointMismatch(f"{path}: not a JSON object")
-    for key in ("ae_seconds", "flow_seconds"):
-        if key in record and not _number(record[key]):
-            raise CheckpointMismatch(f"{path}: {key} is not a number: {record[key]!r}")
-    count = record.get("param_count", 0)
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise CheckpointMismatch(f"{path}: param_count is not an integer: {count!r}")
-    history = record.get("history", {})
-    if not (isinstance(history, dict)
-            and all(isinstance(v, list) and all(x is None or _number(x) for x in v)
-                    for v in history.values())):
-        raise CheckpointMismatch(f"{path}: history is not a dict of lists of numbers or null")
-    return record
-
-
 def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> TrainedPipeline:
     """Rebuild a pipeline from the checkpoints in cfg.run_dir.
 
     The flow is rebuilt with the schedule constants stored in ``flow.mdl1``;
     a constant missing there, or one the flow does not have (as a name or,
     for a fixed constant, as a value), raises :class:`CheckpointMismatch`,
-    as do a missing standardizer array and a malformed ``training.json``.
+    as does a missing standardizer array. Only the two checkpoints are
+    read: ``training.json`` is not, so the loaded pipeline's seconds and
+    history stay empty.
     """
     if dataset is None:
         dataset = resolve_dataset(cfg)
@@ -317,8 +291,7 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     for key in STANDARDIZER_KEYS:
         if key not in flow_stored:
             raise CheckpointMismatch(f"{flow_path}: missing parameter {key}")
-    pipe.standardizer = Standardizer(mean=flow_stored["standardizer.mean"],
-                                     std=flow_stored["standardizer.std"])
+    pipe.standardizer = Standardizer(*(flow_stored[key] for key in STANDARDIZER_KEYS))
     # lazy: only a flow that reads them (heat) pays for encoding the subset
     clouds = standardized_clouds(pipe)
     constants = {k: v for k, v in flow_meta.items()
@@ -331,11 +304,4 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     if missing:
         raise CheckpointMismatch(f"{flow_path}: flow meta lacks {missing}")
     _restore(pipe.flow.named_params(), flow_stored, flow_path, extra=STANDARDIZER_KEYS)
-
-    record = _read_record(run_dir / "training.json")
-    pipe.ae_seconds = record.get("ae_seconds", 0.0)
-    pipe.flow_seconds = record.get("flow_seconds", 0.0)
-    pipe.param_count = record.get("param_count", 0)
-    pipe.history = {k: [np.nan if v is None else v for v in losses]
-                    for k, losses in record.get("history", {}).items()}
     return pipe

@@ -32,9 +32,9 @@ class TestConfig:
         {"experiment": "gnn_gaussian", "lr": False},
         {"experiment": "gnn_gaussian", "subset": 2.0},
         {"experiment": "gnn_gaussian", "dataset": 7},
-        {"experiment": "gnn_gaussian", "sample_range": [100, "500"]},
-        {"experiment": "gnn_gaussian", "sample_range": [100, 200, 300]},
-        {"experiment": "gnn_gaussian", "sample_range": 100},
+        {"experiment": "gnn_gaussian", "sample_count": "4"},
+        {"experiment": "gnn_gaussian", "repetitions": 2.5},
+        {"experiment": "gnn_gaussian", "output_dir": None},
         {"experiment": ["gnn_gaussian"]},
     ])
     def test_wrong_type_is_config_invalid(self, raw):
@@ -43,8 +43,13 @@ class TestConfig:
 
     def test_accepted_types(self):
         cfg = config_from_dict({"experiment": "gnn_gaussian", "lr": 1, "subset": None,
-                                "dataset": None, "sample_range": [3, 4], "seed": 7})
-        assert cfg.lr == 1 and cfg.sample_range == (3, 4) and cfg.seed == 7
+                                "dataset": None, "seed": 7})
+        assert cfg.lr == 1 and cfg.seed == 7
+
+    def test_sample_range_is_an_unknown_key(self):
+        """A sweep's counts come from ``sweep.SAMPLE_RANGE``; no config sets them."""
+        with pytest.raises(ConfigInvalid, match="unknown config keys: \\['sample_range'\\]"):
+            config_from_dict({"experiment": "gnn_gaussian", "sample_range": [3, 4]})
 
     def test_load_config_rejects_wrong_type(self, tmp_path):
         path = write_json(tmp_path, {"experiment": "gnn_gaussian", "epochs": "3"})
@@ -82,7 +87,6 @@ EVERY_FLAG = {
     "subset": ("--subset", "7"),
     "seed": ("--seed", "11"),
     "sample_count": ("--sample-count", "4"),
-    "sample_range": ("--sample-range", "3", "9"),
     "output_dir": ("--output-dir", "elsewhere"),
     "repetitions": ("--repetitions", "2"),
 }
@@ -107,8 +111,52 @@ def test_every_field_set_by_flag(command, entry, monkeypatch):
         cli.main([command, *(arg for flag in EVERY_FLAG.values() for arg in flag)])
     want = ExperimentConfig(experiment="flow_matching", latent_z=6, epochs=3, lr=0.5,
                             dataset="mols.smi", subset=7, seed=11, sample_count=4,
-                            sample_range=(3, 9), output_dir="elsewhere", repetitions=2)
+                            output_dir="elsewhere", repetitions=2)
     assert seen == [want]
+
+
+# every run-all flag, set to a value other than its config default
+RUN_ALL_FLAGS = {
+    "dataset": ("--dataset", "mols.smi"),
+    "subset": ("--subset", "7"),
+    "epochs": ("--epochs", "3"),
+    "sample_count": ("--sample-count", "4"),
+    "repetitions": ("--repetitions", "2"),
+    "output_dir": ("--output-dir", "elsewhere"),
+}
+
+
+@pytest.mark.parametrize("given", [(), tuple(RUN_ALL_FLAGS)], ids=["seed-only", "every-flag"])
+def test_run_all_rows_are_the_config_with_the_flags_given(given, tmp_path, monkeypatch):
+    """A flag that is not given leaves its ``ExperimentConfig`` default."""
+    monkeypatch.chdir(tmp_path)
+    rows, written = [], []
+
+    def run(cfg, dataset):
+        rows.append(cfg)
+        return MetricsReport(experiment=cfg.experiment, latent_z=cfg.latent_z), None
+
+    monkeypatch.setattr(harness.sweep, "run_experiment", run)
+    monkeypatch.setattr(harness.sweep, "resolve_dataset", lambda cfg: None)
+    monkeypatch.setattr(harness.sweep, "write_report", lambda out, reports: written.append(out))
+    argv = ["run-all", "--seed", "5", *(arg for k in given for arg in RUN_ALL_FLAGS[k])]
+    assert cli.main(argv) == 0
+    fields = {"dataset": "mols.smi", "subset": 7, "epochs": 3, "sample_count": 4,
+              "repetitions": 2, "output_dir": "elsewhere"} if given else {}
+    assert rows == [ExperimentConfig(experiment=e, latent_z=z, seed=5, **fields)
+                    for e, z in harness.SWEEP_ROWS]
+    assert written == [fields.get("output_dir", "runs")]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_refuses_a_count_below_one(count, tmp_path, capsys):
+    out = tmp_path / "generated.smi"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--experiment", "gnn_gaussian", "--output-dir", str(tmp_path),
+                  "--count", count, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEvaluateCommand:

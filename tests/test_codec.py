@@ -63,7 +63,7 @@ class TestEncode:
 class TestDecodeGnn:
     def test_all_probabilities_below_threshold(self, models, rng):
         ae, at = models
-        # an edge head biased hard negative keeps every pair below tau
+        # an edge head biased hard negative keeps every pair below the threshold
         ae.edge_mlp.layers[-1].W.data[:] = 0.0
         ae.edge_mlp.layers[-1].b.data[:] = -10.0
         cand = codec.decode(ae, at, rng.standard_normal((5, 4)))
@@ -168,7 +168,7 @@ def _taped_alone(decoder: str, ae, at, cloud: np.ndarray, n: int):
             probs = codec.edge_probs(ae, x).data if n >= 2 else np.empty((0, 1))
     assert len(tape) > 0
     atoms = tuple(ELEMENTS[k] for k in scores.argmax(axis=1))
-    return atoms, _kept_pairs(probs, n, ae.tau), probs
+    return atoms, _kept_pairs(probs, n, codec.EDGE_THRESHOLD), probs
 
 
 class TestBatchDecode:
@@ -187,7 +187,7 @@ class TestBatchDecode:
         else:
             ae = codec.GraphAutoencoder(2, rng, kind=decoder, hidden=16)
             at = codec.AtomTypeAutoencoder(rng)
-            ae.edge_mlp.layers[-1].b.data[:] = 0.0  # centre the probabilities on tau
+            ae.edge_mlp.layers[-1].b.data[:] = 0.0  # centre the probabilities on the threshold
             clouds = rng.standard_normal((batch, n, 4))
             graphs = codec.decode_batch(ae, at, clouds)
             probs = codec.edge_probs(ae, T.tensor(clouds)).data if n >= 2 else None

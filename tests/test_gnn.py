@@ -14,9 +14,8 @@ from moldiff.gnn import (
     GraphConvLayer,
     Mlp,
     Module,
-    OutOfRange,
     PnaLayer,
-    TimeEncoding,
+    TIME_FREQS,
     TooFewPoints,
     WidthMismatch,
     ZeroNodes,
@@ -28,7 +27,7 @@ from moldiff.gnn import (
     pair_node_edges,
     pair_slots,
     symmetric_pair_logits,
-    time_encode,
+    time_features,
 )
 
 from conftest import assert_close, per_layer_stack, seeded_sum
@@ -459,38 +458,24 @@ class TestDistanceFeatures:
 
 class TestTimeEncoding:
     def test_sinusoidal_at_zero(self):
-        enc = TimeEncoding(pairs=3)
-        out = time_encode(0, 1.0, enc)
-        assert np.allclose(out, [0.0, 1.0] * 3)
+        assert np.array_equal(time_features(0.0), [0.0, 1.0] * 4)
 
     def test_sinusoidal_bounded(self):
-        enc = TimeEncoding(pairs=4)
         for t in np.linspace(0, 1, 17):
-            assert np.max(np.abs(time_encode(t, 1.0, enc))) <= 1.0
+            assert np.max(np.abs(time_features(t))) <= 1.0
 
-    @pytest.mark.parametrize("pairs", [1, 3, 4])
-    def test_same_bits_as_per_call_formula(self, pairs):
-        def reference(t, total, k):
-            omega = np.array([8.0 ** (i / (k - 1)) if k > 1 else 1.0 for i in range(k)])
-            out = np.empty(2 * k)
-            out[0::2] = np.sin(t / total * omega)
-            out[1::2] = np.cos(t / total * omega)
-            return out
+    def test_same_bits_as_the_four_pair_formula(self):
+        """The formula of the four-pair encoding at t / 1.0."""
+        omega = np.array([8.0 ** (i / (4 - 1)) for i in range(4)])
+        for t in (0.0, 0.37, 1.0):
+            want = np.empty(8)
+            want[0::2] = np.sin(t / 1.0 * omega)
+            want[1::2] = np.cos(t / 1.0 * omega)
+            assert time_features(t).tobytes() == want.tobytes()
 
-        enc = TimeEncoding(pairs=pairs)
-        for t, total in [(0.0, 1.0), (0.37, 1.0), (1.0, 1.0), (17, 50), (50, 50)]:
-            assert np.array_equal(time_encode(t, total, enc), reference(t, total, pairs))
-
-    def test_flow_field_frequencies(self, rng):
+    def test_flow_field_frequencies(self):
         """The velocity net's features run at 1, 2, 4 and 8 rad per unit time."""
-        omega = FlowFieldNet(2, rng, hidden=8, hidden_layers=1).time_enc.omega
-        assert np.allclose(omega, [1.0, 2.0, 4.0, 8.0], rtol=1e-15, atol=0)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            time_encode(51, 50, TimeEncoding())
-        with pytest.raises(OutOfRange):
-            time_encode(-1, 50, TimeEncoding())
+        assert np.allclose(TIME_FREQS, [1.0, 2.0, 4.0, 8.0], rtol=1e-15, atol=0)
 
 
 class TestNets:
@@ -521,8 +506,7 @@ class TestNets:
     def test_flow_field_same_bits_as_tiled_features(self, rng):
         net = FlowFieldNet(3, rng, hidden=8, hidden_layers=2)
         x = rng.standard_normal((5, 3))
-        enc = time_encode(0.3, 1.0, net.time_enc)
-        feat = T.tensor(np.concatenate([x, np.tile(enc, (5, 1))], axis=1))
+        feat = T.tensor(np.concatenate([x, np.tile(time_features(0.3), (5, 1))], axis=1))
         h = T.relu(net.entry(feat))
         for layer in net.hidden:
             h = T.relu(layer(h))
@@ -584,8 +568,7 @@ class TestNets:
         weights = T.tensor(rng.standard_normal((n, 3)))
 
         def layer_by_layer(x):
-            enc = time_encode(0.3, 1.0, net.time_enc)
-            feat = T.concat([x, T.tensor(np.tile(enc, (n, 1)))], axis=1)
+            feat = T.concat([x, T.tensor(np.tile(time_features(0.3), (n, 1)))], axis=1)
             layers = [net.entry, *net.hidden, net.out]
             return per_layer_stack(feat, [layer.spec for layer in layers])
 

@@ -81,10 +81,11 @@ def test_counter_sees_taped_calls(record_calls):
 @pytest.mark.parametrize("kind, batch", [
     pytest.param(kind, batch, id=kind if batch == 1 else f"{kind}-{batch}")
     for kind in ("gnn", "egnn") for batch in (1, 3, 8)])
-def test_decode_records_nothing(kind, batch, record_calls):
+def test_decode_records_nothing(kind, batch, record_calls, monkeypatch):
     ae = codec.GraphAutoencoder(2, np.random.default_rng(0), kind=kind, hidden=16)
     at = codec.AtomTypeAutoencoder(np.random.default_rng(1))
-    ae.tau = 0.0  # keep every pair, so bond typing has edges to type
+    # keep every pair, so bond typing has edges to type
+    monkeypatch.setattr(codec, "EDGE_THRESHOLD", 0.0)
     points = np.random.default_rng(2).standard_normal((batch, 5, 4))
     graphs = codec.decode_batch(ae, at, points)
     etm = codec.EdgeTypeModel(np.random.default_rng(3), hidden=8)
