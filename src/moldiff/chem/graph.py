@@ -8,7 +8,6 @@ stay exact integers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -123,9 +122,6 @@ def molgraph(atoms, bonds) -> MolGraph:
 class ValidityReport:
     valid: bool
     violations: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({"valid": self.valid, "violations": list(self.violations)})
 
 
 def _fmt_order(half: int) -> str:

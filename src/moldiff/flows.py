@@ -28,8 +28,8 @@ small interface, and the harness sees nothing else:
 * ``named_params()``, from ``gnn.Module``: the trainable tensors;
 * ``loss(x, rng)``: a taped loss on one standardized training cloud, or
   None for a cloud the flow cannot learn from;
-* ``can_sample(rows)`` and ``sample(rows, rng)``: one standardized cloud
-  with ``rows`` rows;
+* ``sample(rows, rng)``: one standardized cloud with ``rows`` rows, for a
+  row count of the training clouds;
 * ``meta()``: the kind tag and every schedule constant, which ``build``
   takes back.
 
@@ -213,9 +213,6 @@ class DdpmModel(Module):
     def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor | None:
         return ddpm_loss(self, x, rng)
 
-    def can_sample(self, rows: int) -> bool:
-        return True
-
     def sample(self, rows: int, rng: np.random.Generator) -> np.ndarray:
         return ddpm_generate(self, rows, rng)
 
@@ -321,7 +318,8 @@ class HeatModel(Module):
     The predictor is time-free: the same network is applied at every level
     of blur, both in training and in the iterative generation loop.
     Sampling starts from a seed cloud, drawn from the standardized training
-    clouds it is built with, so it can only sample their row counts.
+    clouds it is built with, so it samples only their row counts; the
+    harness draws every atom count from the same training molecules.
     """
 
     def __init__(self, width: int, sched: HeatSchedule, rng: np.random.Generator,
@@ -339,9 +337,6 @@ class HeatModel(Module):
 
     def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor:
         return heat_loss(self, x, rng)
-
-    def can_sample(self, rows: int) -> bool:
-        return rows in self.seeds
 
     def sample(self, rows: int, rng: np.random.Generator) -> np.ndarray:
         pool = self.seeds[rows]
@@ -533,9 +528,6 @@ class FlowField(Module):
 
     def loss(self, x: np.ndarray, rng: np.random.Generator) -> Tensor:
         return fm_loss(self, x, rng)
-
-    def can_sample(self, rows: int) -> bool:
-        return True
 
     def sample(self, rows: int, rng: np.random.Generator) -> np.ndarray:
         return fm_generate(self, rows, rng)

@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Subcommands: train, generate, evaluate, report, run-all. Flags mirror the
-ExperimentConfig fields; a JSON config file can stand in for flags.
+Subcommands: train, generate, evaluate, report, run-all. Each of train,
+generate and run-all has a flag for each ExperimentConfig field it reads,
+from the one table ``FLAGS``. A JSON config file can stand in for the flags
+of train and generate; it is checked against every field, so one file
+serves both.
 ``evaluate`` reads candidates by the training-file rule (``chem.read_smiles``);
 a line whose SMILES does not parse counts as an unparsed candidate.
 """
@@ -25,18 +28,25 @@ from .sweep import run_all
 from .train import load_pipeline, train_experiment
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--experiment", choices=EXPERIMENTS)
-    p.add_argument("--latent-z", type=int, dest="latent_z")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dataset")
-    p.add_argument("--subset", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sample-count", type=int, dest="sample_count")
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
+# argparse keywords of each config field's flag, --field-name
+FLAGS = {
+    "experiment": {"choices": EXPERIMENTS}, "latent_z": {"type": int}, "epochs": {"type": int},
+    "lr": {"type": float}, "dataset": {}, "subset": {"type": int}, "seed": {"type": int},
+    "sample_count": {"type": int}, "repetitions": {"type": int}, "output_dir": {},
+}
+
+# the config fields that train reads; generate reads them but epochs and lr
+TRAIN_FIELDS = ("experiment", "latent_z", "epochs", "lr", "dataset", "subset", "seed",
+                "output_dir")
+GENERATE_FIELDS = tuple(f for f in TRAIN_FIELDS if f not in ("epochs", "lr"))
+RUN_ALL_FIELDS = ("seed", "dataset", "subset", "epochs", "sample_count", "repetitions",
+                  "output_dir")
+
+
+def _add_field_flags(p: argparse.ArgumentParser, names, required=()) -> None:
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, required=name in required,
+                       **FLAGS[name])
 
 
 def _positive(text: str) -> int:
@@ -94,7 +104,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_run_all(args) -> int:
     # every sweep row replaces the template's experiment
-    template = ExperimentConfig(experiment=EXPERIMENTS[0], **_given_fields(args))
+    template = ExperimentConfig(experiment=next(iter(EXPERIMENTS)), **_given_fields(args))
     reports = run_all(template)
     for r in reports:
         print(f"{r.experiment:>22} z={r.latent_z}: validity {r.validity:5.1f}%  "
@@ -110,11 +120,13 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one experiment configuration")
-    _add_config_flags(p_train)
+    p_train.add_argument("--config", help="JSON config file; flags override it")
+    _add_field_flags(p_train, TRAIN_FIELDS)
     p_train.set_defaults(fn=_cmd_train)
 
     p_gen = sub.add_parser("generate", help="sample molecules from checkpoints")
-    _add_config_flags(p_gen)
+    p_gen.add_argument("--config", help="JSON config file; flags override it")
+    _add_field_flags(p_gen, GENERATE_FIELDS)
     p_gen.add_argument("--count", type=_positive, default=100)
     p_gen.add_argument("--gen-seed", type=int, dest="gen_seed")
     p_gen.add_argument("--out")
@@ -132,13 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.set_defaults(fn=_cmd_report)
 
     p_all = sub.add_parser("run-all", help="train and score the full sweep")
-    p_all.add_argument("--seed", type=int, required=True)
-    p_all.add_argument("--dataset")
-    p_all.add_argument("--subset", type=int)
-    p_all.add_argument("--epochs", type=int)
-    p_all.add_argument("--sample-count", type=int, dest="sample_count")
-    p_all.add_argument("--repetitions", type=int)
-    p_all.add_argument("--output-dir", dest="output_dir")
+    _add_field_flags(p_all, RUN_ALL_FIELDS, required=("seed",))
     p_all.set_defaults(fn=_cmd_run_all)
 
     args = parser.parse_args(argv)

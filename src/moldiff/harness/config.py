@@ -8,20 +8,20 @@ import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-# the flow kind (see moldiff.flows.build) that each experiment trains
-FLOW_KINDS = {
-    "gnn_gaussian": "ddpm_gnn",
-    "egnn_gaussian": "ddpm_egnn",
-    "input_space_gaussian": "ddpm_gnn",
-    "heat_1d": "heat",
-    "flow_matching": "flow_matching",
+
+class Kinds(typing.NamedTuple):
+    codec: str  # see moldiff.codec.build
+    flow: str  # see moldiff.flows.build
+
+
+# what each experiment trains
+EXPERIMENTS = {
+    "gnn_gaussian": Kinds("gnn", "ddpm_gnn"),
+    "egnn_gaussian": Kinds("egnn", "ddpm_egnn"),
+    "input_space_gaussian": Kinds("input", "ddpm_gnn"),
+    "heat_1d": Kinds("gnn", "heat"),
+    "flow_matching": Kinds("gnn", "flow_matching"),
 }
-
-# the codec kind (see moldiff.codec.build) that each experiment trains
-CODEC_KINDS = {"gnn_gaussian": "gnn", "egnn_gaussian": "egnn", "input_space_gaussian": "input",
-               "heat_1d": "gnn", "flow_matching": "gnn"}
-
-EXPERIMENTS = tuple(FLOW_KINDS)
 
 LATENT_WIDTHS = (1, 2, 6)
 
@@ -48,7 +48,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigInvalid(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+                f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}")
         if self.experiment == "heat_1d":
             self.latent_z = 1  # the 1-D pipeline admits no other width
         if self.latent_z not in LATENT_WIDTHS:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 
 import numpy as np
@@ -9,46 +10,35 @@ import numpy as np
 from .. import codec
 from ..chem import MolGraph
 from ..diffcore import tensor as T
-from .train import TrainedPipeline
+from .train import TrainedPipeline, cloud_molecules
 
 # clouds per batched decoder call; see generate_molecules
 DECODE_CHUNK = 8
-
-
-class NoSampleableSize(ValueError):
-    """The flow can sample none of the training histogram's atom counts."""
 
 
 class NegativeCount(ValueError):
     """A negative number of molecules was asked for."""
 
 
-def size_distribution(histogram: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The atom counts of ``histogram`` in increasing order, and their
-    probabilities."""
-    sizes = np.array(sorted(histogram))
-    weights = np.array([histogram[int(s)] for s in sizes], dtype=np.float64)
-    return sizes, weights / weights.sum()
-
-
 def sample_clouds(pipe: TrainedPipeline, count: int,
                   rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
     """``count`` pairs of an atom count and a standardized cloud from the
-    flow. Each count is drawn from the training size histogram, restricted
-    to the sizes the flow can sample; the distribution is built once.
-    With ``count > 0`` and no such size, raises :class:`NoSampleableSize`
-    before drawing from ``rng``."""
-    histogram = pipe.dataset.size_histogram
-    rows = {n: pipe.codec.rows(n) for n in histogram}
-    # sizes the flow cannot sample (heat: none of its seed clouds) are skipped
-    sampleable = {n: c for n, c in histogram.items() if pipe.flow.can_sample(rows[n])}
-    if count > 0 and not sampleable:
-        raise NoSampleableSize(f"the flow can sample none of the atom counts "
-                               f"{sorted(histogram)} of the training histogram")
-    sizes, p = size_distribution(sampleable)
+    flow. Each count is drawn from the atom counts of the molecules whose
+    clouds trained the flow (:func:`cloud_molecules`), so every flow can
+    sample it; heat's seed pool holds those clouds. The cumulative table is
+    built once per call, and a lookup in it draws what
+    ``rng.choice(sizes, p=p)`` draws. With ``count > 0`` and no training
+    cloud, raises :class:`DatasetError` before drawing from ``rng``."""
+    if count < 1:
+        return
+    histogram = Counter(m.n for m in cloud_molecules(pipe))
+    sizes = np.array(sorted(histogram))
+    weights = np.array([histogram[n] for n in sizes], dtype=np.float64)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
     for _ in range(count):
-        n = int(rng.choice(sizes, p=p))
-        yield n, pipe.flow.sample(rows[n], rng)
+        n = int(sizes[cdf.searchsorted(rng.random(), side="right")])
+        yield n, pipe.flow.sample(pipe.codec.rows(n), rng)
 
 
 def generate_molecules(pipe: TrainedPipeline, count: int,
@@ -61,8 +51,9 @@ def generate_molecules(pipe: TrainedPipeline, count: int,
     than once per molecule. The molecules have the bits of a run without the
     block.
 
-    1. Sample every cloud, one flow call per molecule from ``rng``. Each
-       cloud is checked finite as it is sampled, so ``codec.NonFiniteCloud``
+    1. Sample every cloud, one flow call per molecule from ``rng``, at an
+       atom count of the flow's training molecules (:func:`sample_clouds`).
+       Each cloud is checked finite as it is sampled, so ``codec.NonFiniteCloud``
        leaves ``rng`` where the per-molecule loop left it.
     2. Decode each size group in chunks of at most ``DECODE_CHUNK`` clouds,
        one batched decoder call per chunk. A batch gives each cloud the
@@ -72,7 +63,8 @@ def generate_molecules(pipe: TrainedPipeline, count: int,
     3. Type the bonds of each molecule, in sampling order.
 
     A count of 0 gives no molecules; a negative count raises
-    :class:`NegativeCount`.
+    :class:`NegativeCount`, and a pipeline with no training cloud raises
+    :class:`DatasetError`, both before drawing from ``rng``.
     """
     if count < 0:
         raise NegativeCount(f"cannot generate {count} molecules")

@@ -24,7 +24,7 @@ import numpy as np
 from .. import codec, flows
 from ..chem import Dataset, MolGraph
 from ..diffcore import AdamState, Tape, adam_step, backward, load_params, save_params
-from .config import CODEC_KINDS, FLOW_KINDS, ExperimentConfig
+from .config import EXPERIMENTS, ExperimentConfig
 from .data import DatasetError, resolve_dataset
 
 
@@ -146,19 +146,28 @@ def _untrained(cfg: ExperimentConfig, dataset: Dataset, rngs: dict) -> TrainedPi
     """Freshly initialised codec parts on the selected subset; no flow yet."""
     return TrainedPipeline(
         cfg=cfg, dataset=dataset, subset=_select_subset(dataset, cfg, rngs["subset"]),
-        codec=codec.build(CODEC_KINDS[cfg.experiment], cfg.latent_z, rngs["init"]),
+        codec=codec.build(EXPERIMENTS[cfg.experiment].codec, cfg.latent_z, rngs["init"]),
         edge_type=codec.EdgeTypeModel(rngs["init"]), flow=None, standardizer=None)
 
 
-def _cloud_molecules(pipe: TrainedPipeline) -> list[MolGraph]:
-    """The training molecules the codec can encode: each gives the flow a cloud."""
-    return [m for m in pipe.subset if m.n >= pipe.codec.min_atoms]
+def cloud_molecules(pipe: TrainedPipeline) -> list[MolGraph]:
+    """The training molecules the codec can encode: each gives the flow a
+    cloud. Raises :class:`DatasetError` when there are none."""
+    mols = [m for m in pipe.subset if m.n >= pipe.codec.min_atoms]
+    if not mols:
+        if not pipe.subset:
+            raise DatasetError(f"{pipe.dataset.source}: no molecules to train on")
+        raise DatasetError(f"{pipe.dataset.source}: {pipe.cfg.experiment} needs molecules of"
+                           f" {pipe.codec.min_atoms} atoms or more for the flow, and all"
+                           f" {len(pipe.subset)} training molecules have fewer")
+    return mols
 
 
 def standardized_clouds(pipe: TrainedPipeline) -> Iterator[np.ndarray]:
     """The flow's training clouds, as the standardizer maps them, each
     encoded when the iterator reaches it."""
-    return (pipe.standardizer.apply(pipe.codec.encode(m)) for m in _cloud_molecules(pipe))
+    for m in cloud_molecules(pipe):
+        yield pipe.standardizer.apply(pipe.codec.encode(m))
 
 
 def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> TrainedPipeline:
@@ -171,13 +180,7 @@ def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> T
         dataset = resolve_dataset(cfg)
     rngs = run_streams(cfg.seed)
     pipe = _untrained(cfg, dataset, rngs)
-    mols = _cloud_molecules(pipe)
-    if not mols:
-        if not pipe.subset:
-            raise DatasetError(f"{dataset.source}: no molecules to train on")
-        raise DatasetError(f"{dataset.source}: {cfg.experiment} needs molecules of"
-                           f" {pipe.codec.min_atoms} atoms or more for the flow, and all"
-                           f" {len(pipe.subset)} training molecules have fewer")
+    mols = cloud_molecules(pipe)
 
     # phase 1: the codec plus the bond-type classifier
     t0 = time.perf_counter()
@@ -192,7 +195,7 @@ def train_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> T
     clouds = [pipe.codec.encode(m) for m in mols]
     pipe.standardizer = Standardizer.fit(np.concatenate(clouds, axis=0))
     flow_data = [pipe.standardizer.apply(c) for c in clouds]
-    pipe.flow = flows.build(FLOW_KINDS[cfg.experiment], pipe.codec.width, rngs["init"],
+    pipe.flow = flows.build(EXPERIMENTS[cfg.experiment].flow, pipe.codec.width, rngs["init"],
                             flow_data)
     flow_params = _param_list(pipe.flow.named_params())
 
@@ -266,7 +269,8 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     for a fixed constant, as a value), raises :class:`CheckpointMismatch`,
     as does a missing standardizer array. Only the two checkpoints are
     read: ``training.json`` is not, so the loaded pipeline's seconds and
-    history stay empty.
+    history stay empty. Heat, whose seed pool is the training clouds,
+    raises :class:`DatasetError` when ``dataset`` gives it none.
     """
     if dataset is None:
         dataset = resolve_dataset(cfg)
@@ -284,7 +288,7 @@ def load_pipeline(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Trai
     _restore(pipe.codec_params(), codec_stored, codec_path)
 
     flow_stored, flow_meta = load_params(flow_path)
-    kind = FLOW_KINDS[cfg.experiment]
+    kind = EXPERIMENTS[cfg.experiment].flow
     if flow_meta.get("flow") != kind:
         raise CheckpointMismatch(
             f"{run_dir}: flow checkpoint is {flow_meta.get('flow')}, config wants {kind}")

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,42 +78,83 @@ class TestConfig:
         assert ExperimentConfig(experiment="heat_1d", latent_z=2).latent_z == 1
 
 
-# every config field, set by its flag to a value other than its default
-EVERY_FLAG = {
-    "experiment": ("--experiment", "flow_matching"),
-    "latent_z": ("--latent-z", "6"),
-    "epochs": ("--epochs", "3"),
-    "lr": ("--lr", "0.5"),
-    "dataset": ("--dataset", "mols.smi"),
-    "subset": ("--subset", "7"),
-    "seed": ("--seed", "11"),
-    "sample_count": ("--sample-count", "4"),
-    "output_dir": ("--output-dir", "elsewhere"),
-    "repetitions": ("--repetitions", "2"),
+# every config field, set to a value other than its default
+EVERY_FIELD = {"experiment": "flow_matching", "latent_z": 6, "epochs": 3, "lr": 0.5,
+               "dataset": "mols.smi", "subset": 7, "seed": 11, "sample_count": 4,
+               "output_dir": "elsewhere", "repetitions": 2}
+
+# the flags of each command that reads config fields
+COMMAND_FLAGS = {
+    "train": {"--config", "--experiment", "--latent-z", "--epochs", "--lr", "--dataset",
+              "--subset", "--seed", "--output-dir"},
+    "generate": {"--config", "--experiment", "--latent-z", "--dataset", "--subset", "--seed",
+                 "--output-dir", "--count", "--gen-seed", "--out"},
+    "run-all": {"--seed", "--dataset", "--subset", "--epochs", "--sample-count",
+                "--repetitions", "--output-dir"},
 }
+
+
+def flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_has_exactly_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"} == \
+        COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("command, field", [
+    (command, field) for command, flags in COMMAND_FLAGS.items()
+    for field in EVERY_FIELD if flag(field) not in flags])
+def test_a_field_the_command_does_not_read_is_a_usage_error(command, field, capsys):
+    """``generate --epochs 1`` is refused, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--seed", "5", flag(field), str(EVERY_FIELD[field])])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag(field)}" in capsys.readouterr().err
 
 
 class Built(Exception):
     """Stops a command once it has built its config."""
 
 
-@pytest.mark.parametrize("command, entry", [("train", "train_experiment"),
-                                            ("generate", "load_pipeline")])
-def test_every_field_set_by_flag(command, entry, monkeypatch):
-    assert set(EVERY_FLAG) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+def capture_configs(monkeypatch, *entries) -> list:
+    """Stop the commands at ``entries``; the list of the configs they get."""
     seen = []
 
     def capture(cfg, *_):
         seen.append(cfg)
         raise Built
 
-    monkeypatch.setattr(cli, entry, capture)
+    for entry in entries:
+        monkeypatch.setattr(cli, entry, capture)
+    return seen
+
+
+@pytest.mark.parametrize("command, entry", [("train", "train_experiment"),
+                                            ("generate", "load_pipeline")])
+def test_each_flag_sets_its_field(command, entry, monkeypatch):
+    assert set(EVERY_FIELD) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    given = {k: v for k, v in EVERY_FIELD.items() if flag(k) in COMMAND_FLAGS[command]}
+    seen = capture_configs(monkeypatch, entry)
     with pytest.raises(Built):
-        cli.main([command, *(arg for flag in EVERY_FLAG.values() for arg in flag)])
-    want = ExperimentConfig(experiment="flow_matching", latent_z=6, epochs=3, lr=0.5,
-                            dataset="mols.smi", subset=7, seed=11, sample_count=4,
-                            output_dir="elsewhere", repetitions=2)
-    assert seen == [want]
+        cli.main([command, *(arg for k, v in given.items() for arg in (flag(k), str(v)))])
+    assert seen == [ExperimentConfig(**given)]
+
+
+def test_one_config_file_serves_train_and_generate(tmp_path, monkeypatch):
+    """A config file is checked against every field, so the fields only
+    training reads may sit in the file that generate is given."""
+    path = write_json(tmp_path, {"experiment": "heat_1d", "epochs": 3, "lr": 0.5, "seed": 4})
+    seen = capture_configs(monkeypatch, "train_experiment", "load_pipeline")
+    for command in ("train", "generate"):
+        with pytest.raises(Built):
+            cli.main([command, "--config", str(path)])
+    assert seen == [ExperimentConfig(experiment="heat_1d", epochs=3, lr=0.5, seed=4)] * 2
 
 
 # every run-all flag, set to a value other than its config default
@@ -259,9 +301,9 @@ def _train_and_generate(out: Path, hash_seed: str) -> dict[str, bytes]:
     env = {k: v for k, v in os.environ.items() if k != "MOLDIFF_DATA"}
     env.update(PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(moldiff.__file__).parents[1]))
-    flags = ["--experiment", "input_space_gaussian", "--epochs", "1", "--subset", "12",
-             "--seed", "0", "--output-dir", str(out)]
-    for command in (["train"], ["generate", "--count", "20"]):
+    flags = ["--experiment", "input_space_gaussian", "--subset", "12", "--seed", "0",
+             "--output-dir", str(out)]
+    for command in (["train", "--epochs", "1"], ["generate", "--count", "20"]):
         subprocess.run([sys.executable, "-m", "moldiff.harness.cli", *command, *flags],
                        env=env, check=True, capture_output=True)
     run_dir = out / "input_space_gaussian_z2_seed0"

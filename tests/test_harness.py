@@ -12,7 +12,7 @@ from moldiff import codec, flows, gnn, harness
 from moldiff.chem import Dataset, parse_smiles, write_smiles
 from moldiff.diffcore import load_params, save_params
 from moldiff.diffcore import tensor as T
-from moldiff.harness.generate import NegativeCount, sample_clouds, size_distribution
+from moldiff.harness.generate import NegativeCount, sample_clouds
 
 from conftest import ancestral_generate
 
@@ -121,25 +121,28 @@ def test_fifty_ddpm_steps_give_the_ancestral_smiles(exp, trained, monkeypatch):
     assert got == smiles(trained[exp])
 
 
+def training_sizes(pipe) -> Counter:
+    """The atom counts of the molecules whose clouds trained the flow."""
+    return Counter(m.n for m in harness.train.cloud_molecules(pipe))
+
+
 # 50 molecules decode in several chunks per size
 @pytest.mark.parametrize("exp, count", [
     *(pytest.param(exp, 2 * COUNT, id=exp) for exp in EXPERIMENTS),
     *(pytest.param(exp, 50, id=f"{exp}-50") for exp in EXPERIMENTS)])
 def test_sizes_drawn_as_per_molecule(exp, count, trained):
-    """One size distribution per call draws the molecules that rebuilding
-    it for every molecule drew, and decoding in chunks returns them in
-    the order they were drawn."""
+    """One cumulative table per call draws the sizes that ``rng.choice``
+    over the training sizes drew for every molecule, and decoding in chunks
+    returns the molecules in the order they were drawn."""
     pipe = trained[exp]
     rng = np.random.default_rng(9)
-    rows = {n: n if pipe.input_ae is None else n + n * (n - 1) // 2
-            for n in pipe.dataset.size_histogram}
-    histogram = {n: c for n, c in pipe.dataset.size_histogram.items()
-                 if pipe.flow.can_sample(rows[n])}
     want = []
     for _ in range(count):
-        sizes, p = size_distribution(histogram)
-        n = int(rng.choice(sizes, p=p))
-        points = pipe.standardizer.invert(pipe.flow.sample(rows[n], rng))
+        histogram = training_sizes(pipe)
+        sizes = np.array(sorted(histogram))
+        p = np.array([histogram[n] for n in sizes], dtype=np.float64)
+        n = int(rng.choice(sizes, p=p / p.sum()))
+        points = pipe.standardizer.invert(pipe.flow.sample(pipe.codec.rows(n), rng))
         if pipe.input_ae is not None:
             candidate = codec.input_space_decode(pipe.input_ae, points, n)
         else:
@@ -153,7 +156,6 @@ def test_sizes_drawn_as_per_molecule(exp, count, trained):
 def test_decode_chunks_of_one_size(exp, trained, monkeypatch):
     pipe = trained[exp]
     assert harness.generate_molecules(pipe, 0, np.random.default_rng(9)) == []
-    monkeypatch.setattr(pipe.dataset, "size_histogram", {7: 10, 8: 16, 9: 51})
     name = "decode_batch" if pipe.input_ae is None else "input_space_decode_batch"
     chunks = []  # (clouds, atom count) per decoder call
     original = getattr(codec, name)
@@ -172,34 +174,51 @@ def test_decode_chunks_of_one_size(exp, trained, monkeypatch):
     mols = harness.generate_molecules(pipe, 50, np.random.default_rng(9))
     assert len(mols) == 50
     assert all(size <= 8 for size, _ in chunks)
-    for n, drawn in Counter(m.n for m in mols).items():
+    drawn = Counter(m.n for m in mols)
+    for n, count in drawn.items():
         sizes = [size for size, at in chunks if at == n]
         # every chunk but a size's last is full
-        assert sum(sizes) == drawn
+        assert sum(sizes) == count
         assert sizes[:-1] == [8] * (len(sizes) - 1)
-    assert len({n for _, n in chunks}) == 3
+    assert {n for _, n in chunks} == set(drawn) <= set(training_sizes(pipe))
+    assert len(drawn) >= 3
 
 
-class NoSizeFlow:
-    """A flow that can sample no cloud, like heat with no seed clouds."""
+def test_sizes_are_those_of_the_training_clouds(tmp_path):
+    """The input-space codec encodes no 1-atom molecule, so its flow is
+    never asked for a 1-atom cloud, however many the dataset holds."""
+    single = [parse_smiles(s) for s in ("C", "N", "O", "C", "F", "N", "C", "O")]
+    dataset = small_dataset(harness.synthetic_dataset(16, seed=3).molecules + single)
+    cfg = harness.ExperimentConfig(experiment="input_space_gaussian", epochs=1, seed=2,
+                                   output_dir=str(tmp_path))
+    pipe = harness.train_experiment(cfg, dataset)
+    assert 1 in dataset.size_histogram and 1 not in training_sizes(pipe)
+    mols = harness.generate_molecules(pipe, 40, np.random.default_rng(9))
+    assert {m.n for m in mols} <= set(training_sizes(pipe))
 
-    def can_sample(self, rows: int) -> bool:
-        return False
 
-    def sample(self, rows: int, rng: np.random.Generator) -> np.ndarray:
-        raise AssertionError("sample called on a flow that can sample nothing")
-
-
-def test_no_sampleable_size_is_a_typed_error(trained, monkeypatch):
-    pipe = trained["gnn_gaussian"]
-    monkeypatch.setattr(pipe, "flow", NoSizeFlow())
+@pytest.mark.parametrize("exp, molecules, message", [
+    pytest.param("input_space_gaussian", ("C", "N", "O"), "needs molecules of 2 atoms or more",
+                 id="below-min-atoms"),
+    pytest.param("gnn_gaussian", (), "no molecules to train on", id="empty"),
+])
+def test_no_training_cloud_is_a_dataset_error(exp, molecules, message, trained):
+    """A pipeline loaded with a dataset that gives the flow no cloud has no
+    size to draw: it raises before drawing, and a count of 0 draws nothing."""
+    dataset = small_dataset([parse_smiles(s) for s in molecules])
+    pipe = harness.load_pipeline(trained[exp].cfg, dataset)
     rng = np.random.default_rng(9)
     state = rng.bit_generator.state
     assert harness.generate_molecules(pipe, 0, rng) == []
-    with pytest.raises(harness.NoSampleableSize) as err:
+    with pytest.raises(harness.DatasetError, match=message):
         harness.generate_molecules(pipe, 3, rng)
-    assert str(sorted(pipe.dataset.size_histogram)) in str(err.value)
     assert rng.bit_generator.state == state  # nothing drawn
+
+
+def test_heat_loaded_without_a_training_cloud_is_a_dataset_error(trained):
+    """Heat's seed pool is its training clouds, so it is refused at load."""
+    with pytest.raises(harness.DatasetError, match="no molecules to train on"):
+        harness.load_pipeline(trained["heat_1d"].cfg, small_dataset([]))
 
 
 @pytest.mark.parametrize("bad", [0, 2])

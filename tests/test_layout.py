@@ -4,7 +4,9 @@ could leave a sub-network out, and that sub-network would then be neither
 trained nor saved. SMILES files are parsed by the one reader in
 ``chem/dataset.py``, so a training file and a candidates file follow one
 line rule. A run's seed streams come from the one table in
-``harness/train.py``, so two modules cannot share a stream by index."""
+``harness/train.py``, so two modules cannot share a stream by index. No
+module reads ``Dataset.size_histogram``: atom counts are drawn from the
+molecules that trained the flow, not from the whole dataset."""
 
 import ast
 from pathlib import Path
@@ -46,17 +48,29 @@ def calls_to(path: Path, names: set[str]) -> set[str]:
     return called & names
 
 
-def modules_calling(names: set[str]) -> set[str]:
+def attributes_read(path: Path, names: set[str]) -> set[str]:
+    """The attributes of ``names`` that a module reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)} & names
+
+
+def modules_where(find, names: set[str]) -> set[str]:
+    """The modules in which ``find(path, names)`` finds one of ``names``."""
     return {path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
-            if calls_to(path, names)}
+            if find(path, names)}
 
 
 def test_smiles_is_parsed_by_the_dataset_reader_only():
-    assert modules_calling({"parse_smiles"}) == {"chem/dataset.py"}
+    assert modules_where(calls_to, {"parse_smiles"}) == {"chem/dataset.py"}
 
 
 def test_seed_streams_are_spawned_by_train_only():
-    assert modules_calling({"SeedSequence", "spawn"}) == {"harness/train.py"}
+    assert modules_where(calls_to, {"SeedSequence", "spawn"}) == {"harness/train.py"}
+
+
+def test_no_module_reads_the_size_histogram():
+    assert modules_where(attributes_read, {"size_histogram"}) == set()
 
 
 def test_a_second_caller_is_caught(tmp_path):
@@ -68,3 +82,13 @@ def test_a_second_caller_is_caught(tmp_path):
     assert calls_to(module, names) == {"parse_smiles", "SeedSequence", "spawn"}
     module.write_text("from moldiff.chem import parse_smiles\nread = parse_smiles\n")
     assert calls_to(module, names) == set()
+
+
+def test_an_attribute_read_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(pipe):\n    return pipe.dataset.size_histogram[3]\n")
+    assert attributes_read(module, {"size_histogram", "sizes"}) == {"size_histogram"}
+    # a field declaration, a keyword and an assignment read nothing
+    module.write_text("class D:\n    size_histogram: dict\n\n"
+                      "d = D(size_histogram={})\nd.size_histogram = {}\n")
+    assert attributes_read(module, {"size_histogram"}) == set()

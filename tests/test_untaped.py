@@ -26,7 +26,7 @@ from moldiff.gnn import (
     PnaLayer,
     edges_from_pairs,
 )
-from moldiff.harness.config import FLOW_KINDS
+from moldiff.harness.config import EXPERIMENTS
 
 from conftest import mean_only
 
@@ -56,13 +56,13 @@ FLOW_WIDTH = {"heat": 1}
 
 
 def _flow(experiment: str, rows: int):
-    kind = FLOW_KINDS[experiment]
+    kind = EXPERIMENTS[experiment].flow
     width = FLOW_WIDTH.get(kind, 2)
     clouds = [np.random.default_rng(7).standard_normal((rows, width))]
     return flows.build(kind, width, np.random.default_rng(0), clouds)
 
 
-@pytest.mark.parametrize("experiment", sorted(FLOW_KINDS))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_sampling_records_nothing(experiment, record_calls):
     flow = _flow(experiment, 3)
     cloud = flow.sample(3, np.random.default_rng(1))
@@ -357,7 +357,7 @@ def _held() -> tuple[int, int]:
     return len(plans), sum(wq is not None for plan in plans for _, wq, _ in plan)
 
 
-@pytest.mark.parametrize("experiment", sorted(FLOW_KINDS))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_sampler_same_bits_as_outside_the_block(experiment, monkeypatch):
     flow = _flow(experiment, 9)
     frozen = flow.sample(9, np.random.default_rng(1))
