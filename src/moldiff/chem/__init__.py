@@ -21,12 +21,13 @@ from .smiles import (
     parse_smiles,
     write_smiles,
 )
-from .corpus import synthetic_molecules
+from .corpus import BadWeights, Categorical, synthetic_molecules
 
 __all__ = [
-    "AllLinesFailed", "BOND_TYPES", "BondType", "Dataset", "ELEMENTS",
-    "Element", "EmptyInput", "FileUnreadable", "MolGraph", "SmilesError",
-    "UnbalancedParenthesis", "UnclosedRing", "UnsupportedAtom",
-    "ValidityReport", "canonical_key", "check_validity", "load_dataset",
-    "molgraph", "parse_smiles", "read_smiles", "synthetic_molecules", "write_smiles",
+    "AllLinesFailed", "BOND_TYPES", "BadWeights", "BondType", "Categorical",
+    "Dataset", "ELEMENTS", "Element", "EmptyInput", "FileUnreadable",
+    "MolGraph", "SmilesError", "UnbalancedParenthesis", "UnclosedRing",
+    "UnsupportedAtom", "ValidityReport", "canonical_key", "check_validity",
+    "load_dataset", "molgraph", "parse_smiles", "read_smiles",
+    "synthetic_molecules", "write_smiles",
 ]

@@ -23,9 +23,13 @@ molecules, and each entry has the bits it has decoded alone, so a batch
 changes no output. ``decode`` and ``input_space_decode`` are a batch of
 one. ``harness.generate_molecules`` decodes in chunks of at most 8. At
 these sizes the per-op overhead, not the arithmetic, sets the cost, and 8
-clouds already share most of it: a 9-atom ``kind="gnn"`` cloud took 224 µs
-alone, 81 µs in a chunk of 8 and 84 µs in a chunk of 64 (one BLAS
-thread).
+clouds already share most of it: a 9-atom ``kind="gnn"`` cloud took
+169–259 µs alone, 91 µs in a chunk of 8 and 100 µs in a chunk of 64
+(medians of two runs, one BLAS thread, 2-core Xeon). A chunk call also
+took 184 minor page faults at 8 clouds and 2,416 at 64: malloc returns the
+freed intermediates to the kernel and faults them in again on the next
+call. In a process whose malloc kept its freed memory, both chunk sizes
+took 57 µs a cloud with no faults.
 
 Both codecs (``GraphCodec``, ``InputSpaceAutoencoder``; ``build`` makes
 either) offer one interface, and the harness sees nothing else:

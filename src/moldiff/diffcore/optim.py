@@ -39,17 +39,21 @@ class AdamState:
 
 def adam_step(state: AdamState, grads: dict[Tensor, np.ndarray]) -> list[Tensor]:
     """One Adam update in place; parameters absent from ``grads`` see a
-    zero gradient."""
+    zero gradient. When every parameter has one, a single concatenate
+    gathers them into the flat buffer."""
     state.step += 1
     g = state._g
-    g[:] = 0.0
-    for p, lo, hi in zip(state.params, state._offsets[:-1], state._offsets[1:]):
-        pg = grads.get(p)
-        if pg is None:
-            continue
-        if pg.shape != p.data.shape:
+    pgs = [grads.get(p) for p in state.params]
+    for p, pg in zip(state.params, pgs):
+        if pg is not None and pg.shape != p.data.shape:
             raise ShapeMismatch(f"gradient {pg.shape} for parameter {p.data.shape}")
-        g[lo:hi] = pg.ravel()
+    if pgs and all(pg is not None for pg in pgs):
+        np.concatenate([pg.ravel() for pg in pgs], out=g)
+    else:
+        g[:] = 0.0
+        for pg, lo, hi in zip(pgs, state._offsets[:-1], state._offsets[1:]):
+            if pg is not None:
+                g[lo:hi] = pg.ravel()
 
     # flat -= lr * m_hat / (sqrt(v_hat) + eps), with each product and
     # quotient taken in the order that expression takes them

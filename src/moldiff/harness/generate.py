@@ -8,7 +8,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .. import codec
-from ..chem import MolGraph
+from ..chem import Categorical, MolGraph
 from ..diffcore import tensor as T
 from .train import TrainedPipeline, cloud_molecules
 
@@ -25,19 +25,17 @@ def sample_clouds(pipe: TrainedPipeline, count: int,
     """``count`` pairs of an atom count and a standardized cloud from the
     flow. Each count is drawn from the atom counts of the molecules whose
     clouds trained the flow (:func:`cloud_molecules`), so every flow can
-    sample it; heat's seed pool holds those clouds. The cumulative table is
-    built once per call, and a lookup in it draws what
-    ``rng.choice(sizes, p=p)`` draws. With ``count > 0`` and no training
+    sample it; heat's seed pool holds those clouds. The size table is built
+    once per call, and each draw from it is what ``rng.choice(sizes, p=p)``
+    draws (:class:`chem.Categorical`). With ``count > 0`` and no training
     cloud, raises :class:`DatasetError` before drawing from ``rng``."""
     if count < 1:
         return
     histogram = Counter(m.n for m in cloud_molecules(pipe))
-    sizes = np.array(sorted(histogram))
-    weights = np.array([histogram[n] for n in sizes], dtype=np.float64)
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
+    sizes = sorted(histogram)
+    table = Categorical(sizes, [histogram[n] for n in sizes])
     for _ in range(count):
-        n = int(sizes[cdf.searchsorted(rng.random(), side="right")])
+        n = table.draw(rng)
         yield n, pipe.flow.sample(pipe.codec.rows(n), rng)
 
 

@@ -1,5 +1,6 @@
 """Parser, writer, canonical keys, validity, dataset loading."""
 
+import hashlib
 import itertools
 import time
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from moldiff.chem import (
     AllLinesFailed,
     BOND_TYPES,
+    BadWeights,
+    Categorical,
     Dataset,
     BondType,
     ELEMENTS,
@@ -265,6 +268,53 @@ class TestValidity:
 
     def test_corpus_all_valid(self, corpus):
         assert all(check_validity(m).valid for m in corpus.molecules)
+
+
+class TestCorpus:
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "e03a04a884cf420bd12089d7b64274cac6106bc86e21783b87b5a1863642ec33"),
+        (11, "3a6171c9c5eeb09e3c2502e1196532f04f29806ed49abd9384f6bd5945d6eb59"),
+        (23, "09961c302251f5cd1f7b89a6d6fa7ec3b32bfe47fa556f23b27f40eb11f76da1"),
+    ])
+    def test_molecules_are_pinned(self, seed, digest):
+        """The digests were taken when every size and element was drawn by
+        ``rng.choice(..., p=...)``, so the table draws give a seed the same
+        molecules."""
+        h = hashlib.sha256()
+        for m in synthetic_molecules(500, seed):
+            h.update(repr(([a.name for a in m.atoms], bonds_of(m))).encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("weights", [
+        [0.002, 0.003, 0.005, 0.01, 0.02, 0.04, 0.09, 0.18, 0.65],
+        [0.72, 0.12, 0.14, 0.02],
+        [0.0, 3.0, 0.0, 1.0, 0.0],
+        [2, 7, 1],
+        [5.0],
+    ])
+    def test_draws_equal_rng_choice(self, weights):
+        """Draw for draw, a table draw returns what ``rng.choice(a, p=p)``
+        returns and leaves the generator in the state it leaves."""
+        outcomes = [10 * k + 1 for k in range(len(weights))]
+        table = Categorical(outcomes, weights)
+        w = np.array(weights, dtype=np.float64)
+        drawn, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = [table.draw(drawn) for _ in range(10_000)]
+        want = [int(ref.choice(np.array(outcomes), p=w / w.sum())) for _ in range(10_000)]
+        assert got == want
+        assert drawn.bit_generator.state == ref.bit_generator.state
+        assert {o for o, x in zip(outcomes, weights) if x == 0}.isdisjoint(got)
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, -0.1, 0.6], [0.5, np.nan], [np.inf, 1.0], [0.0, 0.0], [], [[1.0, 2.0]],
+    ])
+    def test_bad_weights_are_refused(self, weights):
+        with pytest.raises(BadWeights):
+            Categorical(list(range(len(weights))), weights)
+
+    def test_one_weight_per_outcome(self):
+        with pytest.raises(BadWeights):
+            Categorical([1, 2, 3], [0.5, 0.5])
 
 
 @st.composite

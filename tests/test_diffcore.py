@@ -666,6 +666,53 @@ class TestAdam:
         with pytest.raises(T.ShapeMismatch):
             adam_step(state, {p: np.zeros(3)})
 
+    @pytest.mark.parametrize("missing", [None, 0, 2])
+    def test_fifty_steps_same_bits_as_a_gather_loop(self, missing, rng):
+        """The gather gives the moments and parameters that zero-filling the
+        buffer and copying each gradient into its slice gives, with every
+        gradient given (one of them a transposed view) or with one left out."""
+        shapes = [(3, 4), (5,), (2, 3, 2), ()]
+        ps = [param(rng.standard_normal(s)) for s in shapes]
+        state = AdamState(ps, lr=0.01)
+        flat = np.concatenate([p.data.ravel() for p in ps])
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        for step in range(1, 51):
+            grads = {p: rng.standard_normal(p.data.shape) for k, p in enumerate(ps)
+                     if k != missing}
+            if missing != 0:
+                grads[ps[0]] = rng.standard_normal(shapes[0][::-1]).T
+            adam_step(state, grads)
+            g = np.zeros_like(flat)
+            lo = 0
+            for p in ps:
+                hi = lo + p.data.size
+                if p in grads:
+                    g[lo:hi] = grads[p].ravel()
+                lo = hi
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            flat -= lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+        assert np.concatenate([p.data.ravel() for p in ps]).tobytes() == flat.tobytes()
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("all_given", [True, False])
+    def test_a_transposed_gradient_is_refused(self, all_given):
+        """A gradient of the right size but the wrong shape is refused,
+        whether or not every parameter has one."""
+        p, q = param(np.zeros((2, 3))), param(np.zeros(4))
+        state = AdamState([p, q])
+        grads = {p: np.zeros((3, 2)), q: np.zeros(4)} if all_given else {p: np.zeros((3, 2))}
+        with pytest.raises(T.ShapeMismatch):
+            adam_step(state, grads)
+
+    def test_no_parameters(self):
+        state = AdamState([])
+        assert adam_step(state, {}) == []
+
 
 class TestSpectral:
     def test_constant_vector_has_only_dc(self):

@@ -6,7 +6,10 @@ trained nor saved. SMILES files are parsed by the one reader in
 line rule. A run's seed streams come from the one table in
 ``harness/train.py``, so two modules cannot share a stream by index. No
 module reads ``Dataset.size_histogram``: atom counts are drawn from the
-molecules that trained the flow, not from the whole dataset."""
+molecules that trained the flow, not from the whole dataset. No module
+calls ``choice`` with weights: a weighted draw goes through
+``chem.Categorical``, whose table lookup draws what ``rng.choice(a, p=p)``
+draws at a sixteenth of the cost."""
 
 import ast
 from pathlib import Path
@@ -55,6 +58,15 @@ def attributes_read(path: Path, names: set[str]) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)} & names
 
 
+def weighted_calls(path: Path, names: set[str]) -> set[str]:
+    """The functions of ``names`` that a module calls with a ``p`` argument,
+    by keyword or as ``choice``'s fourth positional argument."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (len(node.args) >= 4 or any(k.arg == "p" for k in node.keywords))} & names
+
+
 def modules_where(find, names: set[str]) -> set[str]:
     """The modules in which ``find(path, names)`` finds one of ``names``."""
     return {path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
@@ -71,6 +83,21 @@ def test_seed_streams_are_spawned_by_train_only():
 
 def test_no_module_reads_the_size_histogram():
     assert modules_where(attributes_read, {"size_histogram"}) == set()
+
+
+def test_no_module_draws_with_choice_weights():
+    assert modules_where(weighted_calls, {"choice"}) == set()
+
+
+def test_a_weighted_choice_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(rng, w):\n    return rng.choice(4, p=w)\n")
+    assert weighted_calls(module, {"choice"}) == {"choice"}
+    module.write_text("import numpy as np\nx = np.random.choice([1, 2], 1, True, [0.5, 0.5])\n")
+    assert weighted_calls(module, {"choice"}) == {"choice"}
+    module.write_text("def f(rng, n, k):\n    return rng.choice(n, size=k, replace=False)\n\n"
+                      "def g(rng, w):\n    return rng.integers(3, p=w)\n")
+    assert weighted_calls(module, {"choice"}) == set()
 
 
 def test_a_second_caller_is_caught(tmp_path):
