@@ -25,10 +25,10 @@ class AdamState:
         self.step = 0
 
         sizes = [p.data.size for p in self.params]
-        self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
         self._flat = np.concatenate(
             [p.data.ravel() for p in self.params]) if self.params else np.zeros(0)
-        for p, lo, hi in zip(self.params, self._offsets[:-1], self._offsets[1:]):
+        for p, lo, hi in zip(self.params, offsets[:-1], offsets[1:]):
             p.data = self._flat[lo:hi].reshape(p.data.shape)
         self.m = np.zeros_like(self._flat)
         self.v = np.zeros_like(self._flat)
@@ -39,21 +39,17 @@ class AdamState:
 
 def adam_step(state: AdamState, grads: dict[Tensor, np.ndarray]) -> list[Tensor]:
     """One Adam update in place; parameters absent from ``grads`` see a
-    zero gradient. When every parameter has one, a single concatenate
-    gathers them into the flat buffer."""
+    zero gradient. One concatenate gathers the gradients into the flat
+    buffer."""
     state.step += 1
     g = state._g
     pgs = [grads.get(p) for p in state.params]
     for p, pg in zip(state.params, pgs):
         if pg is not None and pg.shape != p.data.shape:
             raise ShapeMismatch(f"gradient {pg.shape} for parameter {p.data.shape}")
-    if pgs and all(pg is not None for pg in pgs):
-        np.concatenate([pg.ravel() for pg in pgs], out=g)
-    else:
-        g[:] = 0.0
-        for pg, lo, hi in zip(pgs, state._offsets[:-1], state._offsets[1:]):
-            if pg is not None:
-                g[lo:hi] = pg.ravel()
+    if pgs:    # np.concatenate refuses an empty list
+        np.concatenate([np.zeros(p.data.size) if pg is None else pg.ravel()
+                        for p, pg in zip(state.params, pgs)], out=g)
 
     # flat -= lr * m_hat / (sqrt(v_hat) + eps), with each product and
     # quotient taken in the order that expression takes them

@@ -82,8 +82,7 @@ class DdpmSchedule:
     ``beta[t-1]`` is the noise variance at step t (1-based); ``alpha_bar``
     is the running product of (1 - beta). Sampling reads only
     ``alpha_bar``, through :func:`ddim_coefficients`, at the steps of
-    :func:`ddim_grid`; training reads every step. :meth:`ddim` keeps both
-    for each sampling budget, so a sampler computes them once per schedule.
+    :func:`ddim_grid`; training reads every step.
 
     The defaults do not reach the prior that sampling starts from. They end
     at ``alpha_bar[-1]`` = 0.603, so a training input at t = 50 still keeps
@@ -100,7 +99,6 @@ class DdpmSchedule:
     beta: np.ndarray = field(init=False)
     alpha: np.ndarray = field(init=False)
     alpha_bar: np.ndarray = field(init=False)
-    _ddim: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.beta = np.linspace(self.beta_start, self.beta_end, self.steps)
@@ -110,18 +108,6 @@ class DdpmSchedule:
     def check_step(self, t: int) -> None:
         if not (1 <= t <= self.steps):
             raise StepOutOfRange(f"step {t} outside [1, {self.steps}]")
-
-    def ddim(self, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The ``ddim_grid`` of a ``steps`` budget and the ``keep``, ``mix``
-        and ``sigma`` of its strides, computed on the first call for that
-        budget and read-only. ``steps < 1`` raises on every call."""
-        if steps not in self._ddim:
-            grid = ddim_grid(self.steps, steps)
-            arrays = (grid, *ddim_coefficients(self, grid[:-1], grid[1:]))
-            for a in arrays:
-                a.flags.writeable = False
-            self._ddim[steps] = arrays
-        return self._ddim[steps]
 
 
 def ddpm_degrade(sched: DdpmSchedule, x0: np.ndarray, t: int,
@@ -259,7 +245,8 @@ def ddpm_generate(model: DdpmModel, n: int, rng: np.random.Generator,
     step-by-step loop takes them: the start cloud, then one per step
     except the last, which adds no noise."""
     sched = model.sched
-    grid, keep, mix, sigma = sched.ddim(steps)
+    grid = ddim_grid(sched.steps, steps)
+    keep, mix, sigma = ddim_coefficients(sched, grid[:-1], grid[1:])
     draws = rng.standard_normal((len(grid) - 1, n, model.width))
     x = draws[0]
     with T.frozen_params():

@@ -699,15 +699,12 @@ class TestAdam:
         assert state.m.tobytes() == m.tobytes()
         assert state.v.tobytes() == v.tobytes()
 
-    @pytest.mark.parametrize("all_given", [True, False])
-    def test_a_transposed_gradient_is_refused(self, all_given):
-        """A gradient of the right size but the wrong shape is refused,
-        whether or not every parameter has one."""
-        p, q = param(np.zeros((2, 3))), param(np.zeros(4))
-        state = AdamState([p, q])
-        grads = {p: np.zeros((3, 2)), q: np.zeros(4)} if all_given else {p: np.zeros((3, 2))}
+    def test_a_transposed_gradient_is_refused(self):
+        """A gradient of the right size but the wrong shape is refused."""
+        p = param(np.zeros((2, 3)))
+        state = AdamState([p])
         with pytest.raises(T.ShapeMismatch):
-            adam_step(state, grads)
+            adam_step(state, {p: np.zeros((3, 2))})
 
     def test_no_parameters(self):
         state = AdamState([])

@@ -82,44 +82,6 @@ class TestDdpm:
         with pytest.raises(StepOutOfRange):
             ddim_grid(total, 0)
 
-    @pytest.mark.parametrize("total", [7, 50])
-    def test_kept_constants_equal_a_fresh_computation(self, total):
-        sched = DdpmSchedule(steps=total)
-        for steps in (1, 3, 10, 50, 60, 10):
-            grid = ddim_grid(total, steps)
-            fresh = (grid, *ddim_coefficients(sched, grid[:-1], grid[1:]))
-            kept = sched.ddim(steps)
-            assert kept is sched.ddim(steps)
-            for a, b in zip(kept, fresh):
-                assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
-                assert not a.flags.writeable
-        assert "_ddim" not in flows.build("ddpm_gnn", 2, np.random.default_rng(0)).meta()
-
-    @pytest.mark.parametrize("steps", [0, -3])
-    def test_no_step_budget_raises_at_every_call(self, steps):
-        model = flows.build("ddpm_gnn", 2, np.random.default_rng(0))
-        for _ in range(2):
-            with pytest.raises(StepOutOfRange):
-                ddpm_generate(model, 3, np.random.default_rng(1), steps=steps)
-        assert model.sched._ddim == {}
-
-    @pytest.mark.parametrize("steps", [1, 10, 50])
-    def test_kept_constants_keep_the_samples_bits(self, steps, monkeypatch):
-        """Samples from the kept constants, on the first call and on later
-        ones, have the bits of samples from constants computed per call."""
-        model = flows.build("ddpm_gnn", 3, np.random.default_rng(2))
-        kept = [ddpm_generate(model, n, np.random.default_rng(n), steps=steps)
-                for n in (1, 4, 9, 4)]
-
-        def fresh(sched, budget):
-            grid = ddim_grid(sched.steps, budget)
-            return (grid, *ddim_coefficients(sched, grid[:-1], grid[1:]))
-
-        monkeypatch.setattr(DdpmSchedule, "ddim", fresh)
-        for n, got in zip((1, 4, 9, 4), kept):
-            want = ddpm_generate(model, n, np.random.default_rng(n), steps=steps)
-            assert got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("total, steps", [(50, None), (50, 1), (50, 25), (50, 50),
                                               (7, None), (7, 7)])
     def test_one_restorer_call_per_step(self, total, steps, monkeypatch):
