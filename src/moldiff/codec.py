@@ -119,9 +119,9 @@ class UntypedGraph:
 class AtomTypeAutoencoder(Module):
     """One-hot element -> 2-d embedding -> softmax over elements."""
 
-    def __init__(self, rng: np.random.Generator, name: str = "atomae"):
-        self.enc = Dense(4, 2, rng, name=f"{name}.enc")
-        self.dec = Dense(2, 4, rng, name=f"{name}.dec")
+    def __init__(self, rng: np.random.Generator):
+        self.enc = Dense(4, 2, rng, name="atomae.enc")
+        self.dec = Dense(2, 4, rng, name="atomae.dec")
 
     def encode(self, x: Tensor) -> Tensor:
         return self.enc(x)
@@ -140,7 +140,7 @@ class GraphAutoencoder(Module):
     """
 
     def __init__(self, z: int, rng: np.random.Generator, kind: str = "gnn",
-                 hidden: int = 64, edge_hidden: int = 32, name: str = "graphae"):
+                 hidden: int = 64, edge_hidden: int = 32):
         if kind not in ("gnn", "egnn"):
             raise ValueError(f"unknown decoder kind {kind!r}")
         self.z = z
@@ -149,11 +149,11 @@ class GraphAutoencoder(Module):
         # 4-wide outputs; egnn: it reads (distance, squared distance) on pair
         # nodes, the edge head one pair node's output
         dec_in, pair_in = (z + 2, 8) if kind == "gnn" else (2, 4)
-        self.enc1 = PnaLayer(4, hidden, rng, name=f"{name}.enc1")
-        self.enc2 = PnaLayer(hidden, z, rng, name=f"{name}.enc2")
-        self.dec1 = PnaLayer(dec_in, hidden, rng, name=f"{name}.dec1")
-        self.dec2 = PnaLayer(hidden, 4, rng, name=f"{name}.dec2")
-        self.edge_mlp = Mlp([pair_in, edge_hidden, 1], rng, name=f"{name}.edge")
+        self.enc1 = PnaLayer(4, hidden, rng, name="graphae.enc1")
+        self.enc2 = PnaLayer(hidden, z, rng, name="graphae.enc2")
+        self.dec1 = PnaLayer(dec_in, hidden, rng, name="graphae.dec1")
+        self.dec2 = PnaLayer(hidden, 4, rng, name="graphae.dec2")
+        self.edge_mlp = Mlp([pair_in, edge_hidden, 1], rng, name="graphae.edge")
         # molecular adjacency is sparse; bias the edge head toward "no edge"
         self.edge_mlp.layers[-1].b.data[:] = -1.1
 
@@ -299,12 +299,11 @@ class EdgeTypeModel(Module):
     concatenated endpoint embeddings; logits are symmetrized by averaging
     both orientations (``gnn.symmetric_pair_logits``)."""
 
-    def __init__(self, rng: np.random.Generator, hidden: int = 32,
-                 name: str = "edgetype"):
-        self.gcn1 = Dense(4, hidden, rng, name=f"{name}.gcn1")
-        self.gcn2 = Dense(hidden, hidden, rng, name=f"{name}.gcn2")
+    def __init__(self, rng: np.random.Generator, hidden: int = 32):
+        self.gcn1 = Dense(4, hidden, rng, name="edgetype.gcn1")
+        self.gcn2 = Dense(hidden, hidden, rng, name="edgetype.gcn2")
         self.gcn_specs = (self.gcn1.spec, self.gcn2.spec)
-        self.head = Mlp([2 * hidden, hidden, len(BOND_TYPES)], rng, name=f"{name}.head")
+        self.head = Mlp([2 * hidden, hidden, len(BOND_TYPES)], rng, name="edgetype.head")
 
     def pair_logits(self, atoms: tuple[Element, ...], e: EdgeIndex) -> Tensor:
         """(P, bond types) logits for the P pairs of ``e``, an
@@ -411,12 +410,11 @@ class InputSpaceAutoencoder(Module):
 
     min_atoms = 2
 
-    def __init__(self, z: int, rng: np.random.Generator, hidden: int = 32,
-                 name: str = "inputae"):
+    def __init__(self, z: int, rng: np.random.Generator, hidden: int = 32):
         self.z = z
         w = EdgesAsNodesGraph.FEATURE_WIDTH
-        self.enc = GcnStack([w, hidden, hidden, hidden, z], rng, name=f"{name}.enc")
-        self.dec = GcnStack([z, hidden, hidden, hidden, w], rng, name=f"{name}.dec")
+        self.enc = GcnStack([w, hidden, hidden, hidden, z], rng, name="inputae.enc")
+        self.dec = GcnStack([z, hidden, hidden, hidden, w], rng, name="inputae.dec")
 
     @property
     def width(self) -> int:
@@ -427,9 +425,6 @@ class InputSpaceAutoencoder(Module):
 
     def encode_t(self, g: EdgesAsNodesGraph) -> Tensor:
         return self.enc(T.tensor(g.features), g.edges)
-
-    def decode_t(self, latent: Tensor, edges: EdgeIndex) -> Tensor:
-        return self.dec(latent, edges)
 
     def loss(self, m: MolGraph) -> Tensor:
         return input_space_loss(self, build_edges_as_nodes(m))
@@ -444,7 +439,7 @@ class InputSpaceAutoencoder(Module):
 def input_space_loss(ae: InputSpaceAutoencoder, g: EdgesAsNodesGraph) -> Tensor:
     """Presence and atom-type reconstruction error for one molecule."""
     latent = ae.encode_t(g)
-    out = ae.decode_t(latent, g.edges)
+    out = ae.dec(latent, g.edges)
     n = g.n_original
     presence = T.sigmoid(T.narrow(T.narrow(out, -2, n, g.n_aux), -1, 4, 1))
     presence_target = g.features[n:, 4:5]
@@ -460,7 +455,7 @@ def input_space_decode_batch(ae: InputSpaceAutoencoder, latent: np.ndarray,
     decoded alone has."""
     require_finite(latent)
     n = n_original
-    out = ae.decode_t(T.tensor(latent), pair_node_edges(n)).data
+    out = ae.dec(T.tensor(latent), pair_node_edges(n)).data
     presence = T.sigmoid(T.tensor(out[..., n:, 4])).data
     edges = _threshold_edges(presence, n)
     return [UntypedGraph(a, e) for a, e in zip(_elements(out[..., :n, :4]), edges)]

@@ -1,4 +1,5 @@
-"""Adam optimizer with bias correction.
+"""Adam with bias correction at Kingma & Ba's constants (arXiv:1412.6980),
+``BETA1``, ``BETA2`` and ``EPS``; a state sets only its learning rate.
 
 The state re-bases every parameter onto one contiguous buffer so the
 moment updates run as a handful of whole-vector ufuncs instead of ten
@@ -13,15 +14,16 @@ import numpy as np
 
 from .tensor import ShapeMismatch, Tensor
 
+# decay of the first and second moment averages, and the denominator's floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
-    def __init__(self, params: list[Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
 
         sizes = [p.data.size for p in self.params]
@@ -53,7 +55,7 @@ def adam_step(state: AdamState, grads: dict[Tensor, np.ndarray]) -> list[Tensor]
 
     # flat -= lr * m_hat / (sqrt(v_hat) + eps), with each product and
     # quotient taken in the order that expression takes them
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     m, v, w1, w2 = state.m, state.v, state._w1, state._w2
     m *= b1
     np.multiply(g, 1.0 - b1, out=w1)
@@ -66,7 +68,7 @@ def adam_step(state: AdamState, grads: dict[Tensor, np.ndarray]) -> list[Tensor]
     np.divide(v, 1.0 - b2 ** state.step, out=w2)    # v_hat
     w1 *= state.lr
     np.sqrt(w2, out=w2)
-    w2 += state.eps
+    w2 += EPS
     w1 /= w2
     state._flat -= w1
     return state.params

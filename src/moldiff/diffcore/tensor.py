@@ -83,10 +83,6 @@ class Tensor:
         self.trainable = trainable
         self.name = name
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
@@ -534,6 +530,10 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     ReLU runs between layers, not after the last; a ReLU's gradient is 0 at
     inputs <= 0 and NaN stays NaN. Off the tape x may be a (B, n, w) batch
     of graphs of one size, each entry run as that graph alone.
+
+    A layer whose W does not take its input's width, or whose Wn or b does
+    not fit W, raises ``ShapeMismatch``; with ``affine``'s, this is the only
+    width check of the ``gnn`` networks.
 
     The value has the same bits taped, untaped and inside
     ``frozen_params``, where the plan is kept. Dense stacks, ``prop``

@@ -97,13 +97,11 @@ class DdpmSchedule:
     beta_start: float = 0.0001
     beta_end: float = 0.02
     beta: np.ndarray = field(init=False)
-    alpha: np.ndarray = field(init=False)
     alpha_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.beta = np.linspace(self.beta_start, self.beta_end, self.steps)
-        self.alpha = 1.0 - self.beta
-        self.alpha_bar = np.cumprod(self.alpha)
+        self.alpha_bar = np.cumprod(1.0 - self.beta)
 
     def check_step(self, t: int) -> None:
         if not (1 <= t <= self.steps):
@@ -172,11 +170,10 @@ class GnnRestorer(Module):
     kind = "ddpm_gnn"
     min_points = 1
 
-    def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
-                 name: str = "ddpm_gnn"):
+    def __init__(self, width: int, rng: np.random.Generator):
         self.width = width
-        self.net = GcnStack([width + 1] + [hidden] * 6 + [width + 1], rng,
-                            name=name, conv="graph")
+        self.net = GcnStack([width + 1] + [64] * 6 + [width + 1], rng,
+                            name="ddpm_gnn", conv="graph")
 
     def predict_noise(self, x_t: Tensor, t: int, total: int) -> Tensor:
         d_t = self.net(T.concat_row(x_t, np.array([t / total])))
@@ -192,10 +189,9 @@ class EgnnRestorer(Module):
     kind = "ddpm_egnn"
     min_points = 2
 
-    def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
-                 layers: int = 4, name: str = "ddpm_egnn"):
+    def __init__(self, width: int, rng: np.random.Generator):
         self.width = width
-        self.net = EgnnNet(width, rng, hidden=hidden, layers=layers, name=name)
+        self.net = EgnnNet(rng, name="ddpm_egnn")
 
     def predict_noise(self, x_t: Tensor, t: int, total: int) -> Tensor:
         return self.net(x_t, t / total)
@@ -323,11 +319,10 @@ class HeatModel(Module):
     """
 
     def __init__(self, width: int, sched: HeatSchedule, rng: np.random.Generator,
-                 clouds=(), hidden: int = 64, name: str = "heat"):
+                 clouds=()):
         self.width = width
         self.sched = sched
-        self.net = GcnStack([width, hidden, hidden, width], rng, name=name,
-                            conv="graph")
+        self.net = GcnStack([width, 64, 64, width], rng, name="heat", conv="graph")
         self.seeds: dict[int, list[np.ndarray]] = {}
         for c in clouds:
             self.seeds.setdefault(c.shape[0], []).append(c)

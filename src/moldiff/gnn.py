@@ -14,7 +14,8 @@ to one ``T.relu_stack`` call: one tape node, and inside
 every spec: ``Dense``, which a GCN stack runs as
 ``(e.gcn_matrix @ h) @ W + b`` (propagate, then transform), and
 ``GraphConvLayer``, the complete-graph layer with a self and a
-neighbor-mean weight.
+neighbor-mean weight. No layer checks its input width; ``T.relu_stack``
+and ``T.affine`` do.
 
 Every layer and network here, and every codec and flow, is a ``Module``:
 its ``named_params()`` lists the trainable tensors its attributes reach,
@@ -31,10 +32,6 @@ import numpy as np
 
 from .diffcore import tensor as T
 from .diffcore.tensor import Tensor
-
-
-class WidthMismatch(ValueError):
-    pass
 
 
 class ZeroNodes(ValueError):
@@ -179,13 +176,10 @@ class PnaLayer(Module):
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
                  name: str = "pna"):
-        self.in_width = in_width
         self.W = T.param(glorot(rng, 5 * in_width + 1, out_width), name=f"{name}.W")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
 
     def __call__(self, x: Tensor, e: EdgeIndex) -> Tensor:
-        if x.data.shape[-1] != self.in_width:
-            raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[-1]}")
         return T.affine(T.pna_aggregate(x, e.src_plan, e.dst_plan), self.W, self.b)
 
 
@@ -212,7 +206,6 @@ class GraphConvLayer(Module):
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
                  name: str = "graphconv"):
-        self.in_width = in_width
         self.W_self = T.param(glorot(rng, in_width, out_width), name=f"{name}.Ws")
         self.W_nbr = T.param(glorot(rng, in_width, out_width), name=f"{name}.Wn")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
@@ -221,8 +214,6 @@ class GraphConvLayer(Module):
         self.specs = (self.spec,)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.in_width:
-            raise WidthMismatch(f"expected width {self.in_width}, got {x.data.shape[-1]}")
         return T.relu_stack(x, self.specs)
 
 
@@ -234,7 +225,6 @@ class Dense(Module):
 
     def __init__(self, in_width: int, out_width: int, rng: np.random.Generator,
                  name: str = "dense"):
-        self.in_width = in_width
         self.W = T.param(glorot(rng, in_width, out_width), name=f"{name}.W")
         self.b = T.param(bias_init(rng, out_width), name=f"{name}.b")
         # the layer as ``T.relu_stack`` takes it: no neighbor-mean path
@@ -382,8 +372,6 @@ class GcnStack(Module):
     def __call__(self, x: Tensor, e: EdgeIndex | None = None) -> Tensor:
         if self.complete != (e is None):
             raise GraphMismatch("a gcn stack needs an edge index; a complete-graph one takes none")
-        if x.data.shape[-1] != self.layers[0].in_width:
-            raise WidthMismatch(f"expected width {self.layers[0].in_width}, got {x.data.shape[-1]}")
         return T.relu_stack(x, self.specs, None if e is None else e.gcn_matrix)
 
 
@@ -401,19 +389,16 @@ class FlowFieldNet(Module):
     """
 
     def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
-                 hidden_layers: int = 10, name: str = "flowfield"):
+                 hidden_layers: int = 10):
         self.width = width
         self.entry = GraphConvLayer(width + 2 * len(TIME_FREQS), hidden, rng,
-                                    name=f"{name}.entry")
-        self.hidden = [Dense(hidden, hidden, rng, name=f"{name}.h{i}")
+                                    name="flowfield.entry")
+        self.hidden = [Dense(hidden, hidden, rng, name=f"flowfield.h{i}")
                        for i in range(hidden_layers)]
-        self.out = Dense(hidden, width, rng, name=f"{name}.out")
+        self.out = Dense(hidden, width, rng, name="flowfield.out")
         self.specs = (self.entry.spec, *(layer.spec for layer in self.hidden), self.out.spec)
 
     def __call__(self, x: Tensor, t: float) -> Tensor:
-        _, width = x.data.shape
-        if width != self.width:
-            raise WidthMismatch(f"expected width {self.width}, got {width}")
         # RK4 stage times can overshoot the interval by one rounding step
         return T.relu_stack(T.concat_row(x, time_features(min(max(t, 0.0), 1.0))), self.specs)
 
@@ -429,13 +414,12 @@ class EgnnNet(Module):
     hidden states, time), moves every point along its difference vectors,
     each divided by (distance + 1), with learned scalar weights, and
     updates the hidden state from the mean message. The returned prediction
-    is the total displacement.
+    is the total displacement. It reads the cloud only through differences
+    of rows, so it takes a cloud of any width.
     """
 
-    def __init__(self, width: int, rng: np.random.Generator, hidden: int = 64,
-                 layers: int = 4, name: str = "egnn"):
-        self.width = width
-        self.hidden = hidden
+    def __init__(self, rng: np.random.Generator, hidden: int = 64, layers: int = 4,
+                 name: str = "egnn"):
         self.embed = Dense(1, hidden, rng, name=f"{name}.embed")  # from h_t
         self.edge_mlps = [Mlp([2 * hidden + 2, hidden, hidden], rng, name=f"{name}.edge{i}")
                           for i in range(layers)]

@@ -8,12 +8,19 @@ from xml.etree import ElementTree as ET
 
 from .metrics import MetricsReport
 
-CSV_COLUMNS = ["experiment", "latent_z", "validity", "uniqueness", "novelty",
-               "latent_mmd", "ae_seconds", "flow_seconds", "params", "count"]
+# results.csv's columns, in order, each with the type it reads back as
+COLUMN_TYPES = {"experiment": str, "latent_z": int, "validity": float, "uniqueness": float,
+                "novelty": float, "latent_mmd": float, "ae_seconds": float,
+                "flow_seconds": float, "params": int, "count": int}
+CSV_COLUMNS = list(COLUMN_TYPES)
 
 
 class OutputUnwritable(OSError):
     pass
+
+
+class ResultsUnreadable(ValueError):
+    """A results.csv that cannot be read back into reports."""
 
 
 def write_results_csv(path, reports: list[MetricsReport]) -> None:
@@ -22,27 +29,44 @@ def write_results_csv(path, reports: list[MetricsReport]) -> None:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in reports:
-                writer.writerow([r.experiment, r.latent_z, repr(r.validity),
-                                 repr(r.uniqueness), repr(r.novelty),
-                                 repr(r.latent_mmd), repr(r.ae_seconds), repr(r.flow_seconds),
-                                 r.params, r.count])
+                writer.writerow([kind(getattr(r, c)) for c, kind in COLUMN_TYPES.items()])
     except OSError as exc:
         raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
 
 
+def _read_row(path, line: int, row: dict) -> MetricsReport:
+    """The report in a row of results.csv; ``line`` is its line in the file."""
+    values = {}
+    for column, kind in COLUMN_TYPES.items():
+        try:
+            values[column] = kind(row[column])
+        except (TypeError, ValueError):
+            # DictReader gives None for a column a short row lacks
+            got = "no value" if row[column] is None else f"{row[column]!r} is not {kind.__name__}"
+            raise ResultsUnreadable(f"{path}, line {line}, column {column!r}: {got}") from None
+    return MetricsReport(**values)
+
+
 def read_results_csv(path) -> list[MetricsReport]:
-    reports = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            reports.append(MetricsReport(
-                experiment=row["experiment"], latent_z=int(row["latent_z"]),
-                validity=float(row["validity"]), uniqueness=float(row["uniqueness"]),
-                novelty=float(row["novelty"]),
-                # a results.csv written before the column existed reads NaN
-                latent_mmd=float(row.get("latent_mmd", "nan")),
-                ae_seconds=float(row["ae_seconds"]),
-                flow_seconds=float(row["flow_seconds"]), params=int(row["params"]),
-                count=int(row["count"])))
+    """The reports of a results.csv. A file that cannot be read, is empty,
+    lacks a column or has no rows, and a value that does not parse as its
+    column's type, raise :class:`ResultsUnreadable`, naming the file and,
+    for a value, its line and column. A file written before the
+    ``latent_mmd`` column existed reads it as NaN."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ResultsUnreadable(f"{path} is empty")
+            missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames and c != "latent_mmd"]
+            if missing:
+                raise ResultsUnreadable(f"{path}: no column {missing[0]!r}")
+            reports = [_read_row(path, reader.line_num, {"latent_mmd": "nan", **row})
+                       for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ResultsUnreadable(f"cannot read {path}: {exc}") from exc
+    if not reports:
+        raise ResultsUnreadable(f"{path}: no rows")
     return reports
 
 

@@ -72,15 +72,12 @@ def run_experiment(cfg: ExperimentConfig,
     return report, pipeline
 
 
-def run_all(template: ExperimentConfig, dataset: Dataset | None = None) -> list[MetricsReport]:
+def run_all(template: ExperimentConfig) -> list[MetricsReport]:
     """Run every row of SWEEP_ROWS, each as ``template`` with the row's
     experiment and latent_z, and write results.csv plus the three figures
-    under ``template.output_dir``.
-
-    Without ``dataset`` it is resolved once, from the template.
-    """
-    if dataset is None:
-        dataset = resolve_dataset(template)
+    under ``template.output_dir``. The dataset is resolved once, from the
+    template, and every row trains and scores on it."""
+    dataset = resolve_dataset(template)
     reports = [run_experiment(dataclasses.replace(template, experiment=e, latent_z=z), dataset)[0]
                for e, z in SWEEP_ROWS]
     write_report(template.output_dir, reports)

@@ -117,8 +117,8 @@ def ancestral_generate(model, n: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((n, model.width))
     for t in range(sched.steps, 0, -1):
         z = model.restorer.predict_noise(T.tensor(x), t, sched.steps).data
-        beta, alpha, ab = sched.beta[t - 1], sched.alpha[t - 1], sched.alpha_bar[t - 1]
-        x = np.sqrt(1.0 / alpha) * (x - beta * z / np.sqrt(1.0 - ab))
+        beta, ab = sched.beta[t - 1], sched.alpha_bar[t - 1]
+        x = np.sqrt(1.0 / (1.0 - beta)) * (x - beta * z / np.sqrt(1.0 - ab))
         if t > 1:
             x = x + np.sqrt(sigma2[t - 1]) * rng.standard_normal(x.shape)
     return x

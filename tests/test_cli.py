@@ -1,5 +1,6 @@
 """Config validation, the command line, and the results CSV."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -16,7 +17,7 @@ from moldiff import harness
 from moldiff.chem import load_dataset, parse_smiles
 from moldiff.harness import ConfigInvalid, ExperimentConfig, MetricsReport, cli
 from moldiff.harness.config import config_from_dict, load_config
-from moldiff.harness.report import CSV_COLUMNS
+from moldiff.harness.report import CSV_COLUMNS, ResultsUnreadable
 
 
 def write_json(tmp_path, obj):
@@ -276,6 +277,47 @@ class TestResultsCsv:
                 g, w = getattr(got, col), getattr(want, col)
                 assert g == w or (col == "latent_mmd" and math.isnan(g) and math.isnan(w)), col
                 assert type(g) is type(w), col
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [without(r, "validity") for r in rows], ": no column 'validity'"),
+        (lambda rows: [rows[0], [rows[1][0], "two", *rows[1][2:]]],
+         ", line 2, column 'latent_z': 'two' is not int"),
+        (lambda rows: [rows[0], rows[1][:-1]], ", line 2, column 'count': no value"),
+        (lambda rows: rows[:1], ": no rows"),
+        (lambda rows: [], " is empty"),
+    ])
+    def test_a_bad_file_raises_a_typed_error(self, edit, message, tmp_path):
+        path = one_row_csv(tmp_path, edit)
+        with pytest.raises(ResultsUnreadable, match=re.escape(f"{path}{message}")):
+            harness.read_results_csv(path)
+
+    def test_a_missing_file_raises_a_typed_error(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(ResultsUnreadable, match=re.escape(f"cannot read {path}")):
+            cli.main(["report", "--results", str(path), "--out", str(tmp_path / "out")])
+
+    def test_a_file_without_latent_mmd_reads_nan(self, tmp_path):
+        path = one_row_csv(tmp_path, lambda rows: [without(r, "latent_mmd") for r in rows])
+        (report,) = harness.read_results_csv(path)
+        assert math.isnan(report.latent_mmd) and report.params == 8577
+
+
+def without(row: list[str], column: str) -> list[str]:
+    k = CSV_COLUMNS.index(column)
+    return row[:k] + row[k + 1:]
+
+
+def one_row_csv(tmp_path, edit) -> Path:
+    """A one-report results.csv whose rows ``edit`` has rewritten."""
+    path = tmp_path / "results.csv"
+    harness.write_results_csv(path, [MetricsReport(
+        experiment="heat_1d", latent_z=1, validity=0.0, uniqueness=0.0, novelty=0.0,
+        ae_seconds=0.5, flow_seconds=2.0, params=8577, count=100)])
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = edit(list(csv.reader(fh)))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
 
 
 @pytest.mark.slow

@@ -161,7 +161,7 @@ def _taped_alone(decoder: str, ae, at, cloud: np.ndarray, n: int):
     with Tape() as tape:
         x = T.tensor(cloud)
         if decoder == "input":
-            out = ae.decode_t(x, pair_node_edges(n)).data
+            out = ae.dec(x, pair_node_edges(n)).data
             scores, probs = out[:n, :4], T.sigmoid(T.tensor(out[n:, 4])).data
         else:
             scores = at.decode_probs(T.narrow(x, -1, ae.z, 2)).data
@@ -183,7 +183,7 @@ class TestBatchDecode:
             clouds = rng.standard_normal((batch, n + n * (n - 1) // 2, 2))
             graphs = codec.input_space_decode_batch(ae, clouds, n)
             probs = T.sigmoid(T.tensor(
-                ae.decode_t(T.tensor(clouds), pair_node_edges(n)).data[..., n:, 4])).data
+                ae.dec(T.tensor(clouds), pair_node_edges(n)).data[..., n:, 4])).data
         else:
             ae = codec.GraphAutoencoder(2, rng, kind=decoder, hidden=16)
             at = codec.AtomTypeAutoencoder(rng)

@@ -28,6 +28,7 @@ from moldiff.diffcore import (
     save_params,
 )
 from moldiff.diffcore import tensor as T
+from moldiff.diffcore.optim import BETA1, BETA2, EPS
 from moldiff.gnn import EdgeIndex, pair_node_edges
 
 from conftest import assert_close, fd_gradcheck, mean_only, per_layer_stack, seeded_sum
@@ -643,7 +644,7 @@ class TestAdam:
         state = AdamState(ps, lr=0.01)
         flat = np.concatenate([p.data.ravel() for p in ps])
         m, v = np.zeros_like(flat), np.zeros_like(flat)
-        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        b1, b2, lr, eps = BETA1, BETA2, state.lr, EPS
         for step in range(1, 6):
             grads = {p: rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-6, 3)
                      for p in ps}
@@ -676,7 +677,7 @@ class TestAdam:
         state = AdamState(ps, lr=0.01)
         flat = np.concatenate([p.data.ravel() for p in ps])
         m, v = np.zeros_like(flat), np.zeros_like(flat)
-        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        b1, b2, lr, eps = BETA1, BETA2, state.lr, EPS
         for step in range(1, 51):
             grads = {p: rng.standard_normal(p.data.shape) for k, p in enumerate(ps)
                      if k != missing}

@@ -1,6 +1,7 @@
 """Harness round trips: train -> checkpoint -> load -> generate, at tiny sizes."""
 
 import contextlib
+import hashlib
 import json
 import math
 from collections import Counter
@@ -39,6 +40,35 @@ def test_each_named_stream_is_its_child_of_the_seed():
         for k, name in enumerate(harness.train.STREAMS):
             want = np.random.default_rng(children[k]).random(4)
             assert rngs[name].random(4).tobytes() == want.tobytes()
+
+
+# Per experiment, at z = 2 (heat at 1): the trainable scalars of the codec,
+# the bond-type model and the flow, and the SHA-256 of the JSON list of
+# [name, shape] of their parameters in that order, the layout that
+# codec.mdl1 and flow.mdl1 store. A change here breaks every checkpoint.
+LAYOUTS = {
+    "gnn_gaussian": ((5091, 3428, 42629),
+                     "2b470fbd91170962d1666d034390192f223a5a0e18f4aec7c7c19d086eb6e8dd"),
+    "egnn_gaussian": ((4323, 3428, 100228),
+                      "4599db27476ac139dbcb061a6b9f85ddf9ec3e17b6751d1508cea724282842c9"),
+    "input_space_gaussian": ((5003, 3428, 42115),
+                             "4c6682260cb6be301a24bfd8dfd55f44a53d235863e27a58a671e352af7db700"),
+    "heat_1d": ((4449, 3428, 9091),
+                "45e7a9f8a970f734c25d04343fda237c45153894ccb634d9e1148c0f5ad01814"),
+    "flow_matching": ((5091, 3428, 43460),
+                      "8365a65880cb9d687fe39f42961ac2aa05428d5d0517e41996df294a928ac647"),
+}
+
+
+@pytest.mark.parametrize("exp", ALL_EXPERIMENTS)
+def test_parameter_layout_is_pinned(exp):
+    kinds = harness.config.EXPERIMENTS[exp]
+    rng = np.random.default_rng(0)
+    built = codec.build(kinds.codec, 1 if exp == "heat_1d" else 2, rng)
+    parts = [built, codec.EdgeTypeModel(rng), flows.build(kinds.flow, built.width, rng)]
+    counts = tuple(sum(p.data.size for _, p in part.named_params()) for part in parts)
+    layout = [[name, list(p.data.shape)] for part in parts for name, p in part.named_params()]
+    assert (counts, hashlib.sha256(json.dumps(layout).encode()).hexdigest()) == LAYOUTS[exp]
 
 
 @pytest.fixture(scope="module")

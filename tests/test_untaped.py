@@ -318,7 +318,7 @@ def test_flow_field_net(rng):
 
 
 def test_egnn_net(rng):
-    net = EgnnNet(2, rng, hidden=16, layers=2)
+    net = EgnnNet(rng, hidden=16, layers=2)
     x = T.tensor(rng.standard_normal((6, 2)))
     off, on = _net_modes(lambda: net(x, 0.4))
     assert same_bits(off, on)
@@ -343,7 +343,7 @@ def test_edge_type_logits(rng):
 def test_input_space_autoencoder(rng):
     ae = codec.InputSpaceAutoencoder(2, rng, hidden=8)
     g = codec.build_edges_as_nodes(parse_smiles("CC(=O)N"))
-    off, on = _net_modes(lambda: ae.decode_t(ae.encode_t(g), g.edges))
+    off, on = _net_modes(lambda: ae.dec(ae.encode_t(g), g.edges))
     assert same_bits(off, on)
 
 
