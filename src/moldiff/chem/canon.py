@@ -1,26 +1,37 @@
 """Permutation-invariant canonical keys for labelled molecular graphs.
 
 Each connected component is encoded on its own, and a graph's key joins its
-sorted component encodings. An encoding starts with its atom and edge counts,
-so the join is unambiguous.
+sorted component encodings. An encoding starts with its atom count n and
+edge count, and its length follows from those two, so the join is
+unambiguous. A connected component with n - 1 edges is a tree, and every
+other component has a cycle; the two kinds get different encodings.
 
-Within a component, colour refinement on integers runs first. An atom's
-colour is the first position of its cell in the ordered partition, and its
-signature is its colour with the sorted ints ``colour * 4 + bond rank`` of
-its neighbours. Refinement stops as soon as a pass adds no cell. If a cell
-of several atoms is left, a depth-first search individualises each atom of
-the first such cell in turn and refines again, as nauty and Traces do
-(McKay & Piperno, arXiv:1301.1493). Every leaf of the search is a discrete
-colouring, that is, a relabelling of the component, and the smallest sorted
-edge list over the leaves is the canonical form.
+A tree has a canonical form that needs no search (Aho, Hopcroft & Ullman,
+1974): peel its leaves layer by layer down to its centre, one atom or two
+bonded ones, and name each atom bottom-up from its element and the sorted
+(bond, name) pairs of its children. Two atoms get one name exactly when
+their subtrees are isomorphic, so the layered list of names is the same for
+every labelling and takes time near-linear in n, even for a long chain or a
+wide star. The encoding is ``(n, n - 1)`` and 3n - 1 ints.
+
+A component with a cycle is encoded as ``(n, edges, sorted elements)`` and
+its canonical edge list. Colour refinement on integers runs first. An
+atom's colour is the first position of its cell in the ordered partition,
+and its signature is its colour with the sorted ints ``colour * 4 + bond
+rank`` of its neighbours. Refinement stops as soon as a pass adds no cell.
+If a cell of several atoms is left, a depth-first search individualises
+each atom of the first such cell in turn and refines again, as nauty and
+Traces do (McKay & Piperno, arXiv:1301.1493). Every leaf of the search is a
+discrete colouring, that is, a relabelling of the component, and the
+smallest sorted edge list over the leaves is the canonical form.
 
 Two leaves with equal edge lists give an automorphism. The search skips
 every child that lies in the orbit of an explored sibling under the
 automorphisms that fix the current path, and after finding an automorphism
 it jumps back to the node where the two leaves' paths diverged. A symmetric
 component is therefore searched along a few paths instead of all of its
-labellings: 9 bondless atoms, a 9-ring and all-carbon K9 each key in a few
-milliseconds at most.
+labellings: a 9-ring and all-carbon K9 each key in a few milliseconds at
+most.
 """
 
 from __future__ import annotations
@@ -145,9 +156,51 @@ def _search(nbrs: list[list[tuple[int, int]]], edges: list[tuple[int, int, int]]
     return leaves[1][0]
 
 
+def _tree_code(elems: list[int], nbrs: list[list[tuple[int, int]]]) -> list[int]:
+    """Canonical code of a tree: 3n - 1 ints for n atoms.
+
+    Leaves are peeled layer by layer down to the centre. Each atom of a
+    layer gets the signature ``(element rank, child count, *sorted child
+    ints)``, where a child int is ``child name * 4 + bond rank``, and a
+    name numbers the distinct signatures in the order the code lists them:
+    layer by layer, sorted within a layer. Equal signatures share a name,
+    so the code determines the tree rooted at its centre. Two central
+    atoms both sit in the last layer, and the code ends with the rank of
+    the bond between them.
+    """
+    deg = [len(nb) for nb in nbrs]
+    name = [-1] * len(elems)
+    layer = [v for v, d in enumerate(deg) if d < 2]
+    code: list[int] = []
+    names: dict[tuple[int, ...], int] = {}
+    while True:
+        sigs = []
+        for v in layer:
+            kids = sorted([name[u] * 4 + b for u, b in nbrs[v] if name[u] >= 0])
+            sigs.append((elems[v], len(kids), *kids))
+        for k in sorted(range(len(layer)), key=sigs.__getitem__):
+            name[layer[k]] = names.setdefault(sigs[k], len(names))
+            code.extend(sigs[k])
+        nxt = []
+        for v in layer:
+            for u, _ in nbrs[v]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    nxt.append(u)
+        if not nxt:
+            break
+        layer = nxt
+    if len(layer) == 2:
+        code.append(next(b for u, b in nbrs[layer[0]] if u == layer[1]))
+    return code
+
+
 def _component_code(elems: list[int],
                     nbrs: list[list[tuple[int, int]]]) -> tuple[int, ...]:
     n = len(elems)
+    if sum(map(len, nbrs)) == 2 * n - 2:
+        # a connected graph with n - 1 edges is a tree
+        return (n, n - 1, *_tree_code(elems, nbrs))
     edges = [(i, j, b) for i, nb in enumerate(nbrs) for j, b in nb if i < j]
     counts = [0] * len(ELEMENTS)
     for e in elems:
@@ -184,9 +237,11 @@ def canonical_key(m: MolGraph) -> bytes:
 
     Two graphs get equal keys exactly when they are isomorphic as labelled
     graphs: same elements, same bond types. The key is the SHA-256 digest
-    of the canonical encoding, so it does not depend on atom order or on
-    the iteration order of ``m.bonds``. Its bytes hold only within one
-    program version; do not store them.
+    of the sorted component encodings, so it does not depend on atom order
+    or on the iteration order of ``m.bonds``. A tree component is named
+    from its centre with no search; a component with a cycle is refined
+    and searched (see the module docstring). Its bytes hold only within
+    one program version; do not store them.
     """
     n = m.n
     elems = [_ELEM_RANK[a.symbol] for a in m.atoms]

@@ -112,7 +112,3 @@ def read_config_file(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a flat JSON object")
     return raw
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_config_file(path))

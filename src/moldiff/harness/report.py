@@ -36,6 +36,9 @@ def write_results_csv(path, reports: list[MetricsReport]) -> None:
 
 def _read_row(path, line: int, row: dict) -> MetricsReport:
     """The report in a row of results.csv; ``line`` is its line in the file."""
+    if None in row:
+        # DictReader files a long row's extra values under the key None
+        raise ResultsUnreadable(f"{path}, line {line}: {len(row[None])} values past the header")
     values = {}
     for column, kind in COLUMN_TYPES.items():
         try:
@@ -49,9 +52,10 @@ def _read_row(path, line: int, row: dict) -> MetricsReport:
 
 def read_results_csv(path) -> list[MetricsReport]:
     """The reports of a results.csv. A file that cannot be read, is empty,
-    lacks a column or has no rows, and a value that does not parse as its
-    column's type, raise :class:`ResultsUnreadable`, naming the file and,
-    for a value, its line and column. A file written before the
+    lacks a column or has no rows, a row with more values than the header,
+    and a value that does not parse as its column's type, raise
+    :class:`ResultsUnreadable`, naming the file and, for a row, its line
+    and, for a value, its column. A file written before the
     ``latent_mmd`` column existed reads it as NaN."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:

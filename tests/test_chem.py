@@ -164,6 +164,21 @@ class TestCanonicalKey:
         star = parse_smiles("CC(C)C")  # star
         assert canonical_key(path) != canonical_key(star)
 
+    @pytest.mark.parametrize("a, b", [
+        pytest.param("CCCCC", "CC(C)CC", id="unicentral-vs-bicentral"),
+        pytest.param("CC(C)(C)C", "CC(C)CC", id="star-vs-bicentral"),
+        pytest.param("CC(C)C(C)C", "CC(C)=C(C)C", id="central-bond-type"),
+        pytest.param("NC(F)C(O)C", "NC(C)C(O)F", id="side-of-the-F"),
+    ])
+    def test_trees_that_differ_near_the_centre(self, a, b):
+        ma, mb = parse_smiles(a), parse_smiles(b)
+        assert ma.n == mb.n and not brute_force_isomorphic(ma, mb)
+        assert canonical_key(ma) != canonical_key(mb)
+        rng = np.random.default_rng(8)
+        for m in (ma, mb):
+            for _ in range(10):
+                assert canonical_key(m.permuted(list(rng.permutation(m.n)))) == canonical_key(m)
+
     def test_regular_graph_coarser_than_orbits(self):
         # cubic and connected but not vertex-transitive: refinement leaves one
         # cell, and the search must try more than one atom of it
@@ -186,7 +201,8 @@ def _best_of_3_ms(fn):
 
 
 class TestCanonicalKeyTime:
-    """Symmetric graphs key in bounded time: the search prunes by automorphisms."""
+    """Symmetric graphs key in bounded time: the search prunes by
+    automorphisms, and trees, however long or wide, skip it."""
 
     @pytest.mark.parametrize("bonds", [
         pytest.param([], id="bondless-9"),
@@ -197,6 +213,16 @@ class TestCanonicalKeyTime:
     def test_symmetric_graph(self, bonds):
         m = molgraph(["C"] * 9, [(i, j, BondType.SINGLE) for i, j in bonds])
         assert _best_of_3_ms(lambda: canonical_key(m)) < 50
+
+    @pytest.mark.parametrize("bonds", [
+        pytest.param([(i, i + 1) for i in range(1999)], id="chain-2000"),
+        pytest.param([(0, i) for i in range(1, 2000)], id="star-2000"),
+    ])
+    def test_large_tree(self, bonds):
+        m = molgraph(["C"] * 2000, [(i, j, BondType.SINGLE) for i, j in bonds])
+        assert _best_of_3_ms(lambda: canonical_key(m)) < 250
+        perm = list(np.random.default_rng(4).permutation(m.n))
+        assert canonical_key(m.permuted(perm)) == canonical_key(m)
 
     def test_load_dotted_carbons(self, tmp_path):
         path = tmp_path / "dots.smi"
@@ -346,6 +372,48 @@ def graph_pairs(draw):
     return a, b.permuted(draw(st.permutations(range(n))))
 
 
+def prufer_edges(n: int, seq: list[int]) -> list[tuple[int, int]]:
+    """The edges of the labelled tree on n atoms with Prüfer sequence ``seq``."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    if n > 1:
+        edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return edges
+
+
+@st.composite
+def typed_forests(draw, n):
+    """Random tree on n atoms from a Prüfer sequence over a drawn subset of
+    elements and bond types; half of them lose a drawn subset of bonds and
+    become forests."""
+    elements = ELEMENTS[:draw(st.integers(1, len(ELEMENTS)))]
+    bond_types = BOND_TYPES[:draw(st.integers(1, len(BOND_TYPES)))]
+    atoms = draw(st.lists(st.sampled_from(elements), min_size=n, max_size=n))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    edges = prufer_edges(n, seq)
+    kept = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges))) \
+        if draw(st.booleans()) else [True] * len(edges)
+    kinds = draw(st.lists(st.sampled_from(bond_types), min_size=len(edges), max_size=len(edges)))
+    return MolGraph(tuple(atoms), frozenset(
+        (min(i, j), max(i, j), t) for (i, j), t, k in zip(edges, kinds, kept) if k))
+
+
+@st.composite
+def forest_pairs(draw):
+    """Two forests of one size; the second is often a relabelled copy of the first."""
+    n = draw(st.integers(1, 7))
+    a = draw(typed_forests(n))
+    b = a if draw(st.booleans()) else draw(typed_forests(n))
+    return a, b.permuted(draw(st.permutations(range(n))))
+
+
 def brute_force_isomorphic(a, b):
     return any(a.permuted(list(perm)) == b for perm in itertools.permutations(range(a.n)))
 
@@ -355,6 +423,12 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_key_equality_is_isomorphism(self, pair):
         # half the pairs are a graph and a relabelled copy, which must share a key
+        a, b = pair
+        assert (canonical_key(a) == canonical_key(b)) == brute_force_isomorphic(a, b)
+
+    @given(forest_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_forest_key_equality_is_isomorphism(self, pair):
         a, b = pair
         assert (canonical_key(a) == canonical_key(b)) == brute_force_isomorphic(a, b)
 

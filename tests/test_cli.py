@@ -16,7 +16,7 @@ import moldiff
 from moldiff import harness
 from moldiff.chem import load_dataset, parse_smiles
 from moldiff.harness import ConfigInvalid, ExperimentConfig, MetricsReport, cli
-from moldiff.harness.config import config_from_dict, load_config
+from moldiff.harness.config import config_from_dict
 from moldiff.harness.report import CSV_COLUMNS, ResultsUnreadable
 
 
@@ -53,10 +53,10 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="unknown config keys: \\['sample_range'\\]"):
             config_from_dict({"experiment": "gnn_gaussian", "sample_range": [3, 4]})
 
-    def test_load_config_rejects_wrong_type(self, tmp_path):
-        path = write_json(tmp_path, {"experiment": "gnn_gaussian", "epochs": "3"})
-        with pytest.raises(ConfigInvalid):
-            load_config(path)
+    def test_cli_config_error_names_the_key(self, tmp_path):
+        path = write_json(tmp_path, {"experiment": "gnn_gaussian", "lr": "0.01"})
+        with pytest.raises(ConfigInvalid, match="lr must be float, got '0.01'"):
+            cli.main(["train", "--config", str(path)])
 
     @pytest.mark.parametrize("obj", [[1, 2], "gnn_gaussian", None])
     def test_cli_rejects_a_config_that_is_not_an_object(self, obj, tmp_path):
@@ -283,6 +283,7 @@ class TestResultsCsv:
         (lambda rows: [rows[0], [rows[1][0], "two", *rows[1][2:]]],
          ", line 2, column 'latent_z': 'two' is not int"),
         (lambda rows: [rows[0], rows[1][:-1]], ", line 2, column 'count': no value"),
+        (lambda rows: [rows[0], rows[1] + ["EXTRA", "7"]], ", line 2: 2 values past the header"),
         (lambda rows: rows[:1], ": no rows"),
         (lambda rows: [], " is empty"),
     ])
