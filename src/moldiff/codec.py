@@ -4,7 +4,10 @@ The graph encoder embeds each atom (one-hot element, molecular edges) into
 z dimensions with a 2-layer PNA that aggregates mean/min/max/std of the
 neighbor messages plus a log(degree + 1) column, so atoms of one element
 but different degree encode differently; the atom-type encoder adds 2 more
-columns.
+columns. The first layer's aggregate of the one-hot atoms is a constant of
+the molecule, so it is built once (``encoder_aggregate``), as are the
+input codec's ``build_edges_as_nodes`` graphs; both caches are keyed by
+the training molecule.
 Decoding runs the reverse: a PNA over the complete graph of latent points
 produces 4-wide output features, an MLP scores every unordered pair in
 both orientations and averages them (``gnn.symmetric_pair_logits``), and
@@ -98,10 +101,22 @@ def molecular_edges(m: MolGraph) -> EdgeIndex:
 
 @lru_cache(maxsize=65536)
 def pair_targets(m: MolGraph) -> np.ndarray:
-    """(P, 1) 0/1 adjacency over ``pair_indices(m.n)``; cached, treat as read-only."""
+    """(P, 1) 0/1 adjacency over ``pair_indices(m.n)``; cached, read-only."""
     target = np.zeros((len(pair_indices(m.n)[0]), 1))
     target[[pair_slots(m.n)[i, j] for i, j, _ in m.bonds], 0] = 1.0
+    target.flags.writeable = False
     return target
+
+
+@lru_cache(maxsize=65536)
+def encoder_aggregate(m: MolGraph) -> np.ndarray:
+    """(n, 21) PNA aggregate of m's one-hot atoms over ``molecular_edges(m)``,
+    the input of the encoder's first linear map. The atoms are constants, so
+    it is built once per molecule; cached, read-only."""
+    e = molecular_edges(m)
+    agg = T.pna_aggregate(T.tensor(atom_onehot(m.atoms)), e.src_plan, e.dst_plan).data
+    agg.flags.writeable = False
+    return agg
 
 
 @dataclass
@@ -164,10 +179,10 @@ class GraphAutoencoder(Module):
 
 def encode_t(ae: GraphAutoencoder, at: AtomTypeAutoencoder, m: MolGraph) -> Tensor:
     """Tape-aware encoding: (n, z+2) tensor of latent rows."""
-    x = T.tensor(atom_onehot(m.atoms))
-    e = molecular_edges(m)
-    g = ae.enc2(T.relu(ae.enc1(x, e)), e)
-    a = at.encode(x)
+    # enc1 is its linear map on the cached aggregate: its input is constant
+    h = T.affine(T.tensor(encoder_aggregate(m)), ae.enc1.W, ae.enc1.b)
+    g = ae.enc2(T.relu(h), molecular_edges(m))
+    a = at.encode(T.tensor(atom_onehot(m.atoms)))
     return T.concat([g, a], axis=1)
 
 
@@ -388,7 +403,9 @@ class EdgesAsNodesGraph:
         return self.edges.n - self.n_original
 
 
+@lru_cache(maxsize=65536)
 def build_edges_as_nodes(m: MolGraph) -> EdgesAsNodesGraph:
+    """m's edges-as-nodes graph; cached, its features read-only."""
     if m.n < 2:
         raise TooFewPoints(f"edges-as-nodes needs at least 2 atoms, got {m.n}")
     n = m.n
@@ -400,6 +417,7 @@ def build_edges_as_nodes(m: MolGraph) -> EdgesAsNodesGraph:
         k = n + slots[i, j]
         feats[k, 4] = 1.0
         feats[k, 5 + _BOND_INDEX[t]] = 1.0
+    feats.flags.writeable = False
     return EdgesAsNodesGraph(features=feats, edges=edges, n_original=n)
 
 

@@ -35,12 +35,13 @@ Off the tape, the ops a decoder runs also take a leading batch axis: they
 address rows as axis -2 and features as axis -1, so an op on a (B, n, w)
 stack of same-size clouds gives each entry the bits it gives that cloud
 alone. These are ``gather_rows``, ``concat`` and ``narrow`` (along -2 or
--1), ``affine``, ``softmax``, ``row_sum``, ``pna_aggregate`` and
-``relu_stack``, besides the elementwise ops; their products broadcast a
-2-D operand over the batch, which runs the same 2-D product per entry. The
-backward passes of ``affine``, ``pna_aggregate`` and ``relu_stack`` take
-2-D inputs only, so a batched input to one of them on a recording tape
-raises ``ShapeMismatch``.
+-1), ``pair_rows`` and ``pair_mean``, ``affine``, ``softmax``,
+``row_sum``, ``pna_aggregate`` and ``relu_stack``, besides the
+elementwise ops; their products broadcast a 2-D operand over the batch,
+which runs the same 2-D product per entry. The backward passes of
+``affine``, ``pna_aggregate`` and ``relu_stack`` take 2-D inputs only, so
+a batched input to one of them on a recording tape raises
+``ShapeMismatch``.
 """
 
 from __future__ import annotations
@@ -420,6 +421,55 @@ def row_sum(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# pair heads
+#
+# A pair head scores each pair {i, j} of an edge index laid out as 2P
+# directed rows, the (i, j) rows then the (j, i) rows: it runs an MLP on
+# every row [x_src, x_dst] and averages the two orientations of each pair.
+# ``pair_rows`` builds the MLP's input and ``pair_mean`` takes the average,
+# one node each, where ``gather_rows`` twice, ``concat``, ``narrow`` twice,
+# ``add`` and ``mul`` would record seven. A node costs a few microseconds of
+# Python and closures, about what the arithmetic of a 9-atom head costs.
+# Both ops do the chain's arithmetic in its order, so the value and the
+# gradient have its bits. Off the tape both take a (B, E, w) batch.
+
+
+def pair_rows(x: Tensor, src: SegmentPlan, dst: SegmentPlan) -> Tensor:
+    """Row r is ``[x[src.index[r]], x[dst.index[r]]]``: (..., n, w) ->
+    (..., E, 2w) for plans of E rows each. The gradient is
+    ``dst.member @ g[..., w:] + src.member @ g[..., :w]``."""
+    if len(src) != len(dst):
+        raise ShapeMismatch(f"pair_rows: {len(src)} source rows, {len(dst)} destination rows")
+    xd = x.data
+    out = Tensor(np.concatenate((np.take(xd, src.index, axis=-2),
+                                 np.take(xd, dst.index, axis=-2)), axis=-1))
+    if _recording(x):
+        w = xd.shape[-1]
+        _record(out, ((x, lambda g: _dot(dst.member, g[..., w:]) + _dot(src.member, g[..., :w])),))
+    return out
+
+
+def pair_mean(x: Tensor) -> Tensor:
+    """The mean of the two halves of x's 2P rows: (..., 2P, k) -> (..., P, k),
+    row r the mean of rows r and P + r. An odd row count raises
+    ``ShapeMismatch``. Each half's gradient is ``g * 0.5``."""
+    xd = x.data
+    if xd.ndim < 2 or xd.shape[-2] % 2:
+        raise ShapeMismatch(f"pair_mean needs an even number of rows, got shape {xd.shape}")
+    p = xd.shape[-2] // 2
+    out = Tensor((xd[..., :p, :] + xd[..., p:, :]) * 0.5)
+    if _recording(x):
+        def grad(g):
+            # + 0.0 turns -0.0 into +0.0, as summing each half with the
+            # other half's zero gradient does
+            half = g * 0.5 + 0.0
+            return np.concatenate((half, half), axis=-2)
+
+        _record(out, ((x, grad),))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # ReLU stacks
 #
 # ``relu_stack`` runs a whole ReLU stack (an MLP, a GCN stack, a
@@ -666,9 +716,11 @@ class SegmentPlan:
 
     @cached_property
     def member(self) -> np.ndarray:
-        """(num, len) 0/1 matrix: member[s, r] = 1 when row r is in segment s."""
+        """(num, len) 0/1 matrix: member[s, r] = 1 when row r is in segment s.
+        Read-only."""
         member = np.zeros((self.num, len(self.index)))
         member[self.index, np.arange(len(self.index))] = 1.0
+        member.flags.writeable = False
         return member
 
     @cached_property
@@ -683,12 +735,14 @@ class SegmentPlan:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """(K, num) rows of each segment in row order, padded with its first row."""
+        """(K, num) rows of each segment in row order, padded with its first
+        row. Read-only."""
         heads = self.rank == 0
         first = np.zeros(self.num, dtype=np.intp)
         first[self.index[heads]] = np.flatnonzero(heads)
         table = np.repeat(first[None, :], int(self.counts.max(initial=0)), axis=0)
         table[self.rank, self.index] = np.arange(len(self.index))
+        table.flags.writeable = False
         return table
 
     @cached_property
@@ -822,7 +876,8 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 @lru_cache(maxsize=None)
 def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II basis: row k is the k-th cosine mode."""
+    """Orthonormal DCT-II basis: row k is the k-th cosine mode. Cached,
+    read-only."""
     if n < 1:
         raise EmptyInput("DCT of empty vector")
     k = np.arange(n)[:, None]
@@ -830,4 +885,5 @@ def dct_matrix(n: int) -> np.ndarray:
     mat = np.cos(np.pi * (2 * i + 1) * k / (2 * n))
     mat *= np.sqrt(2.0 / n)
     mat[0] *= np.sqrt(0.5)
+    mat.flags.writeable = False
     return mat

@@ -6,7 +6,9 @@ gets only the graph data it reads: PNA layers and GCN stacks are called on
 dense operators it caches (segment plans for PNA, a normalized adjacency
 matrix for GCN); complete-graph networks are called on features alone,
 since their graph is every ordered pair of x's rows. Both pair heads (edge
-and bond type) are ``symmetric_pair_logits``. Every stack (``Mlp``, both
+and bond type) are ``symmetric_pair_logits``, three tape nodes: the
+endpoint rows (``T.pair_rows``), the MLP and the mean of the two
+orientations (``T.pair_mean``). Every stack (``Mlp``, both
 ``GcnStack`` flavors, ``FlowFieldNet``) holds its layers' ``spec``,
 ``(W, Wn, b)``, in one ``specs`` tuple built with it and hands that tuple
 to one ``T.relu_stack`` call: one tape node, and inside
@@ -83,11 +85,13 @@ class EdgeIndex:
         """D^-1/2 (A + I) D^-1/2 as a dense (n, n) matrix, where A[d, s]
         counts the edges s -> d and D is the in-degree of A + I, so
         ``gcn_matrix @ x`` is the self-loop-augmented, symmetrically
-        normalized neighbour sum. Treat as read-only."""
+        normalized neighbour sum. Read-only."""
         a = np.eye(self.n)
         np.add.at(a, (self.dst, self.src), 1.0)
         deg = a.sum(axis=1)
-        return a / np.sqrt(np.outer(deg, deg))
+        matrix = a / np.sqrt(np.outer(deg, deg))
+        matrix.flags.writeable = False
+        return matrix
 
 
 @lru_cache(maxsize=None)
@@ -252,17 +256,20 @@ class Mlp(Module):
 
 @lru_cache(maxsize=None)
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unordered pair index arrays (i < j); cached, treat as read-only."""
-    return np.triu_indices(n, k=1)
+    """Unordered pair index arrays (i < j); cached, read-only."""
+    i_idx, j_idx = np.triu_indices(n, k=1)
+    i_idx.flags.writeable = j_idx.flags.writeable = False
+    return i_idx, j_idx
 
 
 @lru_cache(maxsize=None)
 def pair_slots(n: int) -> np.ndarray:
     """(n, n) inverse of ``pair_indices(n)``: entries (i, j) and (j, i) hold
-    the index of pair {i, j}, the diagonal -1. Cached; treat as read-only."""
+    the index of pair {i, j}, the diagonal -1. Cached, read-only."""
     i_idx, j_idx = pair_indices(n)
     slots = np.full((n, n), -1, dtype=np.intp)
     slots[i_idx, j_idx] = slots[j_idx, i_idx] = np.arange(len(i_idx))
+    slots.flags.writeable = False
     return slots
 
 
@@ -284,10 +291,10 @@ def symmetric_pair_logits(mlp: Mlp, h: Tensor, e: EdgeIndex) -> Tensor:
     """(P, out) order-free pair scores, (B, P, out) for a batch h: the mean
     of mlp([h_i, h_j]) and mlp([h_j, h_i]), with the MLP run once over all
     2P rows of ``e``, the (i, j) rows then the (j, i) rows, as
-    ``edges_from_pairs`` lays them out."""
-    both = mlp(T.concat([T.gather_rows(h, e.src_plan), T.gather_rows(h, e.dst_plan)], axis=-1))
-    p = len(e) // 2
-    return T.mul(T.add(T.narrow(both, -2, 0, p), T.narrow(both, -2, p, p)), 0.5)
+    ``edges_from_pairs`` lays them out. Three tape nodes: ``T.pair_rows``
+    builds the rows, the MLP's ``T.relu_stack`` scores them and
+    ``T.pair_mean`` averages the two orientations."""
+    return T.pair_mean(mlp(T.pair_rows(h, e.src_plan, e.dst_plan)))
 
 
 @lru_cache(maxsize=None)
@@ -327,8 +334,9 @@ def egnn_distance_features(cloud) -> Tensor:
 TIME_MAX_FREQ = 8.0
 
 # the time features' four frequencies, spaced geometrically from 1 to
-# TIME_MAX_FREQ; treat as read-only
+# TIME_MAX_FREQ; read-only
 TIME_FREQS = np.array([TIME_MAX_FREQ ** (i / 3) for i in range(4)])
+TIME_FREQS.flags.writeable = False
 
 
 def time_features(t: float) -> np.ndarray:

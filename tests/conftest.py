@@ -61,6 +61,14 @@ def seeded_sum(out, g=None):
     return total
 
 
+def general_pair_logits(mlp, h, e):
+    """``gnn.symmetric_pair_logits`` from general ops: two ``gather_rows``,
+    a ``concat``, the MLP, two ``narrow``, an ``add`` and a ``mul``."""
+    both = mlp(T.concat([T.gather_rows(h, e.src_plan), T.gather_rows(h, e.dst_plan)], axis=-1))
+    p = len(e) // 2
+    return T.mul(T.add(T.narrow(both, -2, 0, p), T.narrow(both, -2, p, p)), 0.5)
+
+
 def mean_only(width: int) -> list:
     """A one-layer ``relu_stack`` whose output is the neighbour mean: a
     zero self weight, the identity on the neighbour path, no bias."""

@@ -1,22 +1,29 @@
 """Autoencoding stack: encode/decode contracts, bond typing, edges-as-nodes."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from moldiff import codec, flows
 from moldiff.chem import BOND_TYPES, ELEMENTS, BondType, Element, molgraph, parse_smiles
-from moldiff.diffcore import AdamState, Tape, adam_step, backward
+from moldiff.diffcore import AdamState, Tape, adam_step, backward, dct_matrix
 from moldiff.diffcore import tensor as T
 from moldiff.gnn import (
+    TIME_FREQS,
     TooFewPoints,
     bias_init,
     edges_from_pairs,
     glorot,
+    pair_edges,
     pair_indices,
     pair_node_edges,
+    pair_slots,
 )
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, general_pair_logits
+
+NINE_ATOMS = "CC(C)CC(=O)OCN"
 
 
 @pytest.fixture()
@@ -58,6 +65,18 @@ class TestEncode:
         leaves, center = points[degree == 1], points[degree == 3][0]
         assert np.allclose(leaves, leaves[0])
         assert np.abs(center - leaves[0]).max() > 1e-6
+
+    @pytest.mark.parametrize("smiles", ["C", NINE_ATOMS])
+    def test_first_layer_reads_the_cached_aggregate(self, smiles, models):
+        """The encoder's first PNA layer runs as its linear map on
+        ``encoder_aggregate(m)``, with the bits of the whole layer on the
+        one-hot atoms; the aggregate is built once per molecule."""
+        ae, at = models
+        m = parse_smiles(smiles)
+        e = codec.molecular_edges(m)
+        want = ae.enc2(T.relu(ae.enc1(T.tensor(codec.atom_onehot(m.atoms)), e)), e).data
+        assert codec.encode(ae, at, m)[:, :ae.z].tobytes() == want.tobytes()
+        assert codec.encoder_aggregate(m) is codec.encoder_aggregate(parse_smiles(smiles))
 
 
 class TestDecodeGnn:
@@ -298,6 +317,58 @@ class TestEdgeTypes:
         assert codec.edge_type_loss(etm, parse_smiles("C")) is None
 
 
+@pytest.mark.parametrize("smiles", ["CC", NINE_ATOMS])
+@pytest.mark.parametrize("head", ["decoder", "bond_type"])
+def test_pair_heads_same_bits_as_general_ops(head, smiles, monkeypatch):
+    """Each loss that runs a pair head has, in its value and every
+    parameter gradient, the bits it has with the head built from general
+    ops: the decoder's head at 2 and 9 atoms, the bond-type head on one
+    bond and on nine atoms."""
+    m = parse_smiles(smiles)
+    rng = np.random.default_rng(5)
+    if head == "decoder":
+        ae, at = codec.GraphAutoencoder(2, rng), codec.AtomTypeAutoencoder(rng)
+        params = [p for part in (ae, at) for _, p in part.named_params()]
+        build = partial(codec.reconstruction_loss, ae, at, m)
+    else:
+        etm = codec.EdgeTypeModel(rng)
+        params = [p for _, p in etm.named_params()]
+        build = partial(codec.edge_type_loss, etm, m)
+
+    def bits():
+        with Tape() as tape:
+            loss = build()
+        grads = backward(tape, loss)
+        return [loss.data.tobytes(), *(grads[p].tobytes() for p in params)]
+
+    got = bits()
+    monkeypatch.setattr(codec, "symmetric_pair_logits", general_pair_logits)
+    assert got == bits()
+
+
+# every array a cache hands out, by how to reach it
+CACHED_ARRAYS = {
+    "pair_indices.i": lambda: pair_indices(4)[0],
+    "pair_indices.j": lambda: pair_indices(4)[1],
+    "pair_slots": lambda: pair_slots(4),
+    "pair_targets": lambda: codec.pair_targets(parse_smiles("CCO")),
+    "gcn_matrix": lambda: pair_node_edges(3).gcn_matrix,
+    "member": lambda: pair_edges(4).src_plan.member,
+    "table": lambda: pair_edges(4).dst_plan.table,
+    "dct_matrix": lambda: dct_matrix(5),
+    "TIME_FREQS": lambda: TIME_FREQS,
+    "encoder_aggregate": lambda: codec.encoder_aggregate(parse_smiles("CCO")),
+    "edges_as_nodes": lambda: codec.build_edges_as_nodes(parse_smiles("CCO")).features,
+}
+
+
+@pytest.mark.parametrize("name", CACHED_ARRAYS)
+def test_cached_arrays_are_read_only(name):
+    a = CACHED_ARRAYS[name]()
+    with pytest.raises(ValueError, match="read-only"):
+        a[(0,) * a.ndim] = 1
+
+
 class TestEdgesAsNodes:
     def test_triangle_features(self):
         m = parse_smiles("C1CC1")
@@ -341,6 +412,10 @@ class TestEdgesAsNodes:
         b = codec.build_edges_as_nodes(parse_smiles("C1CN1"))
         assert a.edges is b.edges is pair_node_edges(3)
         assert codec.build_edges_as_nodes(parse_smiles("CCCO")).edges is not a.edges
+
+    def test_built_once_per_molecule(self):
+        g = codec.build_edges_as_nodes(parse_smiles("CCO"))
+        assert codec.build_edges_as_nodes(parse_smiles("CCO")) is g
 
     def test_input_space_roundtrip_shapes(self, rng):
         ae = codec.InputSpaceAutoencoder(2, rng, hidden=8)

@@ -212,6 +212,68 @@ class TestGradCheckPrimitives:
         assert fd_gradcheck(lambda: T.mse(a, T.tensor(tgt)), [a]) < 1e-4
 
 
+class TestPairOps:
+    """``pair_rows`` and ``pair_mean`` against the general ops they stand
+    for, and on their edge cases."""
+
+    SRC = T.SegmentPlan([0, 1, 3, 2, 4, 4], 5)
+    DST = T.SegmentPlan([2, 4, 1, 0, 1, 3], 5)
+
+    def test_pair_rows_same_bits_as_gather_and_concat(self, rng):
+        x = param(rng.standard_normal((5, 3)))
+        weights = rng.standard_normal((6, 6))
+        got = []
+        for build in (lambda: T.pair_rows(x, self.SRC, self.DST),
+                      lambda: T.concat([T.gather_rows(x, self.SRC),
+                                        T.gather_rows(x, self.DST)], axis=-1)):
+            with Tape() as tape:
+                out = build()
+                grads = backward(tape, seeded_sum(out, weights))
+            got.append((_bits(out.data), _bits(grads[x])))
+        assert got[0] == got[1]
+
+    def test_pair_mean_same_bits_as_narrow_add_mul(self, rng):
+        x = param(rng.standard_normal((8, 3)))
+        weights = rng.standard_normal((4, 3))
+        weights[1, 2] = -0.0  # the chain's gradient there is +0.0
+        got = []
+        for build in (lambda: T.pair_mean(x),
+                      lambda: T.mul(T.add(T.narrow(x, -2, 0, 4), T.narrow(x, -2, 4, 4)), 0.5)):
+            with Tape() as tape:
+                out = build()
+                grads = backward(tape, seeded_sum(out, weights))
+            got.append((_bits(out.data), _bits(grads[x])))
+        assert got[0] == got[1]
+
+    def test_zero_pairs(self):
+        x = param(np.ones((3, 2)))
+        none = T.SegmentPlan(np.empty(0, dtype=np.intp), 3)
+        with Tape() as tape:
+            rows = T.pair_rows(x, none, none)
+            mean = T.pair_mean(rows)
+            grads = backward(tape, seeded_sum(mean))
+        assert rows.data.shape == (0, 4) and mean.data.shape == (0, 4)
+        assert _bits(grads[x]) == _bits(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3), (4,)])
+    def test_pair_mean_needs_an_even_row_count(self, shape):
+        with pytest.raises(ShapeMismatch):
+            T.pair_mean(T.tensor(np.zeros(shape)))
+
+    def test_pair_rows_plans_of_one_length(self):
+        with pytest.raises(ShapeMismatch):
+            T.pair_rows(T.tensor(np.zeros((5, 3))), self.SRC, T.SegmentPlan([0, 1], 5))
+
+    def test_against_finite_differences(self, rng):
+        x = param(rng.standard_normal((5, 3)))
+        tgt = rng.standard_normal((3, 6))
+        assert fd_gradcheck(
+            lambda: T.mse(T.pair_mean(T.pair_rows(x, self.SRC, self.DST)), T.tensor(tgt)),
+            [x]) < 1e-4
+        y = param(rng.standard_normal((6, 2)))
+        assert fd_gradcheck(lambda: T.mse(T.pair_mean(y), T.tensor(tgt[:, :2])), [y]) < 1e-4
+
+
 class TestSigmoid:
     def test_saturates_without_a_warning(self):
         with warnings.catch_warnings():

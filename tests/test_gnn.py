@@ -28,7 +28,7 @@ from moldiff.gnn import (
     time_features,
 )
 
-from conftest import assert_close, per_layer_stack, seeded_sum
+from conftest import assert_close, general_pair_logits, per_layer_stack, seeded_sum
 
 
 def random_orthogonal(rng, d):
@@ -136,6 +136,33 @@ class TestPairHead:
                               mlp(T.concat([hj, hi], axis=1))), 0.5)
             want = T.backward(tape, seeded_sum(two, weights))[h]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # the decoder's head on a cloud of n rows: 4-wide rows, Mlp([8, 32, 1])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_same_bits_as_general_ops(self, n, rng):
+        mlp = Mlp([8, 32, 1], rng)
+        h = T.param(rng.standard_normal((n, 4)))
+        e = pair_edges(n)
+        weights = rng.standard_normal((len(e) // 2, 1))
+        params = [h, *(p for _, p in mlp.named_params())]
+        got = []
+        for head in (symmetric_pair_logits, general_pair_logits):
+            with T.Tape() as tape:
+                out = head(mlp, h, e)
+                grads = T.backward(tape, seeded_sum(out, weights))
+                # the head's nodes, then the seeded sum
+                assert len(tape) - 1 == (3 if head is symmetric_pair_logits else 8)
+            got.append([out.data.tobytes(), *(grads[p].tobytes() for p in params)])
+        assert got[0] == got[1]
+
+    def test_batch_entries_as_alone(self, rng):
+        mlp = Mlp([8, 16, 3], rng)
+        h = rng.standard_normal((3, 6, 4))
+        e = pair_edges(6)
+        whole = symmetric_pair_logits(mlp, T.tensor(h), e).data
+        assert whole.shape == (3, 15, 3)
+        for b in range(3):
+            assert whole[b].tobytes() == symmetric_pair_logits(mlp, T.tensor(h[b]), e).data.tobytes()
 
 
 class TestPna:

@@ -288,6 +288,16 @@ def test_heat_generation_encodes_nothing(trained, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("exp", ALL_EXPERIMENTS)
+def test_generation_caches_nothing_per_candidate(exp, trained):
+    """The codec's caches are keyed by training molecules, so sampling more
+    candidates does not grow them."""
+    caches = [f for f in vars(codec).values() if hasattr(f, "cache_info")]
+    sizes = [f.cache_info().currsize for f in caches]
+    harness.generate_molecules(trained[exp], 20, np.random.default_rng(4))
+    assert [f.cache_info().currsize for f in caches] == sizes
+
+
 def test_loading_encodes_the_subset_only_for_heat(trained, dataset, monkeypatch):
     calls = count_encodes(monkeypatch)
     harness.load_pipeline(trained["gnn_gaussian"].cfg, dataset)

@@ -50,7 +50,7 @@ def _reconstruction_loss_nodes(kind: str) -> int:
 
 
 def test_reconstruction_loss_nodes():
-    assert _reconstruction_loss_nodes("gnn") == 26
+    assert _reconstruction_loss_nodes("gnn") == 21
 
 
 def test_egnn_reconstruction_loss_nodes():
@@ -70,7 +70,7 @@ def test_edge_type_loss_nodes():
     etm = codec.EdgeTypeModel(np.random.default_rng(6))
     with Tape() as tape:
         codec.edge_type_loss(etm, m)
-    assert len(tape) == 11
+    assert len(tape) == 6
 
 
 def test_velocity_tensors(cloud, monkeypatch):

@@ -148,6 +148,8 @@ OPS = {
     "gather_rows": (lambda x: T.gather_rows(x, _FULL_PLAN), [(5, 3)]),
     "gather_rows_plan": (lambda x: T.gather_rows(x, _PLAN), [(5, 3)]),
     "row_sum": (T.row_sum, [(4, 3)]),
+    "pair_rows": (lambda x: T.pair_rows(x, _FULL_PLAN, _DST_PLAN), [(5, 3)]),
+    "pair_mean": (T.pair_mean, [(6, 3)]),
     "complete_mean": (lambda x: T.relu_stack(x, mean_only(3)), [(6, 3)]),
     "complete_stack": (
         lambda x, w, wn, b, w2, b2: T.relu_stack(x, [(w, wn, b), (w2, None, b2)]),
@@ -188,6 +190,8 @@ BATCH_OPS = {
     "affine": (T.affine, [(4, 3), (3, 5), (5,)], 1),
     "softmax": (T.softmax, [(4, 3)], 1),
     "row_sum": (T.row_sum, [(4, 3)], 1),
+    "pair_rows": OPS["pair_rows"] + (1,),
+    "pair_mean": OPS["pair_mean"] + (1,),
     "pna_aggregate": (lambda x: T.pna_aggregate(x, _FULL_PLAN, _DST_PLAN), [(5, 3)], 1),
     "complete_stack": OPS["complete_stack"] + (1,),
     "gcn_stack": OPS["gcn_stack"] + (1,),
