@@ -41,10 +41,8 @@ from array import array
 
 from .graph import BOND_TYPES, ELEMENTS, MolGraph
 
-# keyed by symbol and half-order rather than by member: Enum.__hash__ is a
-# Python-level call
-_ELEM_RANK = {el.symbol: r for r, el in enumerate(ELEMENTS)}
-_BOND_RANK = {bt.half_order: r for r, bt in enumerate(BOND_TYPES)}
+_ELEM_RANK = {el: r for r, el in enumerate(ELEMENTS)}
+_BOND_RANK = {bt: r for r, bt in enumerate(BOND_TYPES)}
 
 
 def _refine(nbrs: list[list[tuple[int, int]]], colours: list[int],
@@ -244,10 +242,10 @@ def canonical_key(m: MolGraph) -> bytes:
     one program version; do not store them.
     """
     n = m.n
-    elems = [_ELEM_RANK[a.symbol] for a in m.atoms]
+    elems = [_ELEM_RANK[a] for a in m.atoms]
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, j, t in m.bonds:
-        b = _BOND_RANK[t.half_order]
+        b = _BOND_RANK[t]
         nbrs[i].append((j, b))
         nbrs[j].append((i, b))
     comps = _components(nbrs)

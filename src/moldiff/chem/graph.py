@@ -22,6 +22,10 @@ class Element(Enum):
         self.symbol = symbol
         self.max_valence = max_valence
 
+    # members are singletons compared by identity, so hashing by identity
+    # keeps equality and runs in C, where Enum.__hash__ is a Python call
+    __hash__ = object.__hash__
+
     @classmethod
     def from_symbol(cls, symbol: str) -> "Element":
         for el in cls:
@@ -45,11 +49,16 @@ class BondType(Enum):
         self.label = label
         self.half_order = half_order
 
+    # see Element.__hash__
+    __hash__ = object.__hash__
+
 
 #: Fixed ordering used for bond-type class indices.
 BOND_TYPES: tuple[BondType, ...] = (
     BondType.SINGLE, BondType.DOUBLE, BondType.TRIPLE, BondType.AROMATIC,
 )
+# read per bond; see smiles._SINGLE
+_AROMATIC = BondType.AROMATIC
 
 
 @dataclass(frozen=True)
@@ -81,13 +90,6 @@ class MolGraph:
     @property
     def n(self) -> int:
         return len(self.atoms)
-
-    def adjacency(self) -> dict[int, list[tuple[int, BondType]]]:
-        adj: dict[int, list[tuple[int, BondType]]] = {i: [] for i in range(self.n)}
-        for i, j, t in self.bonds:
-            adj[i].append((j, t))
-            adj[j].append((i, t))
-        return adj
 
     def permuted(self, perm: list[int]) -> "MolGraph":
         """Relabel atoms: new index of old atom i is perm[i]."""
@@ -172,51 +174,55 @@ def _cycle_edges(m: MolGraph) -> set[tuple[int, int]]:
     return {edges[eid] for eid in range(len(edges)) if eid not in bridges}
 
 
-def _connected(m: MolGraph) -> bool:
-    if m.n == 1:
-        return True
-    adj = m.adjacency()
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for nxt, _ in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == m.n
-
-
 def check_validity(m: MolGraph) -> ValidityReport:
     """Check chemical soundness: valence caps, aromatic ring placement,
-    per-atom aromatic degree, and connectedness."""
-    violations: list[str] = []
+    per-atom aromatic degree, and connectedness.
 
-    half_sums = [0] * m.n
-    aromatic_deg = [0] * m.n
+    One pass over the bonds sums each atom's bond orders and counts its
+    aromatic bonds and its neighbours; connectedness is a walk over those
+    neighbour lists. Bridges are found only when an aromatic bond exists.
+    Violations are listed in that order: valence by atom, aromatic bonds
+    off a cycle by bond, lone aromatic bonds by atom, then disconnection.
+    """
+    n = m.n
+    half_sums = [0] * n
+    aromatic_deg = [0] * n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for i, j, t in m.bonds:
-        half_sums[i] += t.half_order
-        half_sums[j] += t.half_order
-        if t is BondType.AROMATIC:
+        half = t.half_order
+        half_sums[i] += half
+        half_sums[j] += half
+        if t is _AROMATIC:
             aromatic_deg[i] += 1
             aromatic_deg[j] += 1
+        nbrs[i].append(j)
+        nbrs[j].append(i)
 
+    violations: list[str] = []
     for i, el in enumerate(m.atoms):
         if half_sums[i] > 2 * el.max_valence:
             violations.append(
                 f"valence {_fmt_order(half_sums[i])} > {el.max_valence} at atom {i}"
             )
 
-    if any(t is BondType.AROMATIC for _, _, t in m.bonds):
+    if any(aromatic_deg):
         cyclic = _cycle_edges(m)
         for i, j, t in sorted(m.bonds):
-            if t is BondType.AROMATIC and (i, j) not in cyclic:
+            if t is _AROMATIC and (i, j) not in cyclic:
                 violations.append(f"aromatic bond ({i},{j}) not on a cycle")
-        for i in range(m.n):
+        for i in range(n):
             if aromatic_deg[i] == 1:
                 violations.append(f"atom {i} has exactly one aromatic bond")
 
-    if not _connected(m):
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    for u in reached:
+        for v in nbrs[u]:
+            if not seen[v]:
+                seen[v] = True
+                reached.append(v)
+    if len(reached) < n:
         violations.append("graph is disconnected")
 
     return ValidityReport(valid=not violations, violations=violations)

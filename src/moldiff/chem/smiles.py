@@ -6,7 +6,10 @@ symbols ``- = # :``, branches ``( )``, ring closures ``0``-``9`` and
 graph, including disconnected generation candidates, survives a write/parse
 round trip). Charges, stereo marks, isotopes, bracket atoms and explicit
 hydrogens are rejected rather than ignored; every parse error carries the
-byte offset where it was detected.
+offset where it was detected. The offset indexes the ``str``, which is a
+byte position only within ASCII text. Every character of the subset is
+ASCII, ring labels included, so a parse stops at the first non-ASCII
+character, and every offset it reports is also the UTF-8 byte position.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from .graph import BondType, Element, MolGraph
 
 
 class SmilesError(ValueError):
-    """Base class for parse failures; ``offset`` is a byte position."""
+    """Base class for parse failures; ``offset`` indexes the ``str`` (see
+    the module docstring for when it is also a byte position)."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
@@ -38,10 +42,18 @@ class UnbalancedParenthesis(SmilesError):
     pass
 
 
-_ALIPHATIC = {"C": Element.C, "N": Element.N, "O": Element.O, "F": Element.F}
-_AROMATIC = {"c": Element.C, "n": Element.N, "o": Element.O, "f": Element.F}
+_ATOMS = {
+    "C": (Element.C, False), "N": (Element.N, False),
+    "O": (Element.O, False), "F": (Element.F, False),
+    "c": (Element.C, True), "n": (Element.N, True),
+    "o": (Element.O, True), "f": (Element.F, True),
+}
 _BOND_CHARS = {"-": BondType.SINGLE, "=": BondType.DOUBLE,
                "#": BondType.TRIPLE, ":": BondType.AROMATIC}
+# read per bond: a module global reads several times faster than a member
+# looked up on its Enum class
+_SINGLE = BondType.SINGLE
+_AROMATIC = BondType.AROMATIC
 
 
 def parse_smiles(text: str) -> MolGraph:
@@ -49,13 +61,18 @@ def parse_smiles(text: str) -> MolGraph:
 
     Hydrogens stay implicit. Bonds between two aromatic atoms default to
     the aromatic type; all other unannotated bonds are single.
+
+    One pass reads the string, with one table lookup per atom. A chain
+    bond joins a new atom to an earlier one, so it cannot be a self-loop
+    or a duplicate and is stored unchecked; only a ring closure is checked
+    for both.
     """
     if text == "" or text.strip() == "":
         raise EmptyInput("empty SMILES", 0)
 
     atoms: list[Element] = []
     aromatic: list[bool] = []
-    bonds: dict[tuple[int, int], BondType] = {}
+    bonds: list[tuple[int, int, BondType]] = []
     # open ring closures: label -> (atom index, explicit bond or None, offset)
     rings: dict[int, tuple[int, BondType | None, int]] = {}
     # branch stack holds (previous atom, offset of '(')
@@ -65,59 +82,59 @@ def parse_smiles(text: str) -> MolGraph:
     pending: BondType | None = None
     pending_offset = 0
 
-    def add_bond(a: int, b: int, explicit: BondType | None, offset: int) -> None:
-        if a == b:
-            raise UnclosedRing("ring closure bonds an atom to itself", offset)
-        if a > b:
-            a, b = b, a
-        if (a, b) in bonds:
-            raise UnclosedRing(f"duplicate bond between atoms {a} and {b}", offset)
-        if explicit is not None:
-            bond = explicit
-        elif aromatic[a] and aromatic[b]:
-            bond = BondType.AROMATIC
-        else:
-            bond = BondType.SINGLE
-        bonds[(a, b)] = bond
-
-    def close_ring(label: int, offset: int) -> None:
-        nonlocal pending
-        if prev is None:
-            raise UnclosedRing("ring closure before any atom", offset)
-        if label in rings:
-            other, opening_bond, _ = rings.pop(label)
-            if pending is not None and opening_bond is not None and pending is not opening_bond:
-                raise UnclosedRing(f"conflicting bond types on ring closure {label}", offset)
-            add_bond(prev, other, pending if pending is not None else opening_bond, offset)
-        else:
-            rings[label] = (prev, pending, offset)
-        pending = None
-
     i = 0
     length = len(text)
     while i < length:
         ch = text[i]
-        if ch in _ALIPHATIC or ch in _AROMATIC:
-            atoms.append(_ALIPHATIC.get(ch) or _AROMATIC[ch])
-            aromatic.append(ch in _AROMATIC)
-            idx = len(atoms) - 1
+        atom = _ATOMS.get(ch)
+        if atom is not None:
+            el, arom = atom
+            idx = len(atoms)
+            atoms.append(el)
+            aromatic.append(arom)
             if prev is not None:
-                add_bond(prev, idx, pending, i)
-            pending = None
+                if pending is None:
+                    bonds.append((prev, idx, _AROMATIC if arom and aromatic[prev] else _SINGLE))
+                else:
+                    bonds.append((prev, idx, pending))
+                    pending = None
             prev = idx
-        elif ch in _BOND_CHARS:
+        elif (bond := _BOND_CHARS.get(ch)) is not None:
             if prev is None:
                 raise UnsupportedAtom("bond symbol before any atom", i)
-            pending = _BOND_CHARS[ch]
+            pending = bond
             pending_offset = i
-        elif ch.isdigit():
-            close_ring(int(ch), i)
-        elif ch == "%":
-            two = text[i + 1:i + 3]
-            if len(two) < 2 or not two.isdigit():
-                raise UnclosedRing("malformed %nn ring closure", i)
-            close_ring(int(two), i)
-            i += 2
+        elif "0" <= ch <= "9" or ch == "%":
+            if ch == "%":
+                two = text[i + 1:i + 3]
+                if len(two) < 2 or not (two.isascii() and two.isdigit()):
+                    raise UnclosedRing("malformed %nn ring closure", i)
+                label = int(two)
+            else:
+                label = ord(ch) - 48
+            if prev is None:
+                raise UnclosedRing("ring closure before any atom", i)
+            opened = rings.pop(label, None)
+            if opened is None:
+                rings[label] = (prev, pending, i)
+            else:
+                other, opening, _ = opened
+                if pending is None:
+                    pending = opening
+                elif opening is not None and pending is not opening:
+                    raise UnclosedRing(f"conflicting bond types on ring closure {label}", i)
+                if other == prev:
+                    raise UnclosedRing("ring closure bonds an atom to itself", i)
+                a, b = (other, prev) if other < prev else (prev, other)
+                for x, y, _ in bonds:
+                    if x == a and y == b:
+                        raise UnclosedRing(f"duplicate bond between atoms {a} and {b}", i)
+                if pending is None:
+                    pending = _AROMATIC if aromatic[a] and aromatic[b] else _SINGLE
+                bonds.append((a, b, pending))
+            pending = None
+            if ch == "%":
+                i += 2
         elif ch == "(":
             if prev is None:
                 raise UnbalancedParenthesis("branch opened before any atom", i)
@@ -148,7 +165,7 @@ def parse_smiles(text: str) -> MolGraph:
     if not atoms:
         raise EmptyInput("no atoms in SMILES", 0)
 
-    return MolGraph(tuple(atoms), frozenset((a, b, t) for (a, b), t in bonds.items()))
+    return MolGraph(tuple(atoms), frozenset(bonds))
 
 
 def write_smiles(m: MolGraph) -> str:

@@ -33,6 +33,8 @@ from moldiff.chem import (
     write_smiles,
 )
 
+from conftest import reference_check_validity, reference_parse_smiles
+
 
 def bonds_of(m):
     return sorted((i, j, t.name) for i, j, t in m.bonds)
@@ -96,6 +98,36 @@ class TestParse:
         with pytest.raises(UnsupportedAtom) as ei:
             parse_smiles("CCCX")
         assert ei.value.offset == 3
+
+    @pytest.mark.parametrize("text", ["CC(é", "CC(éC)", "CC(\u00b2"])
+    def test_offset_indexes_the_str(self, text):
+        # the parse stops at the first non-ASCII character, so the offset
+        # is a str index and a UTF-8 byte position alike
+        with pytest.raises(UnsupportedAtom) as ei:
+            parse_smiles(text)
+        assert ei.value.offset == 3 == len(text[:3].encode("utf-8"))
+        assert not text[ei.value.offset].isascii()
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("C\u00b2", UnsupportedAtom, "unsupported character '\u00b2'"),
+        ("C\u0663CC\u0663", UnsupportedAtom, "unsupported character '\u0663'"),
+        ("C%\u00b2\u00b2CC%\u00b2\u00b2", UnclosedRing, "malformed %nn ring closure"),
+        ("C%\u0663\u0663CC%\u0663\u0663", UnclosedRing, "malformed %nn ring closure"),
+    ])
+    def test_ring_labels_are_ascii_digits(self, text, error, message):
+        # str.isdigit() accepts superscripts and Arabic-Indic digits
+        with pytest.raises(error) as ei:
+            parse_smiles(text)
+        assert ei.value.offset == 1
+        assert str(ei.value) == f"{message} at offset 1"
+
+    def test_non_ascii_digit_line_is_unparsed(self, tmp_path):
+        path = tmp_path / "digits.smi"
+        path.write_text("CCO\nC\u00b2\nC\u0663CC\u0663\nC%\u0663\u0663CC%\u0663\u0663\nCC\n",
+                        encoding="utf-8")
+        assert [m is None for m in read_smiles(path)] == [False, True, True, True, False]
+        ds = load_dataset(path)
+        assert (len(ds), ds.skipped) == (2, 3)
 
 
 class TestWrite:
@@ -442,6 +474,100 @@ class TestProperties:
     def test_key_permutation_invariant(self, m, perm_seed):
         perm = list(np.random.default_rng(perm_seed).permutation(m.n))
         assert canonical_key(m.permuted(perm)) == canonical_key(m)
+
+
+def parse_outcome(parse, text):
+    """The MolGraph ``parse`` returns for ``text``, or the class, message
+    and offset of the error it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+#: the SMILES alphabet with a space and one unsupported letter
+FUZZ_ALPHABET = "CNOFcnof-=#:()0123456789%. S"
+
+
+class TestParseEquivalence:
+    """``parse_smiles`` gives what the reference parser gives: the same
+    MolGraph, or the same error class, message and offset."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_corpus_smiles(self, seed):
+        for m in synthetic_molecules(2000, seed=seed):
+            text = write_smiles(m)
+            assert parse_smiles(text) == reference_parse_smiles(text), text
+
+    @given(st.text(alphabet=FUZZ_ALPHABET, max_size=24))
+    @settings(max_examples=2000, deadline=None)
+    def test_fuzz(self, text):
+        assert parse_outcome(parse_smiles, text) == parse_outcome(reference_parse_smiles, text)
+
+    def test_one_character_mutations(self):
+        rng = np.random.default_rng(5)
+        texts = [write_smiles(m) for m in synthetic_molecules(300, seed=23)]
+        for _ in range(6000):
+            text = texts[rng.integers(len(texts))]
+            at = int(rng.integers(len(text) + 1))
+            ch = FUZZ_ALPHABET[rng.integers(len(FUZZ_ALPHABET))]
+            kind = rng.integers(3)
+            if kind == 0:
+                text = text[:at] + ch + text[at + 1:]
+            elif kind == 1:
+                text = text[:at] + ch + text[at:]
+            else:
+                text = text[:at] + text[at + 1:]
+            assert parse_outcome(parse_smiles, text) == \
+                parse_outcome(reference_parse_smiles, text), text
+
+
+def disjoint_union(a, b):
+    return MolGraph(a.atoms + b.atoms, a.bonds | frozenset(
+        (i + a.n, j + a.n, t) for i, j, t in b.bonds))
+
+
+def with_bond_type(m, t):
+    return MolGraph(m.atoms, frozenset((i, j, t) for i, j, _ in m.bonds))
+
+
+class TestValidityEquivalence:
+    """``check_validity`` gives the reference's report: the same verdict and
+    the same violations in the same order."""
+
+    def test_corpus(self):
+        for seed in (3, 17):
+            for m in synthetic_molecules(2000, seed=seed):
+                assert check_validity(m) == reference_check_validity(m)
+
+    def test_disjoint_unions(self, corpus):
+        mols = corpus.molecules
+        for a, b in zip(mols[:100], mols[100:200]):
+            for m in (disjoint_union(a, b), disjoint_union(disjoint_union(b, a), a)):
+                report = check_validity(m)
+                assert report == reference_check_validity(m)
+                assert report.violations[-1] == "graph is disconnected"
+
+    @pytest.mark.parametrize("bond", BOND_TYPES)
+    def test_every_bond_of_one_type(self, corpus, bond):
+        # all-double and all-triple bonds put most atoms over valence;
+        # all-aromatic bonds put them off cycles and leave lone aromatic atoms
+        for m in corpus.molecules:
+            m = with_bond_type(m, bond)
+            assert check_validity(m) == reference_check_validity(m)
+
+    @pytest.mark.parametrize("text", [
+        "C", "N", "O", "F", "c", "C:C", "c1ccccc1:C", "c1ccccc1-c", "C1CC:C1",
+        "FC(F)(F)(F)F", "C#C#C", "c1cc:c:c1.C=C=C=C",
+    ])
+    def test_listed_molecules(self, text):
+        m = parse_smiles(text)
+        assert check_validity(m) == reference_check_validity(m)
+
+    @given(st.integers(1, 7).flatmap(typed_graphs))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, m):
+        assert check_validity(m) == reference_check_validity(m)
 
 
 class TestDataset:

@@ -231,6 +231,19 @@ class TestEvaluateCommand:
         assert printed["validity"] == pytest.approx(200.0 / 3)
         assert printed["uniqueness"] == 100.0 and printed["novelty"] == 50.0
 
+    def test_non_ascii_digit_counts_as_unparsed(self, tmp_path, capsys):
+        # int() of '\u00b2' raises a bare ValueError, and '\u0663' is a digit
+        # to str.isdigit(); neither is a ring label
+        candidates = tmp_path / "candidates.smi"
+        candidates.write_text("CCO\nC\u00b2\nC\u0663CC\u0663\nCCN\n", encoding="utf-8")
+        training = tmp_path / "train.smi"
+        training.write_text("CCO\nC\u00b2\n", encoding="utf-8")
+        assert cli.main(["evaluate", "--candidates", str(candidates),
+                         "--dataset", str(training)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["count"] == 4 and printed["unparsed"] == 2
+        assert printed["validity"] == 50.0 and printed["novelty"] == 50.0
+
     def test_no_line_parses(self, tmp_path, capsys):
         candidates = tmp_path / "candidates.smi"
         candidates.write_text("C(\nC1CC\n", encoding="utf-8")
