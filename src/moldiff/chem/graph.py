@@ -77,6 +77,11 @@ class MolGraph:
         n = len(self.atoms)
         if n < 1:
             raise ValueError("a molecule has at least one atom")
+        # one int per in-range pair: the set is full exactly when no bond is
+        # out of range, a self-loop or a duplicate pair, and only otherwise
+        # does the loop below look for the first bad bond
+        if len({i * n + j for i, j, _ in self.bonds if 0 <= i < j < n}) == len(self.bonds):
+            return
         seen: set[tuple[int, int]] = set()
         for i, j, _ in self.bonds:
             if i == j:

@@ -307,6 +307,23 @@ def reference_check_validity(m: MolGraph) -> ValidityReport:
     return ValidityReport(valid=not violations, violations=violations)
 
 
+def reference_check_bonds(atoms: tuple[Element, ...], bonds: frozenset) -> None:
+    """``MolGraph.__post_init__``'s checks as one loop over every bond, with
+    no set of pair ints first: it raises the error the constructor raises."""
+    n = len(atoms)
+    if n < 1:
+        raise ValueError("a molecule has at least one atom")
+    seen: set[tuple[int, int]] = set()
+    for i, j, _ in bonds:
+        if i == j:
+            raise ValueError(f"self-loop at atom {i}")
+        if not (0 <= i < j < n):
+            raise ValueError(f"bond ({i},{j}) out of range for {n} atoms")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate bond ({i},{j})")
+        seen.add((i, j))
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """Session-wide synthetic molecule dataset."""

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 import time
 
 import numpy as np
@@ -32,8 +33,9 @@ from moldiff.chem import (
     synthetic_molecules,
     write_smiles,
 )
+from moldiff.chem import canon
 
-from conftest import reference_check_validity, reference_parse_smiles
+from conftest import reference_check_bonds, reference_check_validity, reference_parse_smiles
 
 
 def bonds_of(m):
@@ -222,6 +224,25 @@ class TestCanonicalKey:
         for _ in range(30):
             assert canonical_key(m.permuted(list(rng.permutation(m.n)))) == key
 
+    def test_xylenes_differ(self):
+        keys = {canonical_key(parse_smiles(s))
+                for s in ("Cc1ccccc1C", "Cc1cccc(C)c1", "Cc1ccc(C)cc1")}
+        assert len(keys) == 3
+
+    def test_ring_read_both_ways(self):
+        # one ring, spelled from the F-bearing atom in opposite directions
+        assert canonical_key(parse_smiles("FC1=CCNC1")) == canonical_key(parse_smiles("FC1CNCC=1"))
+
+    def test_ring_sizes_differ(self):
+        assert canonical_key(parse_smiles("C1CC1")) != canonical_key(parse_smiles("C1CCC1"))
+
+    def test_twin_branches_on_a_ring_atom(self):
+        m = parse_smiles("CC1(C)CCCCC1")
+        key = canonical_key(m)
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            assert canonical_key(m.permuted(list(rng.permutation(m.n)))) == key
+
 
 def _best_of_3_ms(fn):
     best = float("inf")
@@ -234,7 +255,8 @@ def _best_of_3_ms(fn):
 
 class TestCanonicalKeyTime:
     """Symmetric graphs key in bounded time: the search prunes by
-    automorphisms, and trees, however long or wide, skip it."""
+    automorphisms, and trees and one-cycle graphs, however long or wide,
+    skip it."""
 
     @pytest.mark.parametrize("bonds", [
         pytest.param([], id="bondless-9"),
@@ -254,6 +276,18 @@ class TestCanonicalKeyTime:
         m = molgraph(["C"] * 2000, [(i, j, BondType.SINGLE) for i, j in bonds])
         assert _best_of_3_ms(lambda: canonical_key(m)) < 250
         perm = list(np.random.default_rng(4).permutation(m.n))
+        assert canonical_key(m.permuted(perm)) == canonical_key(m)
+
+    @pytest.mark.parametrize("fluorines", [
+        pytest.param(0, id="ring-2000"),
+        pytest.param(1000, id="ring-2000-every-other-F"),
+    ])
+    def test_large_ring(self, fluorines):
+        bonds = [(i, (i + 1) % 2000) for i in range(2000)]
+        bonds += [(2 * f, 2000 + f) for f in range(fluorines)]
+        m = molgraph(["C"] * 2000 + ["F"] * fluorines, [(i, j, BondType.SINGLE) for i, j in bonds])
+        assert _best_of_3_ms(lambda: canonical_key(m)) < 250
+        perm = list(np.random.default_rng(9).permutation(m.n))
         assert canonical_key(m.permuted(perm)) == canonical_key(m)
 
     def test_load_dotted_carbons(self, tmp_path):
@@ -446,6 +480,39 @@ def forest_pairs(draw):
     return a, b.permuted(draw(st.permutations(range(n))))
 
 
+@st.composite
+def typed_cyclic(draw, n, extra):
+    """Random connected graph on n atoms over a drawn subset of elements and
+    bond types: a tree from a Prüfer sequence and ``extra`` more bonds, each
+    of which closes one more independent cycle."""
+    elements = ELEMENTS[:draw(st.integers(1, len(ELEMENTS)))]
+    bond_types = BOND_TYPES[:draw(st.integers(1, len(BOND_TYPES)))]
+    atoms = draw(st.lists(st.sampled_from(elements), min_size=n, max_size=n))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    edges = [(min(i, j), max(i, j)) for i, j in prufer_edges(n, seq)]
+    if extra:
+        others = [p for p in itertools.combinations(range(n), 2) if p not in edges]
+        edges += draw(st.lists(st.sampled_from(others), min_size=extra, max_size=extra,
+                               unique=True))
+    kinds = draw(st.lists(st.sampled_from(bond_types), min_size=len(edges), max_size=len(edges)))
+    return MolGraph(tuple(atoms), frozenset((i, j, t) for (i, j), t in zip(edges, kinds)))
+
+
+@st.composite
+def cyclic_pairs(draw, sizes, extra):
+    """Two ``typed_cyclic`` graphs of one size; the second is often a
+    relabelled copy of the first."""
+    n = draw(sizes)
+    a = draw(typed_cyclic(n, extra))
+    b = a if draw(st.booleans()) else draw(typed_cyclic(n, extra))
+    return a, b.permuted(draw(st.permutations(range(n))))
+
+
+def unicyclic_pairs():
+    """Two graphs with one cycle each, of one size up to 7."""
+    return cyclic_pairs(st.integers(3, 7), 1)
+
+
 def brute_force_isomorphic(a, b):
     return any(a.permuted(list(perm)) == b for perm in itertools.permutations(range(a.n)))
 
@@ -464,6 +531,33 @@ class TestProperties:
         a, b = pair
         assert (canonical_key(a) == canonical_key(b)) == brute_force_isomorphic(a, b)
 
+    @given(unicyclic_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_unicyclic_key_equality_is_isomorphism(self, pair):
+        a, b = pair
+        assert (canonical_key(a) == canonical_key(b)) == brute_force_isomorphic(a, b)
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_least_rotation_is_the_smallest(self, s):
+        assert canon._least_rotation(s) == min(s[r:] + s[:r] for r in range(len(s)))
+
+    @given(cyclic_pairs(st.integers(1, 4), 0), cyclic_pairs(st.integers(3, 5), 1),
+           cyclic_pairs(st.integers(4, 5), 2), st.permutations(range(3)),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_union_key_equality_is_isomorphism(self, tree, ring, rings, order, perm_seed):
+        # a tree, a one-cycle and a two-cycle component: each union holds one
+        # of each kind, so two unions are isomorphic exactly when each pair of
+        # components is, and the join of the three encodings is what differs
+        pairs = (tree, ring, rings)
+        a = disjoint_union(disjoint_union(tree[0], ring[0]), rings[0])
+        b = disjoint_union(disjoint_union(pairs[order[0]][1], pairs[order[1]][1]),
+                           pairs[order[2]][1])
+        b = b.permuted(list(np.random.default_rng(perm_seed).permutation(b.n)))
+        assert (canonical_key(a) == canonical_key(b)) == \
+            all(brute_force_isomorphic(x, y) for x, y in pairs)
+
     @given(random_molecules())
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_preserves_key(self, m):
@@ -474,6 +568,107 @@ class TestProperties:
     def test_key_permutation_invariant(self, m, perm_seed):
         perm = list(np.random.default_rng(perm_seed).permutation(m.n))
         assert canonical_key(m.permuted(perm)) == canonical_key(m)
+
+
+def searched_encoding(m):
+    """The refine-and-search encoding of a connected molecule, which
+    ``canonical_key`` keeps for components with several cycles."""
+    elems = [ELEMENTS.index(a) for a in m.atoms]
+    nbrs = [[] for _ in range(m.n)]
+    for i, j, t in m.bonds:
+        b = BOND_TYPES.index(t)
+        nbrs[i].append((j, b))
+        nbrs[j].append((i, b))
+    return (m.n, len(m.bonds), *canon._searched_code(elems, nbrs))
+
+
+def partition(keys):
+    """Each item's class, numbered in order of first appearance."""
+    first = {}
+    return [first.setdefault(k, len(first)) for k in keys]
+
+
+class TestSearchFreeKeys:
+    """One-cycle molecules are keyed from their cycle into the classes that
+    refinement and search give them, and neither trees nor one-cycle
+    molecules reach refinement or the search."""
+
+    @pytest.mark.parametrize("seed", [2, 19])
+    def test_one_cycle_partition_equals_search(self, seed):
+        mols = [m for m in synthetic_molecules(2000, seed=seed) if len(m.bonds) == m.n]
+        rng = np.random.default_rng(seed)
+        mols += [m.permuted(list(rng.permutation(m.n))) for m in mols]
+        classes = partition(map(canonical_key, mols))
+        assert classes == partition(map(searched_encoding, mols))
+        assert max(classes) + 1 < len(mols) // 2
+
+    def test_trees_and_one_cycle_molecules_skip_the_search(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("refinement or search ran")
+
+        mols = [m for m in synthetic_molecules(2000, seed=2) if len(m.bonds) <= m.n]
+        monkeypatch.setattr(canon, "_refine", refused)
+        monkeypatch.setattr(canon, "_search", refused)
+        for m in mols:
+            canonical_key(m)
+
+
+@st.composite
+def bond_sets(draw):
+    """An atom count and a bond set; half of the sets also hold drawn faults:
+    self-loops, reversed pairs, out-of-range indices and second bonds of
+    another type on a pair."""
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    kinds = draw(st.lists(st.sampled_from((None,) + BOND_TYPES),
+                          min_size=len(pairs), max_size=len(pairs)))
+    bonds = {(i, j, t) for (i, j), t in zip(pairs, kinds) if t is not None}
+    if draw(st.booleans()):
+        index = st.integers(-1, n)
+        bond_type = st.sampled_from(BOND_TYPES)
+        bonds |= set(draw(st.lists(st.tuples(index, index, bond_type), max_size=3)))
+        if pairs:
+            for (i, j), t, flip in draw(st.lists(
+                    st.tuples(st.sampled_from(pairs), bond_type, st.booleans()), max_size=2)):
+                bonds.add((j, i, t) if flip else (i, j, t))
+    return n, frozenset(bonds)
+
+
+def construct_outcome(build, atoms, bonds):
+    """None if ``build`` accepts the bonds, else the class and message of
+    the error it raises."""
+    try:
+        build(atoms, bonds)
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+class TestMolGraphChecks:
+    """``MolGraph`` accepts and refuses the bond sets the reference loop
+    does, with the same error."""
+
+    @pytest.mark.parametrize("n, bonds, message", [
+        (3, [(1, 1)], "self-loop at atom 1"),
+        (3, [(1, 0)], "bond (1,0) out of range for 3 atoms"),
+        (3, [(-1, 2)], "bond (-1,2) out of range for 3 atoms"),
+        (3, [(0, 3)], "bond (0,3) out of range for 3 atoms"),
+    ])
+    def test_each_fault_is_refused(self, n, bonds, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MolGraph((Element.C,) * n, frozenset((i, j, BondType.SINGLE) for i, j in bonds))
+
+    def test_second_bond_on_a_pair_is_refused(self):
+        with pytest.raises(ValueError, match=r"^duplicate bond \(0,1\)$"):
+            MolGraph((Element.C,) * 2, frozenset({(0, 1, BondType.SINGLE), (0, 1, BondType.DOUBLE)}))
+
+    @given(bond_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_as_the_loop(self, case):
+        n, bonds = case
+        atoms = (Element.C,) * n
+        assert construct_outcome(MolGraph, atoms, bonds) == \
+            construct_outcome(reference_check_bonds, atoms, bonds)
 
 
 def parse_outcome(parse, text):
