@@ -3,13 +3,17 @@ reference implementations that tests compare the fast paths against."""
 
 from __future__ import annotations
 
+import hashlib
 import os
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from moldiff.chem import (
+    BOND_TYPES,
+    ELEMENTS,
     BondType,
     Element,
     EmptyInput,
@@ -322,6 +326,246 @@ def reference_check_bonds(atoms: tuple[Element, ...], bonds: frozenset) -> None:
         if (i, j) in seen:
             raise ValueError(f"duplicate bond ({i},{j})")
         seen.add((i, j))
+
+
+_REF_ELEM_RANK = {el: r for r, el in enumerate(ELEMENTS)}
+_REF_BOND_RANK = {bt: r for r, bt in enumerate(BOND_TYPES)}
+
+
+def _ref_refine(nbrs, colours, cells):
+    n = len(colours)
+    while cells < n:
+        sigs = [(colours[i], sorted([colours[j] * 4 + b for j, b in nb]))
+                for i, nb in enumerate(nbrs)]
+        new = [0] * n
+        prev = None
+        count = start = 0
+        for pos, i in enumerate(sorted(range(n), key=sigs.__getitem__)):
+            if sigs[i] != prev:
+                prev, start = sigs[i], pos
+                count += 1
+            new[i] = start
+        if count == cells:
+            break
+        colours, cells = new, count
+    return colours, cells
+
+
+def _ref_edge_code(lab, edges):
+    n = len(lab)
+    out = []
+    for i, j, b in edges:
+        a, c = lab[i], lab[j]
+        out.append(((a * n + c) if a < c else (c * n + a)) * 4 + b)
+    out.sort()
+    return out
+
+
+def _ref_orbits(n, gens):
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for g in gens:
+        for x, y in enumerate(g):
+            a, b = find(x), find(y)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
+def _ref_search(nbrs, edges, colours, cells):
+    n = len(colours)
+    autos = []
+    leaves = []
+
+    def leaf(lab, path):
+        code = _ref_edge_code(lab, edges)
+        if not leaves:
+            leaves.extend([(code, lab, path)] * 2)
+            return len(path) - 1
+        for ref_code, ref_lab, ref_path in leaves:
+            if code == ref_code:
+                at = [0] * n
+                for u, p in enumerate(lab):
+                    at[p] = u
+                autos.append([at[p] for p in ref_lab])
+                return next(d for d, (u, v) in enumerate(zip(ref_path, path)) if u != v)
+        if code < leaves[1][0]:
+            leaves[1] = (code, lab, path)
+        return len(path) - 1
+
+    def node(colours, cells, path):
+        depth = len(path)
+        sizes = [0] * n
+        for c in colours:
+            sizes[c] += 1
+        target = next(c for c in range(n) if sizes[c] > 1)
+        cell = [v for v in range(n) if colours[v] == target]
+        done = []
+        orbit = []
+        known = -1
+        for v in cell:
+            if done:
+                if known != len(autos):
+                    known = len(autos)
+                    orbit = _ref_orbits(n, [g for g in autos if all(g[u] == u for u in path)])
+                if any(orbit[u] == orbit[v] for u in done):
+                    continue
+            done.append(v)
+            child = colours[:]
+            for u in cell:
+                if u != v:
+                    child[u] = target + 1
+            child, child_cells = _ref_refine(nbrs, child, cells + 1)
+            if child_cells == n:
+                back = leaf(child, path + [v])
+            else:
+                back = node(child, child_cells, path + [v])
+            if back < depth:
+                return back
+        return depth - 1
+
+    node(colours, cells, [])
+    return leaves[1][0]
+
+
+def _ref_name_layer(layer, elems, nbrs, name, names, code):
+    sigs = []
+    for v in layer:
+        kids = sorted([name[u] * 4 + b for u, b in nbrs[v] if name[u] >= 0])
+        sigs.append(((elems[v], len(kids), *kids), v))
+    sigs.sort()
+    for sig, v in sigs:
+        name[v] = names.setdefault(sig, len(names))
+        code.extend(sig)
+
+
+def _ref_peel(elems, nbrs):
+    deg = [len(nb) for nb in nbrs]
+    name = [-1] * len(elems)
+    names = {}
+    code = []
+    layer = [v for v, d in enumerate(deg) if d < 2]
+    while True:
+        _ref_name_layer(layer, elems, nbrs, name, names, code)
+        nxt = []
+        for v in layer:
+            for u, _ in nbrs[v]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    nxt.append(u)
+        if not nxt:
+            return name, names, code, layer
+        layer = nxt
+
+
+def _ref_least_rotation(s):
+    k = len(s)
+    d = s + s
+    i, j, m = 0, 1, 0
+    while i < k and j < k and m < k:
+        a, b = d[i + m], d[j + m]
+        if a == b:
+            m += 1
+            continue
+        if a > b:
+            i += m + 1
+        else:
+            j += m + 1
+        if i == j:
+            j += 1
+        m = 0
+    i = min(i, j)
+    return d[i:i + k]
+
+
+def _ref_searched_code(elems, nbrs):
+    n = len(elems)
+    edges = [(i, j, b) for i, nb in enumerate(nbrs) for j, b in nb if i < j]
+    counts = [0] * len(ELEMENTS)
+    for e in elems:
+        counts[e] += 1
+    starts = [sum(counts[:e]) for e in range(len(ELEMENTS))]
+    colours, cells = _ref_refine(nbrs, [starts[e] for e in elems],
+                                 sum(1 for c in counts if c))
+    code = _ref_search(nbrs, edges, colours, cells) if cells < n else _ref_edge_code(colours, edges)
+    return [*sorted(elems), *code]
+
+
+def _ref_component_code(elems, nbrs):
+    n = len(elems)
+    edges = sum(map(len, nbrs)) // 2
+    if edges == n - 1:
+        _, _, code, layer = _ref_peel(elems, nbrs)
+        if len(layer) == 2:
+            code.append(next(b for u, b in nbrs[layer[0]] if u == layer[1]))
+        return (n, n - 1, *code)
+    if edges == n:
+        name, names, code, _ = _ref_peel(elems, nbrs)
+        ring = []
+        bonds = []
+        prev, v = -1, name.index(-1)
+        while not ring or v != ring[0]:
+            u, b = next((u, b) for u, b in nbrs[v] if name[u] < 0 and u != prev)
+            ring.append(v)
+            bonds.append(b)
+            prev, v = v, u
+        _ref_name_layer(ring, elems, nbrs, name, names, code)
+        fwd = [name[v] * 4 + b for v, b in zip(ring, bonds)]
+        back = [name[ring[i]] * 4 + bonds[i - 1] for i in range(len(ring) - 1, -1, -1)]
+        for t in min(_ref_least_rotation(fwd), _ref_least_rotation(back)):
+            code.extend(divmod(t, 4))
+        return (n, n, len(ring), *code)
+    return (n, edges, *_ref_searched_code(elems, nbrs))
+
+
+def _ref_adjacency(m):
+    elems = [_REF_ELEM_RANK[a] for a in m.atoms]
+    nbrs = [[] for _ in range(m.n)]
+    for i, j, t in m.bonds:
+        b = _REF_BOND_RANK[t]
+        nbrs[i].append((j, b))
+        nbrs[j].append((i, b))
+    return elems, nbrs
+
+
+def reference_canonical_key(m: MolGraph) -> bytes:
+    """``chem.canonical_key`` with no peel of the whole graph: every graph
+    is split into components first, and a component with several cycles is
+    refined and searched whole, from element colours. Tree and one-cycle
+    components get the encodings ``canonical_key`` gives them, so their
+    keys are the same bytes; other keys differ but fall into the same
+    classes."""
+    elems, nbrs = _ref_adjacency(m)
+    seen = [False] * m.n
+    parts = []
+    for root in range(m.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for u in comp:
+            for v, _ in nbrs[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+        comp.sort()
+        loc = {v: k for k, v in enumerate(comp)}
+        parts.append(_ref_component_code([elems[v] for v in comp],
+                                         [[(loc[j], b) for j, b in nbrs[v]] for v in comp]))
+    parts.sort()
+    return hashlib.sha256(array("q", [x for part in parts for x in part])).digest()
+
+
+def reference_searched_encoding(m: MolGraph) -> tuple[int, ...]:
+    """The reference's refine-and-search encoding of a connected molecule,
+    whatever its cycles: a complete invariant to compare partitions with."""
+    elems, nbrs = _ref_adjacency(m)
+    return (m.n, len(m.bonds), *_ref_searched_code(elems, nbrs))
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,13 @@ from moldiff.chem import (
 )
 from moldiff.chem import canon
 
-from conftest import reference_check_bonds, reference_check_validity, reference_parse_smiles
+from conftest import (
+    reference_canonical_key,
+    reference_check_bonds,
+    reference_check_validity,
+    reference_parse_smiles,
+    reference_searched_encoding,
+)
 
 
 def bonds_of(m):
@@ -255,8 +261,8 @@ def _best_of_3_ms(fn):
 
 class TestCanonicalKeyTime:
     """Symmetric graphs key in bounded time: the search prunes by
-    automorphisms, and trees and one-cycle graphs, however long or wide,
-    skip it."""
+    automorphisms, trees and one-cycle graphs, however long or wide, skip
+    it, and a graph with several cycles refines only its 2-core."""
 
     @pytest.mark.parametrize("bonds", [
         pytest.param([], id="bondless-9"),
@@ -288,6 +294,16 @@ class TestCanonicalKeyTime:
         m = molgraph(["C"] * 2000 + ["F"] * fluorines, [(i, j, BondType.SINGLE) for i, j in bonds])
         assert _best_of_3_ms(lambda: canonical_key(m)) < 250
         perm = list(np.random.default_rng(9).permutation(m.n))
+        assert canonical_key(m.permuted(perm)) == canonical_key(m)
+
+    def test_tree_on_a_two_cycle_core(self):
+        # two fused six-rings with a 1,990-atom chain on one ring atom: the
+        # peel names the chain, and refinement sees only the ten core atoms
+        bonds = [(i, (i + 1) % 6) for i in range(6)] + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 4)]
+        bonds += [(0, 10)] + [(i, i + 1) for i in range(10, 1999)]
+        m = molgraph(["C"] * 2000, [(i, j, BondType.SINGLE) for i, j in bonds])
+        assert _best_of_3_ms(lambda: canonical_key(m)) < 250
+        perm = list(np.random.default_rng(6).permutation(m.n))
         assert canonical_key(m.permuted(perm)) == canonical_key(m)
 
     def test_load_dotted_carbons(self, tmp_path):
@@ -517,6 +533,27 @@ def brute_force_isomorphic(a, b):
     return any(a.permuted(list(perm)) == b for perm in itertools.permutations(range(a.n)))
 
 
+_COMPONENT_SIZES = (st.integers(1, 4), st.integers(3, 5), st.integers(4, 5))
+
+
+@st.composite
+def union_pairs(draw):
+    """Two disjoint unions of two or three connected components, each a
+    tree, a one-cycle or a two-cycle graph with kinds drawn with repeats.
+    Component i of the second is drawn with component i of the first, often
+    as a relabelled copy, and the second joins its components in a drawn
+    order and is relabelled as a whole. So a union can be a ring and an
+    atom, two rings, or a two-cycle graph and a tree, with n - 1 or n bonds
+    in all. Returns the component pairs and the two unions."""
+    kinds = draw(st.lists(st.integers(0, 2), min_size=2, max_size=3))
+    pairs = [draw(cyclic_pairs(_COMPONENT_SIZES[k], k)) for k in kinds]
+    order = draw(st.permutations(range(len(pairs))))
+    a, b = pairs[0][0], pairs[order[0]][1]
+    for i in range(1, len(pairs)):
+        a, b = disjoint_union(a, pairs[i][0]), disjoint_union(b, pairs[order[i]][1])
+    return pairs, a, b.permuted(draw(st.permutations(range(b.n))))
+
+
 class TestProperties:
     @given(graph_pairs())
     @settings(max_examples=200, deadline=None)
@@ -542,21 +579,16 @@ class TestProperties:
     def test_least_rotation_is_the_smallest(self, s):
         assert canon._least_rotation(s) == min(s[r:] + s[:r] for r in range(len(s)))
 
-    @given(cyclic_pairs(st.integers(1, 4), 0), cyclic_pairs(st.integers(3, 5), 1),
-           cyclic_pairs(st.integers(4, 5), 2), st.permutations(range(3)),
-           st.integers(0, 2**31 - 1))
+    @given(union_pairs())
     @settings(max_examples=100, deadline=None)
-    def test_union_key_equality_is_isomorphism(self, tree, ring, rings, order, perm_seed):
-        # a tree, a one-cycle and a two-cycle component: each union holds one
-        # of each kind, so two unions are isomorphic exactly when each pair of
-        # components is, and the join of the three encodings is what differs
-        pairs = (tree, ring, rings)
-        a = disjoint_union(disjoint_union(tree[0], ring[0]), rings[0])
-        b = disjoint_union(disjoint_union(pairs[order[0]][1], pairs[order[1]][1]),
-                           pairs[order[2]][1])
-        b = b.permuted(list(np.random.default_rng(perm_seed).permutation(b.n)))
-        assert (canonical_key(a) == canonical_key(b)) == \
-            all(brute_force_isomorphic(x, y) for x, y in pairs)
+    def test_union_key_equality_is_isomorphism(self, case):
+        # two unions are isomorphic exactly when a matching pairs each
+        # component of one with an isomorphic component of the other
+        pairs, a, b = case
+        iso = [[brute_force_isomorphic(x, y) for _, y in pairs] for x, _ in pairs]
+        matched = any(all(iso[i][j] for i, j in enumerate(match))
+                      for match in itertools.permutations(range(len(pairs))))
+        assert (canonical_key(a) == canonical_key(b)) == matched
 
     @given(random_molecules())
     @settings(max_examples=40, deadline=None)
@@ -570,47 +602,91 @@ class TestProperties:
         assert canonical_key(m.permuted(perm)) == canonical_key(m)
 
 
-def searched_encoding(m):
-    """The refine-and-search encoding of a connected molecule, which
-    ``canonical_key`` keeps for components with several cycles."""
-    elems = [ELEMENTS.index(a) for a in m.atoms]
-    nbrs = [[] for _ in range(m.n)]
-    for i, j, t in m.bonds:
-        b = BOND_TYPES.index(t)
-        nbrs[i].append((j, b))
-        nbrs[j].append((i, b))
-    return (m.n, len(m.bonds), *canon._searched_code(elems, nbrs))
-
-
 def partition(keys):
     """Each item's class, numbered in order of first appearance."""
     first = {}
     return [first.setdefault(k, len(first)) for k in keys]
 
 
+def with_permuted_copies(mols, seed):
+    rng = np.random.default_rng(seed)
+    return mols + [m.permuted(list(rng.permutation(m.n))) for m in mols]
+
+
 class TestSearchFreeKeys:
     """One-cycle molecules are keyed from their cycle into the classes that
-    refinement and search give them, and neither trees nor one-cycle
-    molecules reach refinement or the search."""
+    refinement and search give them, molecules with several cycles into the
+    classes the reference keyer gives them, and neither trees nor one-cycle
+    molecules reach the component split, refinement or the search."""
 
     @pytest.mark.parametrize("seed", [2, 19])
     def test_one_cycle_partition_equals_search(self, seed):
         mols = [m for m in synthetic_molecules(2000, seed=seed) if len(m.bonds) == m.n]
-        rng = np.random.default_rng(seed)
-        mols += [m.permuted(list(rng.permutation(m.n))) for m in mols]
+        mols = with_permuted_copies(mols, seed)
         classes = partition(map(canonical_key, mols))
-        assert classes == partition(map(searched_encoding, mols))
+        assert classes == partition(map(reference_searched_encoding, mols))
+        assert max(classes) + 1 < len(mols) // 2
+
+    @pytest.mark.parametrize("seed", [2, 19])
+    def test_several_cycle_partition_equals_reference(self, seed):
+        mols = [m for m in synthetic_molecules(2000, seed=seed) if len(m.bonds) > m.n]
+        mols = with_permuted_copies(mols, seed)
+        classes = partition(map(canonical_key, mols))
+        assert classes == partition(map(reference_canonical_key, mols))
         assert max(classes) + 1 < len(mols) // 2
 
     def test_trees_and_one_cycle_molecules_skip_the_search(self, monkeypatch):
         def refused(*args):
-            raise AssertionError("refinement or search ran")
+            raise AssertionError("the component split, refinement or search ran")
 
         mols = [m for m in synthetic_molecules(2000, seed=2) if len(m.bonds) <= m.n]
-        monkeypatch.setattr(canon, "_refine", refused)
-        monkeypatch.setattr(canon, "_search", refused)
+        assert all(check_validity(m).valid for m in mols)  # so each is connected
+        for fn in ("_components", "_refine", "_search"):
+            monkeypatch.setattr(canon, fn, refused)
         for m in mols:
             canonical_key(m)
+
+
+class TestComponentSplit:
+    """A disconnected graph with n - 1 or n bonds is no tree or ring: the
+    whole-graph peel turns it down and the components are keyed one by one."""
+
+    @pytest.mark.parametrize("text, other", [
+        pytest.param("C1CCCCC1.C", "C1CCCC1.CC", id="ring-and-atom"),
+        pytest.param("C1CCC1.CCC", "C1CC1C.CCC", id="ring-and-tree"),
+        pytest.param("C1CC1.C1CCC1", "C1CC1.C1CC1C", id="two-rings"),
+        pytest.param("C1C2CC12.CC", "CC12CC1C2.C", id="two-cycles-and-tree"),
+    ])
+    def test_split_keys_match_isomorphism(self, text, other, monkeypatch):
+        splits = []
+
+        def counted(nbrs):
+            splits.append(len(nbrs))
+            return components(nbrs)
+
+        components = canon._components
+        monkeypatch.setattr(canon, "_components", counted)
+        a, b = parse_smiles(text), parse_smiles(other)
+        assert a.n == b.n and len(a.bonds) == len(b.bonds) in (a.n - 1, a.n)
+        mols = [a, a.permuted(list(np.random.default_rng(3).permutation(a.n))), b]
+        keys = [canonical_key(m) for m in mols]
+        assert splits.count(a.n) == len(mols)
+        for m, key in zip(mols[1:], keys[1:]):
+            assert (key == keys[0]) == brute_force_isomorphic(a, m)
+
+
+class TestKeyEquivalence:
+    """``canonical_key`` against the reference keyer in ``conftest``, which
+    splits every graph first and refines several-cycle components whole."""
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_corpus_molecules(self, seed):
+        mols = with_permuted_copies(synthetic_molecules(1500, seed=seed), seed)
+        keys = [canonical_key(m) for m in mols]
+        ref = [reference_canonical_key(m) for m in mols]
+        assert partition(keys) == partition(ref)
+        kept = [(k, r) for m, k, r in zip(mols, keys, ref) if len(m.bonds) <= m.n]
+        assert len(kept) > len(mols) // 2 and all(k == r for k, r in kept)
 
 
 @st.composite
