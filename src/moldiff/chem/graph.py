@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 
 
 class Element(Enum):
@@ -135,48 +136,36 @@ def _fmt_order(half: int) -> str:
     return str(half // 2) if half % 2 == 0 else f"{half / 2:g}"
 
 
-def _cycle_edges(m: MolGraph) -> set[tuple[int, int]]:
-    """Edges that lie on at least one cycle (i.e., are not bridges)."""
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(m.n)}
-    edges = sorted((i, j) for i, j, _ in m.bonds)
-    for eid, (i, j) in enumerate(edges):
-        adj[i].append((j, eid))
-        adj[j].append((i, eid))
-
-    disc = [-1] * m.n
-    low = [0] * m.n
-    bridges: set[int] = set()
-    counter = 0
-
-    for root in range(m.n):
-        if disc[root] != -1:
+def _bridges(nbrs: list[list[int]]) -> set[tuple[int, int]]:
+    """The bonds on no cycle, as (i, j) pairs with i < j, by Tarjan's
+    low-link walk (1974) from one explicit stack. A MolGraph has no
+    duplicate pairs, so the walk skips the parent atom, not the parent bond.
+    """
+    disc = [-1] * len(nbrs)
+    low = [0] * len(nbrs)
+    order = count()
+    bridges: set[tuple[int, int]] = set()
+    for root in range(len(nbrs)):
+        if disc[root] >= 0:
             continue
-        # iterative DFS: (node, parent edge id, iterator index)
-        stack = [(root, -1, 0)]
-        disc[root] = low[root] = counter
-        counter += 1
+        disc[root] = low[root] = next(order)
+        stack = [(root, -1, iter(nbrs[root]))]  # (atom, parent, neighbours left)
         while stack:
-            node, pedge, idx = stack[-1]
-            if idx < len(adj[node]):
-                stack[-1] = (node, pedge, idx + 1)
-                nxt, eid = adj[node][idx]
-                if eid == pedge:
-                    continue
-                if disc[nxt] == -1:
-                    disc[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append((nxt, eid, 0))
-                else:
-                    low[node] = min(low[node], disc[nxt])
+            u, p, rest = stack[-1]
+            for v in rest:
+                if disc[v] < 0:
+                    disc[v] = low[v] = next(order)
+                    stack.append((v, u, iter(nbrs[v])))
+                    break
+                if v != p and disc[v] < low[u]:
+                    low[u] = disc[v]
             else:
                 stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > disc[parent]:
-                        bridges.add(pedge)
-
-    return {edges[eid] for eid in range(len(edges)) if eid not in bridges}
+                if p >= 0:
+                    low[p] = min(low[p], low[u])
+                    if low[u] > disc[p]:
+                        bridges.add((p, u) if p < u else (u, p))
+    return bridges
 
 
 def check_validity(m: MolGraph) -> ValidityReport:
@@ -184,8 +173,9 @@ def check_validity(m: MolGraph) -> ValidityReport:
     per-atom aromatic degree, and connectedness.
 
     One pass over the bonds sums each atom's bond orders and counts its
-    aromatic bonds and its neighbours; connectedness is a walk over those
-    neighbour lists. Bridges are found only when an aromatic bond exists.
+    aromatic bonds and its neighbours. Connectedness is a walk over those
+    neighbour lists, and only when an aromatic bond exists are the bridges
+    found, by a low-link walk over the same lists.
     Violations are listed in that order: valence by atom, aromatic bonds
     off a cycle by bond, lone aromatic bonds by atom, then disconnection.
     """
@@ -211,9 +201,9 @@ def check_validity(m: MolGraph) -> ValidityReport:
             )
 
     if any(aromatic_deg):
-        cyclic = _cycle_edges(m)
+        bridges = _bridges(nbrs)
         for i, j, t in sorted(m.bonds):
-            if t is _AROMATIC and (i, j) not in cyclic:
+            if t is _AROMATIC and (i, j) in bridges:
                 violations.append(f"aromatic bond ({i},{j}) not on a cycle")
         for i in range(n):
             if aromatic_deg[i] == 1:

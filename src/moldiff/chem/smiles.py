@@ -54,6 +54,12 @@ _BOND_CHARS = {"-": BondType.SINGLE, "=": BondType.DOUBLE,
 # looked up on its Enum class
 _SINGLE = BondType.SINGLE
 _AROMATIC = BondType.AROMATIC
+# the bond symbol written before an atom or a closing ring digit. Both ends
+# of an aromatic bond are written lowercase, so the parser's default gives
+# it back; a single bond needs its "-" only between two lowercase atoms.
+_WRITTEN = {BondType.SINGLE: "", BondType.DOUBLE: "=", BondType.TRIPLE: "#",
+            BondType.AROMATIC: ""}
+_RING_LABELS = tuple(str(d) if d < 10 else f"%{d}" for d in range(100))
 
 
 def parse_smiles(text: str) -> MolGraph:
@@ -175,93 +181,70 @@ def write_smiles(m: MolGraph) -> str:
     bond between two such atoms is written explicitly as ``-`` so the
     default-aromatic rule does not misfire on re-parse. Disconnected
     components are joined with dots.
+
+    Each component is walked twice, each walk from one explicit stack, so
+    a chain of any length is written without recursion. The first walk
+    splits the bonds into a spanning tree and ring closures; the second
+    writes the tree in preorder. A ring digit opens at the first-written
+    end of its bond and closes, with the bond symbol, at the second; the
+    least free digit is taken.
     """
-    is_aromatic = [False] * m.n
-    for a, b, t in m.bonds:
-        if t is BondType.AROMATIC:
-            is_aromatic[a] = True
-            is_aromatic[b] = True
-
-    adj: dict[int, list[tuple[int, BondType]]] = {i: [] for i in range(m.n)}
-    for a, b, t in sorted(m.bonds, key=lambda e: (e[0], e[1])):
-        adj[a].append((b, t))
-        adj[b].append((a, t))
-    for i in range(m.n):
-        adj[i].sort(key=lambda p: p[0])
-
-    def atom_token(i: int) -> str:
-        sym = m.atoms[i].symbol
-        return sym.lower() if is_aromatic[i] else sym
-
-    def bond_token(a: int, b: int, t: BondType) -> str:
-        if t is BondType.SINGLE:
-            return "-" if is_aromatic[a] and is_aromatic[b] else ""
-        if t is BondType.AROMATIC:
-            return "" if is_aromatic[a] and is_aromatic[b] else ":"
-        return t.label
-
-    # Pass 1: DFS spanning forest. Non-tree edges become ring closures.
-    visited = [False] * m.n
-    tree_children: dict[int, list[tuple[int, BondType]]] = {i: [] for i in range(m.n)}
-    ring_edges: dict[int, list[tuple[int, BondType]]] = {i: [] for i in range(m.n)}
-    roots: list[int] = []
-    seen_edges: set[tuple[int, int]] = set()
-
-    for start in range(m.n):
-        if visited[start]:
-            continue
-        roots.append(start)
-        visited[start] = True
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nbr, t in adj[node]:
-                key = (min(node, nbr), max(node, nbr))
-                if key in seen_edges:
-                    continue
-                seen_edges.add(key)
-                if visited[nbr]:
-                    ring_edges[node].append((nbr, t))
-                    ring_edges[nbr].append((node, t))
-                else:
-                    visited[nbr] = True
-                    tree_children[node].append((nbr, t))
-                    stack.append(nbr)
-
-    # Pass 2: emit preorder; ring digits open at the first-emitted endpoint
-    # and close (with the bond symbol) at the second. Freed digits are reused.
-    emitted = [False] * m.n
+    n = m.n
+    aromatic = [False] * n
+    adj: list[list[tuple[int, BondType]]] = [[] for _ in range(n)]
+    for i, j, t in sorted(m.bonds):  # so every neighbour list is ascending
+        adj[i].append((j, t))
+        adj[j].append((i, t))
+        if t is _AROMATIC:
+            aromatic[i] = aromatic[j] = True
+    reached = [False] * n
+    done = [False] * n
+    # per atom: (tree child or ring partner, bond symbol)
+    children: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    closures: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    # (first-written atom, second) -> the open digit of their ring bond
     open_digits: dict[tuple[int, int], int] = {}
-    in_use: set[int] = set()
+    out: list[str] = []
+    for root in range(n):
+        if reached[root]:
+            continue
+        # a bond to an unreached atom is a tree bond; one to an atom that is
+        # reached but has not read its own bonds yet closes a ring
+        reached[root] = True
+        stack: list = [root]
+        while stack:
+            u = stack.pop()
+            done[u] = True
+            for v, t in adj[u]:
+                if not done[v]:
+                    sym = "-" if t is _SINGLE and aromatic[u] and aromatic[v] else _WRITTEN[t]
+                    if reached[v]:
+                        closures[u].append((v, sym))
+                        closures[v].append((u, sym))
+                    else:
+                        reached[v] = True
+                        children[u].append((v, sym))
+                        stack.append(v)
 
-    def alloc_digit() -> int:
-        d = 1
-        while d in in_use:
-            d += 1
-        if d > 99:
-            raise ValueError("too many simultaneous ring closures")
-        in_use.add(d)
-        return d
-
-    def digit_token(d: int) -> str:
-        return str(d) if d <= 9 else f"%{d:02d}"
-
-    def emit(node: int) -> str:
-        emitted[node] = True
-        parts = [atom_token(node)]
-        for nbr, t in ring_edges[node]:
-            key = (min(node, nbr), max(node, nbr))
-            if not emitted[nbr]:
-                open_digits[key] = alloc_digit()
-                parts.append(digit_token(open_digits[key]))
-            else:
-                d = open_digits.pop(key)
-                in_use.discard(d)
-                parts.append(bond_token(node, nbr, t) + digit_token(d))
-        children = tree_children[node]
-        for k, (nbr, t) in enumerate(children):
-            sub = bond_token(node, nbr, t) + emit(nbr)
-            parts.append(f"({sub})" if k < len(children) - 1 else sub)
-        return "".join(parts)
-
-    return ".".join(emit(root) for root in roots)
+        stack = [root, "."] if out else [root]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is str:
+                out.append(u)
+                continue
+            out.append(m.atoms[u].symbol.lower() if aromatic[u] else m.atoms[u].symbol)
+            for v, sym in closures[u]:
+                d = open_digits.pop((v, u), 0)
+                if not d:
+                    d = 1
+                    while d in open_digits.values():
+                        d += 1
+                    if d > 99:
+                        raise ValueError("too many simultaneous ring closures")
+                    open_digits[(u, v)] = d
+                    sym = ""
+                out.append(sym + _RING_LABELS[d])
+            # the last child is pushed first; every other child is a branch
+            for k, (v, sym) in enumerate(reversed(children[u])):
+                stack += (")", v, "(" + sym) if k else (v, sym)
+    return "".join(out)

@@ -259,25 +259,12 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
-    ad, bd = a.data, b.data
-    out = Tensor(_dot(ad, bd))
-    if _recording(a, b):
-        _record(out, ((a, lambda g: _dot(g, bd.T)),
-                      (b, lambda g: _dot(ad.T, g))))
-    return out
-
-
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b as one tape node; x is (n, k), or (B, n, k) off the tape.
 
-    Same arithmetic, and so the same bits, as ``add(matmul(x, W), b)`` in
-    the value and in all three gradients, with one node instead of two.
+    Same arithmetic, and so the same bits, as a product node for x @ W and
+    an ``add`` node for the bias, in the value and in all three gradients,
+    with one node instead of two.
     """
     if x.data.ndim < 2 or W.data.ndim != 2:
         raise ShapeMismatch("affine expects an x of 2 or more dimensions and a 2-D W")
@@ -588,7 +575,7 @@ def relu_stack(x: Tensor, layers, prop: np.ndarray | None = None) -> Tensor:
     The value has the same bits taped, untaped and inside
     ``frozen_params``, where the plan is kept. Dense stacks, ``prop``
     stacks and one-row stacks have, in the value and every gradient, the
-    bits of the same stack built from ``matmul``, ``affine`` and ``relu``
+    bits of the same stack built from product, ``affine`` and ``relu``
     nodes. A complete-graph layer on more rows runs folded (see the
     section comment) and matches that stack to rounding.
     """

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 from array import array
 
 import numpy as np
@@ -23,7 +24,6 @@ from moldiff.chem import (
     UnsupportedAtom,
     ValidityReport,
 )
-from moldiff.chem.graph import _cycle_edges, _fmt_order
 from moldiff.diffcore import Tape, backward
 from moldiff.diffcore import tensor as T
 from moldiff.harness import synthetic_dataset
@@ -32,6 +32,29 @@ from moldiff.harness import synthetic_dataset
 # profile keeps exploring new ones
 settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+#: Seconds one test may run, with the set-up and tear-down of its
+#: function-scoped fixtures.
+TEST_SECONDS = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Stop the whole run when a test passes ``TEST_SECONDS``: SIGALRM
+    raises ``KeyboardInterrupt``, which pytest reports, with the test's
+    node id and the line it was on, as an interrupted run (exit code 2).
+    A hang so ends in its own report rather than in the CI job's timeout,
+    and hypothesis does not try to shrink it."""
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt(
+            f"{request.node.nodeid} ran past {TEST_SECONDS} s; interrupted at "
+            f"{frame.f_code.co_filename}:{frame.f_lineno}")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def fd_gradcheck(build, params, h: float = 1e-6, floor: float = 1e-6) -> float:
@@ -118,9 +141,18 @@ def _complete_mean_node(x):
     return out
 
 
+def matmul_node(a, b):
+    """a @ b for two 2-D tensors as a tape node of its own."""
+    ad, bd = a.data, b.data
+    out = T.Tensor(T._dot(ad, bd))
+    if T._recording(a, b):
+        T._record(out, ((a, lambda g: T._dot(g, bd.T)), (b, lambda g: T._dot(ad.T, g))))
+    return out
+
+
 def per_layer_stack(x, layers, prop=None):
     """``T.relu_stack(x, layers, prop)`` from separate nodes: per layer, a
-    ``T.matmul`` node by ``prop`` on a ``prop`` stack, the complete-graph
+    ``matmul_node`` by ``prop`` on a ``prop`` stack, the complete-graph
     mean node when the layer has ``Wn``, one or two ``affine`` nodes and a
     ``relu``. The reference computes the mean itself and does not fold it
     into the weights. Same arithmetic as ``relu_stack`` on dense and
@@ -128,7 +160,7 @@ def per_layer_stack(x, layers, prop=None):
     complete-graph layers over more rows the two agree to rounding."""
     for i, (w, wn, b) in enumerate(layers):
         if prop is not None:
-            x = T.affine(T.matmul(T.tensor(prop), x), w, b)
+            x = T.affine(matmul_node(T.tensor(prop), x), w, b)
         elif wn is None:
             x = T.affine(x, w, b)
         else:
@@ -265,6 +297,148 @@ def reference_parse_smiles(text: str) -> MolGraph:
     return MolGraph(tuple(atoms), frozenset((a, b, t) for (a, b), t in bonds.items()))
 
 
+def reference_write_smiles(m: MolGraph) -> str:
+    """``chem.write_smiles`` with a set of seen bonds for the spanning
+    forest and one nested call per atom for the preorder, so a long chain
+    raises ``RecursionError``. It writes the same bytes."""
+    is_aromatic = [False] * m.n
+    for a, b, t in m.bonds:
+        if t is BondType.AROMATIC:
+            is_aromatic[a] = True
+            is_aromatic[b] = True
+
+    adj: dict[int, list[tuple[int, BondType]]] = {i: [] for i in range(m.n)}
+    for a, b, t in sorted(m.bonds, key=lambda e: (e[0], e[1])):
+        adj[a].append((b, t))
+        adj[b].append((a, t))
+    for i in range(m.n):
+        adj[i].sort(key=lambda p: p[0])
+
+    def atom_token(i: int) -> str:
+        sym = m.atoms[i].symbol
+        return sym.lower() if is_aromatic[i] else sym
+
+    def bond_token(a: int, b: int, t: BondType) -> str:
+        if t is BondType.SINGLE:
+            return "-" if is_aromatic[a] and is_aromatic[b] else ""
+        if t is BondType.AROMATIC:
+            return "" if is_aromatic[a] and is_aromatic[b] else ":"
+        return t.label
+
+    visited = [False] * m.n
+    tree_children: dict[int, list[tuple[int, BondType]]] = {i: [] for i in range(m.n)}
+    ring_edges: dict[int, list[tuple[int, BondType]]] = {i: [] for i in range(m.n)}
+    roots: list[int] = []
+    seen_edges: set[tuple[int, int]] = set()
+
+    for start in range(m.n):
+        if visited[start]:
+            continue
+        roots.append(start)
+        visited[start] = True
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for nbr, t in adj[node]:
+                key = (min(node, nbr), max(node, nbr))
+                if key in seen_edges:
+                    continue
+                seen_edges.add(key)
+                if visited[nbr]:
+                    ring_edges[node].append((nbr, t))
+                    ring_edges[nbr].append((node, t))
+                else:
+                    visited[nbr] = True
+                    tree_children[node].append((nbr, t))
+                    stack.append(nbr)
+
+    emitted = [False] * m.n
+    open_digits: dict[tuple[int, int], int] = {}
+    in_use: set[int] = set()
+
+    def alloc_digit() -> int:
+        d = 1
+        while d in in_use:
+            d += 1
+        if d > 99:
+            raise ValueError("too many simultaneous ring closures")
+        in_use.add(d)
+        return d
+
+    def digit_token(d: int) -> str:
+        return str(d) if d <= 9 else f"%{d:02d}"
+
+    def emit(node: int) -> str:
+        emitted[node] = True
+        parts = [atom_token(node)]
+        for nbr, t in ring_edges[node]:
+            key = (min(node, nbr), max(node, nbr))
+            if not emitted[nbr]:
+                open_digits[key] = alloc_digit()
+                parts.append(digit_token(open_digits[key]))
+            else:
+                d = open_digits.pop(key)
+                in_use.discard(d)
+                parts.append(bond_token(node, nbr, t) + digit_token(d))
+        children = tree_children[node]
+        for k, (nbr, t) in enumerate(children):
+            sub = bond_token(node, nbr, t) + emit(nbr)
+            parts.append(f"({sub})" if k < len(children) - 1 else sub)
+        return "".join(parts)
+
+    return ".".join(emit(root) for root in roots)
+
+
+def _ref_fmt_order(half: int) -> str:
+    return str(half // 2) if half % 2 == 0 else f"{half / 2:g}"
+
+
+def reference_cycle_edges(m: MolGraph) -> set[tuple[int, int]]:
+    """The bonds on at least one cycle: the complement of the bridges,
+    which a low-link walk over a dict adjacency of bond ids finds by
+    skipping the parent bond rather than the parent atom."""
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(m.n)}
+    edges = sorted((i, j) for i, j, _ in m.bonds)
+    for eid, (i, j) in enumerate(edges):
+        adj[i].append((j, eid))
+        adj[j].append((i, eid))
+
+    disc = [-1] * m.n
+    low = [0] * m.n
+    bridges: set[int] = set()
+    counter = 0
+
+    for root in range(m.n):
+        if disc[root] != -1:
+            continue
+        # iterative DFS: (node, parent edge id, iterator index)
+        stack = [(root, -1, 0)]
+        disc[root] = low[root] = counter
+        counter += 1
+        while stack:
+            node, pedge, idx = stack[-1]
+            if idx < len(adj[node]):
+                stack[-1] = (node, pedge, idx + 1)
+                nxt, eid = adj[node][idx]
+                if eid == pedge:
+                    continue
+                if disc[nxt] == -1:
+                    disc[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append((nxt, eid, 0))
+                else:
+                    low[node] = min(low[node], disc[nxt])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    if low[node] > disc[parent]:
+                        bridges.add(pedge)
+
+    return {edges[eid] for eid in range(len(edges)) if eid not in bridges}
+
+
 def reference_check_validity(m: MolGraph) -> ValidityReport:
     """``chem.check_validity`` in separate passes: bond orders, then
     aromatic placement, then a walk over a dict adjacency."""
@@ -282,11 +456,11 @@ def reference_check_validity(m: MolGraph) -> ValidityReport:
     for i, el in enumerate(m.atoms):
         if half_sums[i] > 2 * el.max_valence:
             violations.append(
-                f"valence {_fmt_order(half_sums[i])} > {el.max_valence} at atom {i}"
+                f"valence {_ref_fmt_order(half_sums[i])} > {el.max_valence} at atom {i}"
             )
 
     if any(t is BondType.AROMATIC for _, _, t in m.bonds):
-        cyclic = _cycle_edges(m)
+        cyclic = reference_cycle_edges(m)
         for i, j, t in sorted(m.bonds):
             if t is BondType.AROMATIC and (i, j) not in cyclic:
                 violations.append(f"aromatic bond ({i},{j}) not on a cycle")

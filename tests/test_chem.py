@@ -24,6 +24,7 @@ from moldiff.chem import (
     UnbalancedParenthesis,
     UnclosedRing,
     UnsupportedAtom,
+    ValidityReport,
     canonical_key,
     check_validity,
     load_dataset,
@@ -41,6 +42,7 @@ from conftest import (
     reference_check_validity,
     reference_parse_smiles,
     reference_searched_encoding,
+    reference_write_smiles,
 )
 
 
@@ -311,6 +313,31 @@ class TestCanonicalKeyTime:
         path.write_text("C.C.C.C.C.C.C.C.C\n")
         assert _best_of_3_ms(lambda: load_dataset(path)) < 50
         assert len(load_dataset(path).canonical_keys) == 1
+
+
+def chain(n, t=BondType.SINGLE):
+    return [(i, i + 1, t) for i in range(n - 1)]
+
+
+class TestLargeGraphTime:
+    """A 3,000-atom chain, star and aromatic ring are written, re-parsed to
+    the same key and checked in bounded time: the writer and the bridge
+    walk each keep one explicit stack, so neither depth nor width recurses."""
+
+    @pytest.mark.parametrize("bonds, violations", [
+        pytest.param(chain(3000), [], id="chain-3000"),
+        pytest.param([(0, i, BondType.SINGLE) for i in range(1, 3000)],
+                     ["valence 2999 > 4 at atom 0"], id="star-3000"),
+        pytest.param(chain(3000, BondType.AROMATIC) + [(0, 2999, BondType.AROMATIC)],
+                     [], id="aromatic-ring-3000"),
+    ])
+    def test_write_parse_and_check(self, bonds, violations):
+        m = molgraph(["C"] * 3000, bonds)
+        key = canonical_key(m)
+        assert _best_of_3_ms(lambda: canonical_key(parse_smiles(write_smiles(m)))) < 250
+        assert canonical_key(parse_smiles(write_smiles(m))) == key
+        assert _best_of_3_ms(lambda: check_validity(m)) < 50
+        assert check_validity(m) == ValidityReport(valid=not violations, violations=violations)
 
 
 class TestValidity:
@@ -838,6 +865,64 @@ class TestValidityEquivalence:
     @given(st.integers(1, 7).flatmap(typed_graphs))
     @settings(max_examples=300, deadline=None)
     def test_random_graphs(self, m):
+        assert check_validity(m) == reference_check_validity(m)
+
+
+def random_typed_graphs(count, seed):
+    """``count`` numpy-drawn graphs of 1 to 16 atoms, each over a drawn
+    subset of elements and bond types with a drawn bond density, so many
+    are disconnected and the dense ones open ten or more ring digits."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 17))
+        elements = ELEMENTS[:rng.integers(1, len(ELEMENTS) + 1)]
+        bond_types = BOND_TYPES[:rng.integers(1, len(BOND_TYPES) + 1)]
+        density = rng.uniform(0.05, 0.6)
+        graphs.append(MolGraph(
+            tuple(elements[k] for k in rng.integers(0, len(elements), n)),
+            frozenset((i, j, bond_types[rng.integers(0, len(bond_types))])
+                      for i, j in itertools.combinations(range(n), 2)
+                      if rng.random() < density)))
+    return graphs
+
+
+class TestWriteEquivalence:
+    """``write_smiles`` writes the reference's bytes and ``check_validity``
+    gives the reference's report on corpus molecules, their relabelled
+    copies, disjoint unions and random typed graphs, connected or not."""
+
+    def test_corpus(self):
+        mols = synthetic_molecules(3000, seed=7)
+        rng = np.random.default_rng(8)
+        mols += [m.permuted(list(rng.permutation(m.n))) for m in mols[:1000]]
+        mols += [disjoint_union(a, b) for a, b in zip(mols[:200], mols[200:400])]
+        for m in mols + random_typed_graphs(3000, seed=9):
+            assert write_smiles(m) == reference_write_smiles(m)
+            assert check_validity(m) == reference_check_validity(m)
+
+    def test_many_open_ring_digits(self):
+        # K20 keeps more than nine digits open at once; K25 needs more than 99
+        k20, k25 = (molgraph(["C"] * n, [(i, j, BondType.SINGLE)
+                                         for i, j in itertools.combinations(range(n), 2)])
+                    for n in (20, 25))
+        assert "%" in write_smiles(k20)
+        assert write_smiles(k20) == reference_write_smiles(k20)
+        for write in (write_smiles, reference_write_smiles):
+            with pytest.raises(ValueError, match="too many simultaneous ring closures"):
+                write(k25)
+
+    @given(st.integers(1, 16).flatmap(typed_graphs))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, m):
+        assert write_smiles(m) == reference_write_smiles(m)
+        assert check_validity(m) == reference_check_validity(m)
+
+    @given(random_molecules(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_permuted_molecules(self, m, perm_seed):
+        m = m.permuted(list(np.random.default_rng(perm_seed).permutation(m.n)))
+        assert write_smiles(m) == reference_write_smiles(m)
         assert check_validity(m) == reference_check_validity(m)
 
 

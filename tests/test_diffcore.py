@@ -31,7 +31,14 @@ from moldiff.diffcore import tensor as T
 from moldiff.diffcore.optim import BETA1, BETA2, EPS
 from moldiff.gnn import EdgeIndex, pair_node_edges
 
-from conftest import assert_close, fd_gradcheck, mean_only, per_layer_stack, seeded_sum
+from conftest import (
+    assert_close,
+    fd_gradcheck,
+    matmul_node,
+    mean_only,
+    per_layer_stack,
+    seeded_sum,
+)
 
 
 class TestBackward:
@@ -89,7 +96,7 @@ class TestBackward:
 
         def run():
             with Tape() as tape:
-                loss = T.mse(T.matmul(x, w), T.tensor(np.ones((4, 2))))
+                loss = T.mse(matmul_node(x, w), T.tensor(np.ones((4, 2))))
             return backward(tape, loss)
 
         g1 = run()
@@ -105,7 +112,7 @@ class TestGradCheckPrimitives:
         a = param(rng.standard_normal((4, 3)))
         b = param(rng.standard_normal((3, 2)))
         tgt = rng.standard_normal((4, 2))
-        worst = fd_gradcheck(lambda: T.mse(T.matmul(a, b), T.tensor(tgt)),
+        worst = fd_gradcheck(lambda: T.mse(matmul_node(a, b), T.tensor(tgt)),
                              [a, b], h=1e-5)
         assert worst < 1e-6
 
@@ -307,7 +314,7 @@ class TestAffine:
             return out.data, [grads[p] for p in (x, w, b)], len(tape)
 
         fused, fused_grads, fused_nodes = run(lambda: T.affine(x, w, b))
-        pair, pair_grads, pair_nodes = run(lambda: T.add(T.matmul(x, w), b))
+        pair, pair_grads, pair_nodes = run(lambda: T.add(matmul_node(x, w), b))
         assert np.array_equal(fused, pair)
         for got, want in zip(fused_grads, pair_grads):
             assert np.array_equal(got, want)

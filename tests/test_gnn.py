@@ -28,7 +28,13 @@ from moldiff.gnn import (
     time_features,
 )
 
-from conftest import assert_close, general_pair_logits, per_layer_stack, seeded_sum
+from conftest import (
+    assert_close,
+    general_pair_logits,
+    matmul_node,
+    per_layer_stack,
+    seeded_sum,
+)
 
 
 def random_orthogonal(rng, d):
@@ -409,7 +415,7 @@ class TestGraphConv:
         def message_passing(h):
             for i, layer in enumerate(stack.layers):
                 mean = T.segment_mean(T.gather_rows(h, e.src_plan), e.dst_plan)
-                h = T.add(T.affine(h, layer.W_self, layer.b), T.matmul(mean, layer.W_nbr))
+                h = T.add(T.affine(h, layer.W_self, layer.b), matmul_node(mean, layer.W_nbr))
                 if i < len(stack.layers) - 1:
                     h = T.relu(h)
             return h

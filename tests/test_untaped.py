@@ -28,7 +28,7 @@ from moldiff.gnn import (
 )
 from moldiff.harness.config import EXPERIMENTS
 
-from conftest import mean_only
+from conftest import matmul_node, mean_only
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -134,7 +134,7 @@ OPS = {
     "add": (lambda a, b: T.add(a, b), [(4, 3), (3,)]),
     "sub": (lambda a, b: T.sub(a, b), [(4, 3), (4, 1)]),
     "mul": (lambda a, b: T.mul(a, b), [(4, 3), (4, 3)]),
-    "matmul": (lambda a, b: T.matmul(a, b), [(4, 3), (3, 5)]),
+    "matmul": (matmul_node, [(4, 3), (3, 5)]),
     "affine": (lambda x, w, b: T.affine(x, w, b), [(4, 3), (3, 5), (5,)]),
     "relu": (T.relu, [(6, 5)]),
     "sigmoid": (T.sigmoid, [(4, 3)]),
